@@ -1,44 +1,27 @@
-"""Numeric hot loops, JIT-compiled when numba is available.
-
-Each kernel exists twice: a pure-numpy reference (``*_np``) and, when numba
-can be imported, an ``@njit`` version (``*_nb``).  The public names bind to
-the numba path unless the environment variable ``AGGSEP_DISABLE_NUMBA=1`` is
-set (or numba is missing), in which case the numpy path is used.  The
-benchmark in ``benchmarks/bench_kernels.py`` compares the two directly.
-"""
-
-import math
-import os
+"""Numeric hot loops in numpy: MIR rounding, box enumeration, ratio test."""
 
 import numpy as np
 
 __all__ = [
-    "HAVE_NUMBA",
-    "USING_NUMBA",
     "g_values",
     "max_box_violation",
     "ratio_test",
 ]
 
-_DISABLED = os.environ.get("AGGSEP_DISABLE_NUMBA", "") == "1"
 
-try:
-    from numba import njit
+def g_values(d, f):
+    """Vectorized MIR rounding function ``floor(d) + (frac(d)-f)^+ / (1-f)``.
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - depends on install
-    HAVE_NUMBA = False
-
-
-def g_values_np(d, f):
-    """Vectorized MIR rounding function ``floor(d) + (frac(d)-f)^+ / (1-f)``."""
+    ``d`` and ``f`` broadcast against each other, so one call scores a
+    (n_delta x q) array with one ``f`` per row.
+    """
     d = np.asarray(d, dtype=np.float64)
     fl = np.floor(d)
     fd = d - fl
     return fl + np.maximum(fd - f, 0.0) / (1.0 - f)
 
 
-def max_box_violation_np(a, u, b, zcoef, rhs, scoef):
+def max_box_violation(a, u, b, zcoef, rhs, scoef):
     """Maximum cut violation over the integer box ``0 <= z <= u``.
 
     For each integer point the minimal feasible slack of the base row
@@ -58,7 +41,7 @@ def max_box_violation_np(a, u, b, zcoef, rhs, scoef):
     return float(np.max(lhs - rhs - scoef * s))
 
 
-def ratio_test_np(w, xb, lb, ub, sdir, tcap):
+def ratio_test(w, xb, lb, ub, sdir, tcap):
     """Bounded-variable primal ratio test.
 
     ``xb`` moves along ``-sdir*w`` as the entering variable takes step
@@ -85,88 +68,3 @@ def ratio_test_np(w, xb, lb, ub, sdir, tcap):
             leave = k
             to_upper = bool(upr[k] < down[k])
     return t, leave, to_upper
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def g_values_nb(d, f):  # pragma: no cover - exercised via dispatch
-        out = np.empty(d.shape[0])
-        for i in range(d.shape[0]):
-            fl = math.floor(d[i])
-            fd = d[i] - fl
-            r = fd - f
-            if r < 0.0:
-                r = 0.0
-            out[i] = fl + r / (1.0 - f)
-        return out
-
-    @njit(cache=True)
-    def max_box_violation_nb(a, u, b, zcoef, rhs, scoef):  # pragma: no cover
-        q = a.shape[0]
-        if q == 0:
-            s = -b
-            if s < 0.0:
-                s = 0.0
-            return -rhs - scoef * s
-        z = np.zeros(q, dtype=np.int64)
-        best = -1e300
-        while True:
-            act = 0.0
-            lhs = 0.0
-            for j in range(q):
-                act += a[j] * z[j]
-                lhs += zcoef[j] * z[j]
-            s = act - b
-            if s < 0.0:
-                s = 0.0
-            v = lhs - rhs - scoef * s
-            if v > best:
-                best = v
-            k = q - 1
-            while k >= 0:
-                z[k] += 1
-                if z[k] <= u[k]:
-                    break
-                z[k] = 0
-                k -= 1
-            if k < 0:
-                return best
-
-    @njit(cache=True)
-    def ratio_test_nb(w, xb, lb, ub, sdir, tcap):  # pragma: no cover
-        eps = 1e-10
-        t = tcap
-        leave = -1
-        to_upper = False
-        for k in range(w.shape[0]):
-            d = sdir * w[k]
-            if d > eps:
-                if lb[k] == -np.inf:
-                    continue
-                r = (xb[k] - lb[k]) / d
-                hit_upper = False
-            elif d < -eps:
-                if ub[k] == np.inf:
-                    continue
-                r = (ub[k] - xb[k]) / (-d)
-                hit_upper = True
-            else:
-                continue
-            if r < t:
-                t = r if r > 0.0 else 0.0
-                leave = k
-                to_upper = hit_upper
-        return t, leave, to_upper
-
-
-USING_NUMBA = HAVE_NUMBA and not _DISABLED
-
-if USING_NUMBA:
-    g_values = g_values_nb
-    max_box_violation = max_box_violation_nb
-    ratio_test = ratio_test_nb
-else:
-    g_values = g_values_np
-    max_box_violation = max_box_violation_np
-    ratio_test = ratio_test_np

@@ -62,35 +62,3 @@ def test_ratio_test_bound_flip_cap():
     assert t == pytest.approx(4.0)
     assert leave == -1
 
-
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not installed")
-def test_numba_and_numpy_paths_agree():
-    rng = np.random.default_rng(2)
-    d = rng.uniform(-6, 6, size=64)
-    assert np.allclose(
-        _kernels.g_values_nb(d, 0.41), _kernels.g_values_np(d, 0.41), atol=1e-12
-    )
-    for _ in range(10):
-        k = random_knapsack_row(rng, max_q=4, max_u=3)
-        zcoef = rng.uniform(-3, 3, size=k.q)
-        args = (
-            np.ascontiguousarray(k.a), k.u.astype(np.int64), float(k.b),
-            np.ascontiguousarray(zcoef), float(rng.uniform(-5, 5)),
-            float(rng.uniform(0.1, 2.0)),
-        )
-        assert _kernels.max_box_violation_nb(*args) == pytest.approx(
-            _kernels.max_box_violation_np(*args), abs=1e-12
-        )
-    for _ in range(20):
-        m = int(rng.integers(1, 6))
-        w = rng.uniform(-2, 2, size=m)
-        xb = rng.uniform(0, 3, size=m)
-        lb = np.zeros(m)
-        ub = np.where(rng.random(m) < 0.5, rng.uniform(3, 6, size=m), np.inf)
-        sdir = float(rng.choice([-1.0, 1.0]))
-        tcap = float(rng.choice([np.inf, rng.uniform(0.5, 5.0)]))
-        got = _kernels.ratio_test_nb(w, xb, lb, ub, sdir, tcap)
-        expect = _kernels.ratio_test_np(w, xb, lb, ub, sdir, tcap)
-        assert got[0] == pytest.approx(expect[0], abs=1e-12)
-        assert got[1] == expect[1]
-        assert bool(got[2]) == bool(expect[2])
