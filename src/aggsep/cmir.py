@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import max_box_violation
+from ._kernels import g_values, max_box_violation
 from .aggregate import ZERO_TOL
 from .errors import ContractViolation, DegenerateCutError, OracleRefusedError
 from .mpsio import CutRecord
@@ -178,20 +178,21 @@ def cmir_inequality(k, T, U, delta):
         raise ContractViolation("delta must be positive")
     T = tuple(int(j) for j in T)
     U = tuple(int(j) for j in U)
-    if sorted(T + U) != list(range(k.q)) or set(T) & set(U):
+    if not np.array_equal(np.sort(np.array(T + U, dtype=np.int64)), np.arange(k.q)):
         raise ContractViolation("(T, U) must partition the knapsack positions")
     beta = (k.b - sum(k.a[j] * k.u[j] for j in U)) / delta
     f = beta - math.floor(beta)
     if min(f, 1.0 - f) < DEGENERATE_F_TOL:
         raise DegenerateCutError("fraction %r is numerically integral" % f)
+    t_pos, u_pos = list(T), list(U)
     z_coefs = np.zeros(k.q)
+    z_coefs[t_pos] = g_values(k.a[t_pos] / delta, f)
+    g_u = g_values(-k.a[u_pos] / delta, f)
+    z_coefs[u_pos] = -g_u
     rhs = math.floor(beta)
-    for j in T:
-        z_coefs[j] = g_function(k.a[j] / delta, f)
-    for j in U:
-        g = g_function(-k.a[j] / delta, f)
-        z_coefs[j] = -g
-        rhs -= g * k.u[j]
+    # sequential, in U order: the cut's bytes depend on this summation order
+    for g, u in zip(g_u, k.u[u_pos]):
+        rhs -= g * u
     s_coef = 1.0 / (delta * (1.0 - f))
     cut = CmirCut(
         partition_t=T,
@@ -231,41 +232,60 @@ def _map_back(cut, k):
 
 def proximity_partition(k):
     """U collects positions whose point value is nearer the upper bound."""
-    U = tuple(
-        j for j in range(k.q) if k.zbar[j] > k.u[j] - k.zbar[j]
-    )
-    T = tuple(j for j in range(k.q) if j not in U)
-    return T, U
+    near_upper = k.zbar > k.u - k.zbar
+    return (tuple(np.flatnonzero(~near_upper).tolist()),
+            tuple(np.flatnonzero(near_upper).tolist()))
 
 
 def delta_candidates(k):
-    """{1} and |a_j| of fractional positions, each with its /2 and /4."""
-    base = [1.0]
-    for j in range(k.q):
-        fz = k.zbar[j] - math.floor(k.zbar[j])
-        if min(fz, 1.0 - fz) > FRACTIONAL_TOL:
-            base.append(abs(k.a[j]))
-    out = []
-    seen = set()
-    for d in base:
-        for dd in (d, d / 2.0, d / 4.0):
-            if dd > 0 and dd not in seen:
-                seen.add(dd)
-                out.append(dd)
-    return out
+    """{1} and |a_j| of fractional positions, each with its /2 and /4.
+
+    A float array in that order, each value at its first occurrence.
+    """
+    fz = k.zbar - np.floor(k.zbar)
+    base = np.concatenate(([1.0], np.abs(k.a[np.minimum(fz, 1.0 - fz) > FRACTIONAL_TOL])))
+    cands = (base[:, None] / np.array([1.0, 2.0, 4.0])).ravel()
+    cands = cands[cands > 0]
+    _, first = np.unique(cands, return_index=True)
+    return cands[np.sort(first)]
 
 
 def select_partition_and_delta(k, violation_threshold=DEFAULT_VIOLATION_THRESHOLD):
-    """Most violated cut over the candidate deltas, or None."""
+    """Most violated cut over the candidate deltas, or None.
+
+    Every non-degenerate delta is scored at once on an (n_delta x q)
+    array.  The array's summation order differs from ``cmir_inequality``'s,
+    so it only filters: each candidate it cannot tell from the maximum,
+    within a bound on the rounding error of both evaluations, is built
+    exactly, and the first strict maximum of those exact violations wins.
+    """
     if k.q == 0:
         return None
     T, U = proximity_partition(k)
+    deltas = delta_candidates(k)
+    # the same sum, in the same order, as in cmir_inequality
+    beta = (k.b - sum(k.a[j] * k.u[j] for j in U)) / deltas
+    f = beta - np.floor(beta)
+    live = ~(np.minimum(f, 1.0 - f) < DEGENERATE_F_TOL)
+    if not live.any():
+        return None
+    deltas, beta, f = deltas[live], beta[live], f[live]
+    in_u = np.zeros(k.q, dtype=bool)
+    in_u[list(U)] = True
+    sign = np.where(in_u, -1.0, 1.0)
+    g = g_values(sign * k.a / deltas[:, None], f[:, None])
+    z = sign * g
+    gu = g[:, in_u] * k.u[in_u]
+    floor_beta = np.floor(beta)
+    s_term = 1.0 / (deltas * (1.0 - f)) * k.sbar
+    viol = z @ k.zbar - (floor_beta - gu.sum(axis=1)) - s_term
+    scale = np.abs(z) @ np.abs(k.zbar) + np.abs(floor_beta) + np.abs(gu).sum(axis=1) + np.abs(s_term)
+    err = (k.q + 3) * np.finfo(np.float64).eps * scale
+    top = int(np.argmax(viol))
+    keep = viol + err >= viol[top] - err[top] - 1e-9 * (1.0 + abs(viol[top]))
     best = None
-    for delta in delta_candidates(k):
-        try:
-            cut = cmir_inequality(k, T, U, delta)
-        except DegenerateCutError:
-            continue
+    for delta in deltas[keep]:
+        cut = cmir_inequality(k, T, U, delta)
         if best is None or cut.violation > best.violation:
             best = cut
     if best is not None and best.violation > violation_threshold:

@@ -1,11 +1,19 @@
 """Shared test helpers: brute-force oracles and random-problem generators."""
 
 import itertools
+import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 
-from aggsep.cmir import MixedKnapsackRow
+from aggsep.cmir import (
+    DEFAULT_VIOLATION_THRESHOLD,
+    DEGENERATE_F_TOL,
+    FRACTIONAL_TOL,
+    MixedKnapsackRow,
+    g_function,
+)
 from aggsep.lp import LpProblem
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -125,3 +133,52 @@ def random_knapsack_row(rng, max_q=6, max_u=5):
         zbar=zbar,
         sbar=sbar,
     )
+
+
+def reference_select(k, violation_threshold=DEFAULT_VIOLATION_THRESHOLD):
+    """The scalar per-delta c-MIR search that the array search replaced.
+
+    Proximity partition, then every delta candidate in order, each cut built
+    with scalar ``g_function`` calls; the first strict maximum of the
+    knapsack-space violation wins.  Returns the fields of the chosen cut in
+    knapsack space, or None.
+    """
+    if k.q == 0:
+        return None
+    U = tuple(j for j in range(k.q) if k.zbar[j] > k.u[j] - k.zbar[j])
+    T = tuple(j for j in range(k.q) if j not in U)
+    base = [1.0]
+    for j in range(k.q):
+        fz = k.zbar[j] - math.floor(k.zbar[j])
+        if min(fz, 1.0 - fz) > FRACTIONAL_TOL:
+            base.append(abs(k.a[j]))
+    deltas = []
+    for d in base:
+        for dd in (d, d / 2.0, d / 4.0):
+            if dd > 0 and dd not in deltas:
+                deltas.append(dd)
+    best = None
+    for delta in deltas:
+        beta = (k.b - sum(k.a[j] * k.u[j] for j in U)) / delta
+        f = beta - math.floor(beta)
+        if min(f, 1.0 - f) < DEGENERATE_F_TOL:
+            continue
+        z_coefs = np.zeros(k.q)
+        rhs = math.floor(beta)
+        for j in T:
+            z_coefs[j] = g_function(k.a[j] / delta, f)
+        for j in U:
+            g = g_function(-k.a[j] / delta, f)
+            z_coefs[j] = -g
+            rhs -= g * k.u[j]
+        s_coef = float(1.0 / (delta * (1.0 - f)))
+        rhs = float(rhs)
+        violation = float(z_coefs @ k.zbar - rhs - s_coef * k.sbar)
+        if best is None or violation > best.violation:
+            best = SimpleNamespace(
+                partition_t=T, partition_u=U, delta=float(delta), z_coefs=z_coefs,
+                rhs_knapsack=rhs, s_coef=s_coef, violation=violation,
+            )
+    if best is not None and best.violation > violation_threshold:
+        return best
+    return None

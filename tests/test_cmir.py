@@ -23,7 +23,7 @@ from aggsep.errors import (
 from aggsep.instance import CONTINUOUS, INTEGER, MilpInstance, Row, Variable
 from aggsep.preprocess import MODE_UNIFIED, PreprocessConfig, preprocess
 
-from helpers import random_knapsack_row
+from helpers import random_knapsack_row, reference_select
 
 
 def _knap(a, u, b, zbar=None, sbar=0.0):
@@ -156,6 +156,46 @@ def test_select_no_fractionality_no_cut():
     k = _knap([2.0], [3], 2.0, zbar=[1.0], sbar=5.0)
     assert select_partition_and_delta(k) is None
 
+
+def _equivalence_row(rng, case):
+    """A random row; cases 1-3 give integral points, all-degenerate and near-zero f."""
+    k = random_knapsack_row(rng, max_q=120, max_u=5)
+    if case == 1:  # no fractional position: only delta in {1, 1/2, 1/4}
+        k.zbar = np.round(k.zbar)
+        k.sbar = max(0.0, float(k.a @ k.zbar - k.b))
+    elif case == 2:  # unit coefficients and integral b: every delta degenerate
+        k.a = np.where(k.a < 0, -1.0, 1.0)
+        k.b = float(np.round(k.b))
+    elif case == 3:  # integral coefficients: some deltas degenerate, some not
+        k.a = np.round(k.a)
+        k.a[k.a == 0] = 2.0
+        k.b = float(np.round(k.b))
+    return k
+
+
+def test_select_matches_reference_loop():
+    rng = np.random.default_rng(17)
+    outcomes = {"cut": 0, "below_threshold": 0, "all_degenerate": 0}
+    for i in range(240):
+        k = _equivalence_row(rng, i % 4)
+        # threshold -inf exposes the best cut even when it is not violated
+        ref = reference_select(k, -np.inf)
+        got = select_partition_and_delta(k, -np.inf)
+        assert (got is None) == (ref is None), i
+        if ref is None:
+            outcomes["all_degenerate"] += 1
+            continue
+        assert got.delta == ref.delta, i
+        assert got.partition_t == ref.partition_t
+        assert got.partition_u == ref.partition_u
+        assert got.z_coefs.tobytes() == ref.z_coefs.tobytes(), i
+        assert got.rhs_knapsack == ref.rhs_knapsack, i
+        assert got.s_coef == ref.s_coef, i
+        assert got.violation == ref.violation, i
+        cut = select_partition_and_delta(k)
+        assert (cut is None) == (ref.violation <= 1e-4), i
+        outcomes["below_threshold" if cut is None else "cut"] += 1
+    assert min(outcomes.values()) >= 5, outcomes
 
 def test_bound_substitute_simple_upper():
     inst = MilpInstance(
