@@ -76,95 +76,128 @@ def g_function(d, f):
     return fl + max(fd - f, 0.0) / (1.0 - f)
 
 
-def bound_substitute(aggregation, ctx):
-    """Rewrite an aggregated inequality as a mixed knapsack row.
+@dataclass
+class SubstitutionBounds:
+    """The bound each continuous variable is substituted by, at one point.
 
-    Continuous variables are replaced by the bound nearest the point
-    (simple upper, the best implied upper, or a finite lower bound when
-    the point sits closer to it); integer variables are shifted to a zero
-    lower bound.  Returns None when a needed bound is missing.
+    Indexed by variable; entries of integer variables are unused.  A slack
+    y_j >= 0 replaces x_j: x_j = l_j + y_j ('lower'), x_j = u_j - y_j
+    ('upper') or x_j = c + d z_k - y_j ('implied', from x_j <= c + d z_k).
+    """
+
+    usable: np.ndarray  # some bound is finite
+    kind: np.ndarray  # 'lower' | 'upper' | 'implied'
+    bound: np.ndarray  # l_j, u_j or c
+    int_var: np.ndarray  # k of an implied bound, -1 otherwise
+    int_coef: np.ndarray  # d of an implied bound, 0 otherwise
+    slack_const: np.ndarray  # constant of y_j as an affine expression of x
+    slack_at_point: np.ndarray  # y_j at xbar
+
+
+def substitution_bounds(ctx):
+    """Pick, for every continuous variable, the bound nearest ``ctx.xbar``.
+
+    The tightest upper-type candidate is the simple upper bound or the
+    smallest implied one at xbar; a finite lower bound wins when xbar sits
+    closer to it.  The choice does not depend on the aggregation, so a
+    SeparationContext makes it once (``ctx.substitution``).
     """
     inst = ctx.instance
     xbar = ctx.xbar
-    alpha = aggregation.alpha
-    b = aggregation.beta
-    int_coef = {}
-    slack_terms = []
-
-    for j in np.flatnonzero(np.abs(alpha) > ZERO_TOL):
-        j = int(j)
-        var = inst.variables[j]
-        if var.is_integer:
-            int_coef[j] = int_coef.get(j, 0.0) + alpha[j]
-            continue
-        aj = alpha[j]
-        # tightest upper-type candidate at xbar
-        best_val = var.upper if math.isfinite(var.upper) else math.inf
-        best = ("upper", None)
-        for e in ctx.bounds.entries(j):
+    lower = inst.lower
+    best_val = np.where(np.isfinite(inst.upper), inst.upper, np.inf)
+    best = {}
+    for j, entries in ctx.bounds.implied.items():
+        for e in entries:
             cand = e.const + e.coef * xbar[e.int_var]
-            if cand < best_val:
-                best_val = cand
-                best = ("implied", e)
-        has_upper = math.isfinite(best_val)
-        has_lower = math.isfinite(var.lower)
-        use_lower = False
-        if has_lower and (
-            not has_upper or xbar[j] - var.lower < best_val - xbar[j]
-        ):
-            use_lower = True
-        if not has_upper and not use_lower:
-            return None
-        if use_lower:
-            # x_j = l_j + y_j
-            b -= aj * var.lower
-            slack_terms.append(SlackTerm(j, abs(aj), -var.lower, {j: 1.0}, "lower"))
-        elif best[1] is None:
-            # x_j = u_j - y_j
-            b -= aj * var.upper
-            slack_terms.append(SlackTerm(j, abs(aj), var.upper, {j: -1.0}, "upper"))
-        else:
-            # x_j = u + d z_j' - y_j
-            e = best[1]
-            b -= aj * e.const
-            int_coef[e.int_var] = int_coef.get(e.int_var, 0.0) + aj * e.coef
-            slack_terms.append(
-                SlackTerm(j, abs(aj), e.const, {e.int_var: e.coef, j: -1.0}, "implied")
-            )
+            if cand < best_val[j]:
+                best_val[j] = cand
+                best[j] = e
+    has_upper = np.isfinite(best_val)
+    use_lower = np.isfinite(lower) & (~has_upper | (xbar - lower < best_val - xbar))
+    kind = np.where(use_lower, "lower", "upper").astype(object)
+    bound = np.where(use_lower, lower, inst.upper)
+    int_var = np.full(inst.n_vars, -1, dtype=np.int64)
+    int_coef = np.zeros(inst.n_vars)
+    for j, e in best.items():
+        if not use_lower[j]:
+            kind[j] = "implied"
+            bound[j] = e.const
+            int_var[j] = e.int_var
+            int_coef[j] = e.coef
+    implied = int_var >= 0
+    slack_const = np.where(use_lower, -lower, bound)
+    # y_j = const + sum(c * xbar[k] for the affine terms), summed in that order
+    first = np.where(use_lower, 1.0 * xbar, np.where(implied, int_coef * xbar[int_var], -1.0 * xbar))
+    second = np.where(implied, -1.0 * xbar, 0.0)
+    return SubstitutionBounds(
+        usable=has_upper | use_lower,
+        kind=kind,
+        bound=bound,
+        int_var=int_var,
+        int_coef=int_coef,
+        slack_const=slack_const,
+        slack_at_point=slack_const + ((0.0 + first) + second),
+    )
 
-    int_vars = []
-    a = []
-    u = []
-    shift = []
-    zbar = []
-    for j in sorted(int_coef):
-        coef = int_coef[j]
-        if abs(coef) <= ZERO_TOL:
-            continue
-        var = inst.variables[j]
-        if not (math.isfinite(var.lower) and math.isfinite(var.upper)):
-            return None
-        int_vars.append(j)
-        a.append(coef)
-        u.append(round(var.upper - var.lower))
-        shift.append(var.lower)
-        zbar.append(xbar[j] - var.lower)
-        b -= coef * var.lower
 
+def bound_substitute(aggregation, ctx):
+    """Rewrite an aggregated inequality as a mixed knapsack row.
+
+    Continuous variables are replaced by the bound ``substitution_bounds``
+    picks (simple upper, the best implied upper, or a finite lower bound
+    when the point sits closer to it); integer variables are shifted to a
+    zero lower bound.  Returns None when a needed bound is missing.
+    """
+    inst = ctx.instance
+    sub = ctx.substitution
+    alpha = aggregation.alpha
+    nz = np.flatnonzero(np.abs(alpha) > ZERO_TOL)
+    is_int = inst.integer_mask[nz]
+    cont = nz[~is_int]
+    if not sub.usable[cont].all():
+        return None
+    a_cont = alpha[cont]
+    # integer coefficients: own entries and implied-bound migrations, added
+    # in the order the row's positions are visited
+    hit = is_int | (sub.int_var[nz] >= 0)
+    target = np.where(is_int, nz, sub.int_var[nz])[hit]
+    acc = np.zeros(inst.n_vars)
+    np.add.at(acc, target, np.where(is_int, alpha[nz], alpha[nz] * sub.int_coef[nz])[hit])
+    int_vars = np.unique(target)
+    int_vars = int_vars[np.abs(acc[int_vars]) > ZERO_TOL]
+    a = acc[int_vars]
+    lo = inst.lower[int_vars]
+    hi = inst.upper[int_vars]
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        return None
+
+    # b and sbar are running sums whose order the cut's bytes depend on
+    b = float(aggregation.beta)
+    for t in (a_cont * sub.bound[cont]).tolist() + (a * lo).tolist():
+        b -= t
+    mult = np.abs(a_cont)
     sbar = 0.0
-    for t in slack_terms:
-        y = t.const + sum(c * xbar[k] for k, c in t.coefs.items())
-        sbar += t.mult * y
+    for t in (mult * sub.slack_at_point[cont]).tolist():
+        sbar += t
+    slack_terms = tuple(
+        SlackTerm(j, m, const, {k: d, j: -1.0} if kind == "implied"
+                  else {j: 1.0 if kind == "lower" else -1.0}, kind)
+        for j, m, const, kind, k, d in zip(
+            cont.tolist(), mult.tolist(), sub.slack_const[cont].tolist(),
+            sub.kind[cont].tolist(), sub.int_var[cont].tolist(),
+            sub.int_coef[cont].tolist())
+    )
 
     return MixedKnapsackRow(
-        a=np.array(a, dtype=float),
-        u=np.array(u, dtype=float),
-        b=float(b),
-        int_vars=tuple(int_vars),
-        int_shift=np.array(shift, dtype=float),
-        slack_terms=tuple(slack_terms),
-        zbar=np.array(zbar, dtype=float),
-        sbar=float(sbar),
+        a=a,
+        u=np.round(hi - lo),
+        b=b,
+        int_vars=tuple(int_vars.tolist()),
+        int_shift=lo,
+        slack_terms=slack_terms,
+        zbar=ctx.xbar[int_vars] - lo,
+        sbar=sbar,
     )
 
 

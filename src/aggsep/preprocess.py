@@ -6,9 +6,11 @@ concurrent separation runs can share one immutable snapshot.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
+from .cmir import substitution_bounds
 from .instance import ORIGIN_BOUND_ROW, detect_variable_bounds
 
 MODE_NORMAL_ROWS = "normal-rows-only"
@@ -39,6 +41,11 @@ class SeparationContext:
     @property
     def nothing_to_do(self):
         return len(self.bad_vars) == 0
+
+    @cached_property
+    def substitution(self):
+        """Bound substitution's per-variable choice at xbar."""
+        return substitution_bounds(self)
 
     def matrix(self):
         return self.instance.matrix

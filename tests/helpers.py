@@ -7,11 +7,13 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from aggsep.aggregate import ZERO_TOL
 from aggsep.cmir import (
     DEFAULT_VIOLATION_THRESHOLD,
     DEGENERATE_F_TOL,
     FRACTIONAL_TOL,
     MixedKnapsackRow,
+    SlackTerm,
     g_function,
 )
 from aggsep.lp import LpProblem
@@ -182,3 +184,72 @@ def reference_select(k, violation_threshold=DEFAULT_VIOLATION_THRESHOLD):
     if best is not None and best.violation > violation_threshold:
         return best
     return None
+
+
+def reference_bound_substitute(aggregation, ctx):
+    """The per-variable bound substitution loop that the array code replaced."""
+    inst = ctx.instance
+    xbar = ctx.xbar
+    alpha = aggregation.alpha
+    b = aggregation.beta
+    int_coef = {}
+    slack_terms = []
+    for j in np.flatnonzero(np.abs(alpha) > ZERO_TOL):
+        j = int(j)
+        var = inst.variables[j]
+        if var.is_integer:
+            int_coef[j] = int_coef.get(j, 0.0) + alpha[j]
+            continue
+        aj = alpha[j]
+        best_val = var.upper if math.isfinite(var.upper) else math.inf
+        best = None
+        for e in ctx.bounds.entries(j):
+            cand = e.const + e.coef * xbar[e.int_var]
+            if cand < best_val:
+                best_val = cand
+                best = e
+        has_upper = math.isfinite(best_val)
+        use_lower = math.isfinite(var.lower) and (
+            not has_upper or xbar[j] - var.lower < best_val - xbar[j]
+        )
+        if not has_upper and not use_lower:
+            return None
+        if use_lower:
+            b -= aj * var.lower
+            slack_terms.append(SlackTerm(j, abs(aj), -var.lower, {j: 1.0}, "lower"))
+        elif best is None:
+            b -= aj * var.upper
+            slack_terms.append(SlackTerm(j, abs(aj), var.upper, {j: -1.0}, "upper"))
+        else:
+            b -= aj * best.const
+            int_coef[best.int_var] = int_coef.get(best.int_var, 0.0) + aj * best.coef
+            slack_terms.append(SlackTerm(
+                j, abs(aj), best.const, {best.int_var: best.coef, j: -1.0}, "implied"))
+    int_vars, a, u, shift, zbar = [], [], [], [], []
+    for j in sorted(int_coef):
+        coef = int_coef[j]
+        if abs(coef) <= ZERO_TOL:
+            continue
+        var = inst.variables[j]
+        if not (math.isfinite(var.lower) and math.isfinite(var.upper)):
+            return None
+        int_vars.append(j)
+        a.append(coef)
+        u.append(round(var.upper - var.lower))
+        shift.append(var.lower)
+        zbar.append(xbar[j] - var.lower)
+        b -= coef * var.lower
+    sbar = 0.0
+    for t in slack_terms:
+        y = t.const + sum(c * xbar[k] for k, c in t.coefs.items())
+        sbar += t.mult * y
+    return MixedKnapsackRow(
+        a=np.array(a, dtype=float),
+        u=np.array(u, dtype=float),
+        b=float(b),
+        int_vars=tuple(int_vars),
+        int_shift=np.array(shift, dtype=float),
+        slack_terms=tuple(slack_terms),
+        zbar=np.array(zbar, dtype=float),
+        sbar=float(sbar),
+    )

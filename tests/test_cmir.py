@@ -21,9 +21,15 @@ from aggsep.errors import (
     OracleRefusedError,
 )
 from aggsep.instance import CONTINUOUS, INTEGER, MilpInstance, Row, Variable
-from aggsep.preprocess import MODE_UNIFIED, PreprocessConfig, preprocess
+from aggsep.mpsio import parse_mps_file, parse_solution
+from aggsep.preprocess import MODE_NORMAL_ROWS, MODE_UNIFIED, PreprocessConfig, preprocess
 
-from helpers import random_knapsack_row, reference_select
+from helpers import (
+    corpus_paths,
+    random_knapsack_row,
+    reference_bound_substitute,
+    reference_select,
+)
 
 
 def _knap(a, u, b, zbar=None, sbar=0.0):
@@ -281,6 +287,57 @@ def test_bound_substitute_missing_bound_returns_none():
         algorithm="mw", starting_row=0,
     )
     assert bound_substitute(agg, ctx) is None
+    # an integer variable without a finite upper bound cannot be shifted
+    inst = MilpInstance(
+        "t",
+        [Variable("y", CONTINUOUS, 0.0, 1.0), Variable("z", INTEGER, 0.0, math.inf)],
+        [Row("r", {"y": 1.0, "z": 1.0}, 5.0)],
+    )
+    ctx = preprocess(inst, np.array([0.5, 0.5]), None,
+                     PreprocessConfig(mode=MODE_UNIFIED))
+    agg.alpha = inst.matrix[0].copy()
+    assert bound_substitute(agg, ctx) is None
+
+
+def test_bound_substitute_matches_reference_loop():
+    """Array bound substitution equals the per-variable loop, bit for bit.
+
+    Aggregations are random nonnegative combinations of one to three corpus
+    rows, at the corpus point and at random points of the box.
+    """
+    from types import SimpleNamespace
+
+    rng = np.random.default_rng(23)
+    kinds = {"lower": 0, "upper": 0, "implied": 0}
+    for mps, sol in corpus_paths():
+        inst = parse_mps_file(mps)
+        with open(sol) as fh:
+            points = [parse_solution(fh, inst)]
+        lo = np.where(np.isfinite(inst.lower), inst.lower, -5.0)
+        hi = np.where(np.isfinite(inst.upper), inst.upper, lo + 10.0)
+        points += [rng.uniform(lo, hi) for _ in range(3)]
+        for point in points:
+            for mode in (MODE_NORMAL_ROWS, MODE_UNIFIED):
+                ctx = preprocess(inst, point, None, PreprocessConfig(mode=mode))
+                for _ in range(15):
+                    rows = rng.choice(inst.n_rows, size=int(rng.integers(1, 4)), replace=False)
+                    lam = rng.uniform(0.1, 3.0, size=len(rows))
+                    agg = SimpleNamespace(alpha=lam @ inst.matrix[rows],
+                                          beta=float(lam @ inst.rhs[rows]))
+                    got = bound_substitute(agg, ctx)
+                    ref = reference_bound_substitute(agg, ctx)
+                    assert (got is None) == (ref is None)
+                    if ref is None:
+                        continue
+                    for name in ("a", "u", "int_shift", "zbar"):
+                        assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
+                    assert (got.b, got.sbar, got.int_vars) == (ref.b, ref.sbar, ref.int_vars)
+                    assert len(got.slack_terms) == len(ref.slack_terms)
+                    for t, r in zip(got.slack_terms, ref.slack_terms):
+                        assert (t.var, t.mult, t.const, t.kind) == (r.var, r.mult, r.const, r.kind)
+                        assert list(t.coefs.items()) == list(r.coefs.items())
+                        kinds[t.kind] += 1
+    assert min(kinds.values()) > 0, kinds
 
 
 def test_validate_oracle_rejects_corrupted_cut():
