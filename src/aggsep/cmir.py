@@ -250,11 +250,13 @@ def _map_back(cut, k):
         if c != 0.0:
             coefs[j] = coefs.get(j, 0.0) + c
             rhs += c * k.int_shift[pos]
+    # s_coef * s = sum(scale * (const + c.x)): the constants join the
+    # right-hand side and the c.x terms move to the left with a minus sign
     for t in k.slack_terms:
         scale = cut.s_coef * t.mult
         rhs += scale * t.const
         for j, c in t.coefs.items():
-            coefs[j] = coefs.get(j, 0.0) + scale * c
+            coefs[j] = coefs.get(j, 0.0) - scale * c
     cut.coefficients = {j: v for j, v in coefs.items() if abs(v) > ZERO_TOL}
     cut.rhs = float(rhs)
     # violation in knapsack space; the affine map back preserves it

@@ -393,6 +393,30 @@ def test_violation_consistency_mapped_back(example1, example1_ctx):
             )
 
 
+def test_violation_in_original_space_on_corpus():
+    """Each corpus cut, read over the original variables, has its reported violation.
+
+    The continuous coefficients come from the slack terms of bound
+    substitution, so a cut with one checks the sign of that map-back.
+    """
+    from aggsep.harness import POLICY_ALL, RunConfig, run_separation
+
+    n_cuts = n_continuous = 0
+    for mps, sol in corpus_paths():
+        inst = parse_mps_file(mps)
+        with open(sol) as fh:
+            point = parse_solution(fh, inst)
+        result = run_separation(inst, point, RunConfig(algorithm="both", start_policy=POLICY_ALL))
+        for cut in result.cuts:
+            cols = [inst.var_index[v] for v in cut.coefficients]
+            lhs = float(np.array(list(cut.coefficients.values())) @ point[cols])
+            assert abs(lhs - cut.rhs - cut.violation) <= 1e-9 * (1.0 + abs(cut.rhs)), cut.name
+            n_cuts += 1
+            n_continuous += any(not inst.variables[j].is_integer for j in cols)
+    assert n_cuts > 0
+    assert n_continuous >= 1
+
+
 def test_separate_on_aggregation_empty_cases(example1_ctx):
     agg = AggregationResult(
         factors={0: 1.0}, alpha=example1_ctx.instance.matrix[0].copy(), beta=1.0,
