@@ -127,9 +127,10 @@ def substitution_bounds(ctx):
             int_coef[j] = e.coef
     implied = int_var >= 0
     slack_const = np.where(use_lower, -lower, bound)
-    # y_j = const + sum(c * xbar[k] for the affine terms), summed in that order
-    first = np.where(use_lower, 1.0 * xbar, np.where(implied, int_coef * xbar[int_var], -1.0 * xbar))
-    second = np.where(implied, -1.0 * xbar, 0.0)
+    # y_j = const + ((0.0 + first term) + second term) at xbar: the order of
+    # the sum of the affine terms of SlackTerm.coefs, starting from zero
+    first = np.where(use_lower, xbar, np.where(implied, int_coef * xbar[int_var], -xbar))
+    second = np.where(implied, -xbar, 0.0)
     return SubstitutionBounds(
         usable=has_upper | use_lower,
         kind=kind,
@@ -314,6 +315,9 @@ def select_partition_and_delta(k, violation_threshold=DEFAULT_VIOLATION_THRESHOL
     floor_beta = np.floor(beta)
     s_term = 1.0 / (deltas * (1.0 - f)) * k.sbar
     viol = z @ k.zbar - (floor_beta - gu.sum(axis=1)) - s_term
+    # summing n terms in any order is off by at most about n * eps/2 times
+    # the sum of their magnitudes, so the array and the exact violation of
+    # one candidate differ by less than err
     scale = np.abs(z) @ np.abs(k.zbar) + np.abs(floor_beta) + np.abs(gu).sum(axis=1) + np.abs(s_term)
     err = (k.q + 3) * np.finfo(np.float64).eps * scale
     top = int(np.argmax(viol))
