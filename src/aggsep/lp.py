@@ -2,9 +2,11 @@
 
 Sized for the small aggregation subproblems (tens of rows, up to a few
 thousand columns).  Two-phase, big-M free; Dantzig pricing with a Bland
-fallback after a run of degenerate pivots.  The basis descriptor of an
-optimal solve can warm-start a problem that differs only in objective
-and/or variable bounds.
+fallback after a run of degenerate pivots.  Every solve works on one
+standard form, the structural columns then one slack per 'L' row; a cold
+solve appends one artificial column per row.  The status vector over the
+standard-form columns of an optimal solve can warm-start a problem that
+differs only in objective and/or variable bounds.
 """
 
 from dataclasses import dataclass, field
@@ -18,7 +20,6 @@ BASIC = 0
 AT_LOWER = 1
 AT_UPPER = 2
 FREE = 3
-FIXED_ROW = 4  # row-status marker for equality rows (no slack column)
 
 FEAS_TOL = 1e-7
 OPT_TOL = 1e-7
@@ -45,14 +46,16 @@ class LpProblem:
     def __post_init__(self):
         self.obj = np.asarray(self.obj, dtype=float)
         self.A = np.asarray(self.A, dtype=float)
-        if self.A.ndim != 2:
-            self.A = self.A.reshape(len(self.rhs), -1)
-        self.A = self.A.reshape(len(self.rhs), len(self.obj))
         self.rhs = np.asarray(self.rhs, dtype=float)
         self.col_lb = np.asarray(self.col_lb, dtype=float)
         self.col_ub = np.asarray(self.col_ub, dtype=float)
+        if self.A.shape != (len(self.rhs), len(self.obj)):
+            raise ContractViolation(
+                "LP matrix has shape %s, expected (%d, %d)"
+                % (self.A.shape, len(self.rhs), len(self.obj))
+            )
         m, n = self.A.shape
-        if not (len(self.obj) == len(self.col_lb) == len(self.col_ub) == n):
+        if not (len(self.col_lb) == len(self.col_ub) == n):
             raise ContractViolation("inconsistent LP column dimensions")
         if len(self.row_type) != m:
             raise ContractViolation("inconsistent LP row dimensions")
@@ -74,39 +77,32 @@ class LpSolution:
     x: np.ndarray = None
     duals: np.ndarray = None
     objective: float = None
-    col_status: np.ndarray = None
-    row_status: np.ndarray = None
+    col_status: np.ndarray = None  # per standard-form column, see _standard_form
     iterations: int = 0
 
     def warm_start(self):
-        return WarmStart(self.col_status.copy(), self.row_status.copy())
+        return WarmStart(self.col_status.copy())
 
 
 @dataclass
 class WarmStart:
-    col_status: np.ndarray
-    row_status: np.ndarray
+    col_status: np.ndarray  # per standard-form column, see _standard_form
 
 
-class _Tableau:
-    """Augmented problem: structural columns, then slacks for 'L' rows."""
-
-    def __init__(self, problem):
-        m, n = problem.A.shape
-        slack_rows = [i for i, t in enumerate(problem.row_type) if t == "L"]
-        ns = len(slack_rows)
-        A = np.zeros((m, n + ns))
-        A[:, :n] = problem.A
-        for k, i in enumerate(slack_rows):
-            A[i, n + k] = 1.0
-        self.A = A
-        self.b = problem.rhs.astype(float)
-        self.c = np.concatenate([problem.obj, np.zeros(ns)])
-        self.lb = np.concatenate([problem.col_lb, np.zeros(ns)])
-        self.ub = np.concatenate([problem.col_ub, np.full(ns, np.inf)])
-        self.n = n
-        self.slack_rows = slack_rows
-        self.m = m
+def _standard_form(problem):
+    """(A, b, c, lb, ub): structural columns, then one slack per 'L' row."""
+    m, n = problem.A.shape
+    slack_rows = np.array(
+        [i for i, t in enumerate(problem.row_type) if t == "L"], dtype=np.int64
+    )
+    ns = len(slack_rows)
+    A = np.zeros((m, n + ns))
+    A[:, :n] = problem.A
+    A[slack_rows, n + np.arange(ns)] = 1.0
+    c = np.concatenate([problem.obj, np.zeros(ns)])
+    lb = np.concatenate([problem.col_lb, np.zeros(ns)])
+    ub = np.concatenate([problem.col_ub, np.full(ns, np.inf)])
+    return A, problem.rhs, c, lb, ub
 
 
 def _nonbasic_values(status, lb, ub):
@@ -115,6 +111,17 @@ def _nonbasic_values(status, lb, ub):
     at_up = status == AT_UPPER
     x[at_lo] = lb[at_lo]
     x[at_up] = ub[at_up]
+    return x
+
+
+def _basic_solve(A, B, b, lb, ub, basis, status):
+    """Point with nonbasics at their bounds and B x_B = b - A x_N.
+
+    ``B`` is ``A[:, basis]``; raises ``np.linalg.LinAlgError`` if singular.
+    """
+    x = _nonbasic_values(status, lb, ub)
+    x[basis] = 0.0
+    x[basis] = np.linalg.solve(B, b - A @ x)
     return x
 
 
@@ -132,16 +139,13 @@ def _simplex_loop(A, b, c, lb, ub, basis, status, enterable, max_iter):
     code is OPTIMAL / UNBOUNDED / ITERATION_LIMIT.  basis and status are
     updated in place.
     """
-    m = len(basis)
     degen = 0
     bland = False
     it = 0
     while True:
         B = A[:, basis]
-        xn = _nonbasic_values(status, lb, ub)
-        xn[basis] = 0.0
         try:
-            xb = np.linalg.solve(B, b - A @ xn)
+            xb = _basic_solve(A, B, b, lb, ub, basis, status)[basis]
             y = np.linalg.solve(B.T, c[basis])
         except np.linalg.LinAlgError:
             raise LpFailure("singular basis matrix")
@@ -193,71 +197,62 @@ def _simplex_loop(A, b, c, lb, ub, basis, status, enterable, max_iter):
             return ITERATION_LIMIT, it
 
 
-def _finish(tab, problem, basis, status, iterations, lp_status):
-    A, b, c = tab.A, tab.b, tab.c
+def _feas_scale(b):
+    return 1.0 + np.abs(b).max(initial=0.0)
+
+
+def _finish(problem, A, b, c, lb, ub, basis, status, width, iterations, lp_status):
+    """Solution at the final basis; ``width`` standard-form columns are kept."""
     B = A[:, basis]
-    x = _nonbasic_values(status, tab.lb, tab.ub)
-    x[basis] = 0.0
     try:
-        xb = np.linalg.solve(B, b - A @ x)
+        x = _basic_solve(A, B, b, lb, ub, basis, status)
         y = np.linalg.solve(B.T, c[basis])
     except np.linalg.LinAlgError:
         raise LpFailure("singular basis at termination")
-    x[basis] = xb
-    scale = 1.0 + np.abs(b).max(initial=0.0)
     if lp_status == OPTIMAL:
+        tol = FEAS_TOL * _feas_scale(b) * 10
         resid = np.abs(A @ x - b).max(initial=0.0)
-        bound_viol = max(
-            np.max(tab.lb - x, initial=0.0), np.max(x - tab.ub, initial=0.0)
-        )
-        if resid > FEAS_TOL * scale * 10 or bound_viol > FEAS_TOL * scale * 10:
+        bound_viol = max(np.max(lb - x, initial=0.0), np.max(x - ub, initial=0.0))
+        if resid > tol or bound_viol > tol:
             raise LpFailure("feasibility could not be certified", status=lp_status)
-    xs = x[: tab.n]
-    col_status = status[: tab.n].copy()
-    row_status = np.full(tab.m, FIXED_ROW, dtype=np.int64)
-    for k, i in enumerate(tab.slack_rows):
-        row_status[i] = status[tab.n + k]
+    xs = x[: problem.n_cols]
     return LpSolution(
         status=lp_status,
         x=xs,
         duals=np.asarray(y, dtype=float),
         objective=float(problem.obj @ xs),
-        col_status=col_status,
-        row_status=row_status,
+        col_status=status[:width].copy(),
         iterations=iterations,
     )
 
 
-def _try_warm(tab, warm):
-    n, m = tab.n, tab.m
-    if warm.col_status.shape != (n,) or warm.row_status.shape != (m,):
+def _try_warm(A, b, lb, ub, warm):
+    """(basis, status) from a prior status vector, or None if it does not fit.
+
+    Rejects a vector of the wrong length, the wrong number of basics, a
+    singular basis, or a basis that is not primal feasible for ``b``.
+    """
+    m, width = A.shape
+    if warm.col_status.shape != (width,):
         return None
-    status = np.full(tab.A.shape[1], AT_LOWER, dtype=np.int64)
-    status[:n] = warm.col_status
-    for k, i in enumerate(tab.slack_rows):
-        status[n + k] = warm.row_status[i]
+    status = warm.col_status.astype(np.int64)
     basis = np.flatnonzero(status == BASIC)
     if len(basis) != m:
         return None
     # nonbasic columns whose recorded bound no longer exists fall back to 0
-    for j in np.flatnonzero(status == AT_LOWER):
-        if not np.isfinite(tab.lb[j]):
-            status[j] = FREE
-    for j in np.flatnonzero(status == AT_UPPER):
-        if not np.isfinite(tab.ub[j]):
-            status[j] = AT_LOWER if np.isfinite(tab.lb[j]) else FREE
-    x = _nonbasic_values(status, tab.lb, tab.ub)
-    x[basis] = 0.0
+    status[(status == AT_LOWER) & ~np.isfinite(lb)] = FREE
+    lost_ub = (status == AT_UPPER) & ~np.isfinite(ub)
+    status[lost_ub] = np.where(np.isfinite(lb[lost_ub]), AT_LOWER, FREE)
     try:
-        xb = np.linalg.solve(tab.A[:, basis], tab.b - tab.A @ x)
+        xb = _basic_solve(A, A[:, basis], b, lb, ub, basis, status)[basis]
     except np.linalg.LinAlgError:
         return None
-    scale = 1.0 + np.abs(tab.b).max(initial=0.0)
-    if np.max(tab.lb[basis] - xb, initial=0.0) > FEAS_TOL * scale or np.max(
-        xb - tab.ub[basis], initial=0.0
-    ) > FEAS_TOL * scale:
+    tol = FEAS_TOL * _feas_scale(b)
+    if np.max(lb[basis] - xb, initial=0.0) > tol or np.max(
+        xb - ub[basis], initial=0.0
+    ) > tol:
         return None
-    return basis.astype(np.int64), status
+    return basis, status
 
 
 def solve_lp(problem, warm=None, max_iter=None):
@@ -266,68 +261,44 @@ def solve_lp(problem, warm=None, max_iter=None):
     The warm start is used only if its basis is primal feasible for the new
     data; otherwise the solve silently falls back to a cold two-phase run.
     """
-    tab = _Tableau(problem)
-    m, ntot = tab.m, tab.A.shape[1]
+    A, b, c, lb, ub = _standard_form(problem)
+    m, width = A.shape
     if max_iter is None:
         max_iter = 50 * (problem.n_rows + problem.n_cols)
 
-    if warm is not None:
-        start = _try_warm(tab, warm)
-        if start is not None:
-            basis, status = start
-            enterable = np.ones(ntot, dtype=bool)
-            code, it = _simplex_loop(
-                tab.A, tab.b, tab.c, tab.lb, tab.ub, basis, status, enterable, max_iter
-            )
-            if code in (OPTIMAL, UNBOUNDED, ITERATION_LIMIT):
-                return _finish(tab, problem, basis, status, it, code)
+    start = None if warm is None else _try_warm(A, b, lb, ub, warm)
+    if start is not None:
+        basis, status = start
+        enterable = np.ones(width, dtype=bool)
+        code, it = _simplex_loop(A, b, c, lb, ub, basis, status, enterable, max_iter)
+    else:
+        # phase 1: artificial columns form the starting basis
+        status = _default_status(lb, ub)
+        r = b - A @ _nonbasic_values(status, lb, ub)
+        A = np.hstack([A, np.diag(np.where(r >= 0, 1.0, -1.0))])
+        lb = np.concatenate([lb, np.zeros(m)])
+        ub = np.concatenate([ub, np.full(m, np.inf)])
+        c1 = np.concatenate([np.zeros(width), np.ones(m)])
+        status = np.concatenate([status, np.full(m, BASIC, dtype=np.int64)])
+        basis = np.arange(width, width + m, dtype=np.int64)
+        enterable = np.arange(width + m) < width
+        code, it1 = _simplex_loop(A, b, c1, lb, ub, basis, status, enterable, max_iter)
+        if code == ITERATION_LIMIT:
+            return LpSolution(status=ITERATION_LIMIT, iterations=it1)
+        x = _basic_solve(A, A[:, basis], b, lb, ub, basis, status)
+        if np.sum(np.abs(x[basis[basis >= width]])) > FEAS_TOL * _feas_scale(b) * 10:
+            return LpSolution(status=INFEASIBLE, iterations=it1)
 
-    # phase 1: artificial columns form the starting basis
-    status = _default_status(tab.lb, tab.ub)
-    xn = _nonbasic_values(status, tab.lb, tab.ub)
-    r = tab.b - tab.A @ xn
-    sgn = np.where(r >= 0, 1.0, -1.0)
-    A1 = np.hstack([tab.A, np.diag(sgn)])
-    lb1 = np.concatenate([tab.lb, np.zeros(m)])
-    ub1 = np.concatenate([tab.ub, np.full(m, np.inf)])
-    c1 = np.concatenate([np.zeros(ntot), np.ones(m)])
-    status1 = np.concatenate([status, np.full(m, BASIC, dtype=np.int64)])
-    basis = np.arange(ntot, ntot + m, dtype=np.int64)
-    enterable = np.ones(ntot + m, dtype=bool)
-    enterable[ntot:] = False
-    code, it1 = _simplex_loop(A1, tab.b, c1, lb1, ub1, basis, status1, enterable, max_iter)
-    if code == ITERATION_LIMIT:
-        return LpSolution(status=ITERATION_LIMIT, iterations=it1)
-    x1 = _nonbasic_values(status1, lb1, ub1)
-    x1[basis] = 0.0
-    xb = np.linalg.solve(A1[:, basis], tab.b - A1 @ x1)
-    art_mask = basis >= ntot
-    phase1_obj = float(np.sum(np.abs(xb[art_mask]))) if art_mask.any() else 0.0
-    scale = 1.0 + np.abs(tab.b).max(initial=0.0)
-    if phase1_obj > FEAS_TOL * scale * 10:
-        return LpSolution(status=INFEASIBLE, iterations=it1)
-
-    # phase 2: pin remaining artificials at zero, restore real costs
-    ub1[ntot:] = 0.0
-    lb1[ntot:] = 0.0
-    c2 = np.concatenate([tab.c, np.zeros(m)])
-    code, it2 = _simplex_loop(A1, tab.b, c2, lb1, ub1, basis, status1, enterable,
-                              max_iter)
-    if code == ITERATION_LIMIT:
-        return LpSolution(status=ITERATION_LIMIT, iterations=it1 + it2)
-    if code == UNBOUNDED:
-        return LpSolution(status=UNBOUNDED, iterations=it1 + it2)
-
-    if np.any(basis >= ntot):
-        # artificials pinned at zero may remain basic; report through the
-        # augmented system (their values do not affect the solution slice)
-        tab_ext = _Tableau(problem)
-        tab_ext.A = A1
-        tab_ext.c = c2
-        tab_ext.lb = lb1
-        tab_ext.ub = ub1
-        return _finish(tab_ext, problem, basis, status1, it1 + it2, code)
-    return _finish(tab, problem, basis, status1[:ntot], it1 + it2, code)
+        # phase 2: pin the artificials at zero (some may stay basic on
+        # dependent rows), restore real costs
+        lb[width:] = 0.0
+        ub[width:] = 0.0
+        c = np.concatenate([c, np.zeros(m)])
+        code, it2 = _simplex_loop(A, b, c, lb, ub, basis, status, enterable, max_iter)
+        it = it1 + it2
+        if code != OPTIMAL:
+            return LpSolution(status=code, iterations=it)
+    return _finish(problem, A, b, c, lb, ub, basis, status, width, it, code)
 
 
 def build_abs_value_lp(terms, extra_cost, lam_lb, lam_ub):

@@ -181,3 +181,51 @@ def test_abs_lp_split_complementarity():
         mu = sol.x[k:]
         for t in range(nt):
             assert min(mu[2 * t], mu[2 * t + 1]) <= 1e-9
+
+
+def test_matrix_shape_must_match_rows_and_columns():
+    # a 2x3 matrix for a 3-row, 2-column LP has the right size, wrong shape
+    with pytest.raises(ContractViolation):
+        LpProblem(
+            obj=[1.0, 1.0], A=[[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]],
+            row_type=["L", "L", "L"], rhs=[1.0, 1.0, 1.0],
+            col_lb=[0.0, 0.0], col_ub=[np.inf, np.inf],
+        )
+    with pytest.raises(ContractViolation):
+        LpProblem(
+            obj=[1.0, 1.0], A=[1.0, 2.0], row_type=["L"], rhs=[1.0],
+            col_lb=[0.0, 0.0], col_ub=[np.inf, np.inf],
+        )
+
+
+@pytest.mark.parametrize(
+    "A, row_type, rhs, obj, want_x, want_obj",
+    [
+        # duplicate equality rows
+        ([[1.0, 1.0], [1.0, 1.0]], ["E", "E"], [2.0, 2.0], [1.0, 2.0],
+         [2.0, 0.0], 2.0),
+        # a scaled duplicate next to an inequality row
+        ([[1.0, 1.0], [2.0, 2.0], [1.0, 0.0]], ["E", "E", "L"], [2.0, 4.0, 1.5],
+         [-1.0, -2.0], [0.0, 2.0], -4.0),
+    ],
+)
+def test_dependent_equality_rows(A, row_type, rhs, obj, want_x, want_obj):
+    # one artificial column stays basic at zero through phase 2
+    prob = LpProblem(
+        obj=obj, A=A, row_type=row_type, rhs=rhs,
+        col_lb=[0.0, 0.0], col_ub=[np.inf, np.inf],
+    )
+    sol = solve_lp(prob)
+    assert sol.status == OPTIMAL
+    assert sol.x == pytest.approx(want_x, abs=1e-9)
+    assert sol.objective == pytest.approx(want_obj, abs=1e-9)
+    assert np.all(sol.x >= prob.col_lb - 1e-9)
+    res = prob.A @ sol.x - prob.rhs
+    for i, t in enumerate(prob.row_type):
+        if t == "E":
+            assert abs(res[i]) <= 1e-9
+        else:
+            assert res[i] <= 1e-9
+    warm = solve_lp(prob, warm=sol.warm_start())
+    assert warm.status == OPTIMAL
+    assert warm.objective == pytest.approx(want_obj, abs=1e-9)
