@@ -26,7 +26,7 @@ from .instance import (
     normalize_rows,
     row_slack,
 )
-from .lasso import LassoConfig, build_lasso_lp, build_reweighted_lp, lasso_aggregate, reweight
+from .lasso import build_lasso_lp, build_reweighted_lp, lasso_aggregate, reweight
 from .lp import LpProblem, LpSolution, WarmStart, build_abs_value_lp, solve_lp
 from .mpsio import CutRecord, parse_mps, parse_solution, write_cuts
 from .mw import elimination_factor, mw_aggregate

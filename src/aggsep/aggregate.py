@@ -1,10 +1,10 @@
 """Shared result type for row aggregation."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-ZERO_TOL = 1e-9
+from .instance import ZERO_TOL
 
 
 @dataclass

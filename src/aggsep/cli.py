@@ -49,7 +49,6 @@ def _config(args, algorithm):
         start_policy=policy,
         start_k=k or 20,
         start_names=names,
-        seed=getattr(args, "seed", 0),
         violation_threshold=getattr(args, "violation_threshold", 1e-4),
     )
 
@@ -106,7 +105,6 @@ def build_parser():
                      dest="max_useful_rows")
     sep.add_argument("--start-rows", default="top:20", dest="start_rows",
                      help="'all', 'top:K', or comma-separated row names")
-    sep.add_argument("--seed", type=int, default=0)
     sep.add_argument("--violation-threshold", type=float, default=1e-4,
                      dest="violation_threshold")
     sep.add_argument("--out", required=True)

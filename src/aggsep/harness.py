@@ -4,10 +4,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aggregate import ZERO_TOL
 from .cmir import DEFAULT_VIOLATION_THRESHOLD, separate_on_aggregation
 from .errors import ContractViolation, LpFailure
-from .lasso import LassoConfig, lasso_aggregate
+from .lasso import lasso_aggregate
 from .lp import INFEASIBLE, LpProblem, OPTIMAL, UNBOUNDED, solve_lp
 from .mw import mw_aggregate
 from .preprocess import MODE_NORMAL_ROWS, MODE_UNIFIED, PreprocessConfig, preprocess
@@ -27,7 +26,6 @@ class RunConfig:
     start_policy: str = POLICY_TOP
     start_k: int = 20
     start_names: tuple = ()
-    seed: int = 0
     violation_threshold: float = DEFAULT_VIOLATION_THRESHOLD
 
     def algorithms(self):
@@ -152,11 +150,8 @@ def run_separation(instance, point, config=None, duals=None):
                 if algo == "mw":
                     emitted = mw_aggregate(ctx, i0, config.maxaggr, on_aggregation)
                 else:
-                    cfg = LassoConfig(
-                        maxaggr=config.maxaggr,
-                        density_threshold=config.density_threshold,
-                    )
-                    emitted = lasso_aggregate(ctx, i0, cfg, on_aggregation)
+                    emitted = lasso_aggregate(ctx, i0, config.maxaggr,
+                                              config.density_threshold, on_aggregation)
             except LpFailure as exc:
                 result.diagnostics.append(
                     "%s: starting row %s skipped: %s"

@@ -192,10 +192,9 @@ class ImpliedBound:
 
 @dataclass
 class VariableBoundTable:
-    """Implied bounds per continuous variable plus row tagging bookkeeping."""
+    """Implied bounds per continuous variable."""
 
     implied: dict = field(default_factory=dict)  # var index -> [ImpliedBound]
-    bound_row_names: set = field(default_factory=set)
 
     def entries(self, j):
         return self.implied.get(j, ())
@@ -230,7 +229,6 @@ def detect_variable_bounds(instance):
             source_row=row.name,
         )
         table.implied.setdefault(entry.var, []).append(entry)
-        table.bound_row_names.add(row.name)
         row.origin = ORIGIN_BOUND_ROW
     return table
 

@@ -7,8 +7,6 @@ to the active rows, warm-started from the previous basis, until the
 aggregated row is sparse enough or the round limit is hit.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .aggregate import ZERO_TOL, make_result
@@ -16,15 +14,8 @@ from .errors import ContractViolation, LpFailure
 from .lp import OPTIMAL, build_abs_value_lp, solve_lp
 
 WEIGHT_CAP = 1e6  # stands in for infinite bound distances
-
-
-@dataclass
-class LassoConfig:
-    maxaggr: int = 6
-    density_threshold: float = 0.0
-    reweight_eps: float = 1e-6
-    lam_cap: float = 1e6
-    zero_tol: float = ZERO_TOL
+LAM_CAP = 1e6  # upper bound on every aggregation factor
+REWEIGHT_EPS = 1e-6  # eps in the reweighting w <- w / (eps + |a|)
 
 
 def _capped_weights(ctx):
@@ -39,15 +30,14 @@ def _abs_terms(ctx, rows, weights):
     ]
 
 
-def build_lasso_lp(ctx, i0, cfg=None):
+def build_lasso_lp(ctx, i0):
     """Factor-search LP: weighted |bad columns| plus aggregated slack."""
-    cfg = cfg or LassoConfig()
     rows = [int(i) for i in ctx.useful_rows]
     if i0 not in rows:
         raise ContractViolation("starting row %r is not a useful row" % (i0,))
     lb = np.zeros(len(rows))
     lb[rows.index(i0)] = 1.0
-    ub = np.full(len(rows), cfg.lam_cap)
+    ub = np.full(len(rows), LAM_CAP)
     slack_cost = ctx.slacks[rows]
     prob = build_abs_value_lp(_abs_terms(ctx, rows, _capped_weights(ctx)),
                               slack_cost, lb, ub)
@@ -55,13 +45,12 @@ def build_lasso_lp(ctx, i0, cfg=None):
     return prob
 
 
-def build_reweighted_lp(ctx, active_rows, i0, w, cfg=None):
+def build_reweighted_lp(ctx, active_rows, i0, w):
     """Reweighted LP over the active set: bad-column mass only, no slack cost.
 
     Keeps the full column layout of the lasso LP (inactive factors are
     pinned at zero through their bounds) so a prior basis stays valid.
     """
-    cfg = cfg or LassoConfig()
     rows = [int(i) for i in ctx.useful_rows]
     if i0 not in active_rows:
         raise ContractViolation("starting row must be in the active set")
@@ -70,9 +59,9 @@ def build_reweighted_lp(ctx, active_rows, i0, w, cfg=None):
     ub = np.zeros(len(rows))
     for t, i in enumerate(rows):
         if i in active:
-            ub[t] = cfg.lam_cap
+            ub[t] = LAM_CAP
     lb[rows.index(i0)] = 1.0
-    ub[rows.index(i0)] = cfg.lam_cap
+    ub[rows.index(i0)] = LAM_CAP
     prob = build_abs_value_lp(_abs_terms(ctx, rows, w), np.zeros(len(rows)), lb, ub)
     prob.meta["rows"] = rows
     return prob
@@ -88,15 +77,16 @@ def reweight(w, a, eps, zero_tol=ZERO_TOL):
     return out
 
 
-def lasso_aggregate(ctx, i0, cfg=None, on_aggregation=None):
+def lasso_aggregate(ctx, i0, maxaggr=6, density_threshold=0.0, on_aggregation=None):
     """Run the LP-based aggregation from starting row ``i0``.
 
-    Returns the emitted aggregations (at most maxaggr+1).  An LP failure
-    aborts the starting row without emitting anything.
+    Reweighted re-solves continue while the share of bad columns left in
+    the aggregated row exceeds ``density_threshold``, at most ``maxaggr``
+    of them, so at most maxaggr+1 aggregations are returned.  An LP
+    failure aborts the starting row without emitting anything.
     """
-    cfg = cfg or LassoConfig()
     i0 = int(i0)
-    prob = build_lasso_lp(ctx, i0, cfg)
+    prob = build_lasso_lp(ctx, i0)
     rows = prob.meta["rows"]
     sol = solve_lp(prob)
     if sol.status != OPTIMAL:
@@ -111,7 +101,7 @@ def lasso_aggregate(ctx, i0, cfg=None, on_aggregation=None):
         factors = {
             rows[t]: float(lam[t])
             for t in range(nlam)
-            if lam[t] > cfg.zero_tol or rows[t] == i0
+            if lam[t] > ZERO_TOL or rows[t] == i0
         }
         return factors
 
@@ -127,10 +117,10 @@ def lasso_aggregate(ctx, i0, cfg=None, on_aggregation=None):
             on_aggregation(res)
         nbad = len(ctx.bad_vars)
         density = len(res.residual_bad) / nbad if nbad else 0.0
-        if density > cfg.density_threshold and c < cfg.maxaggr:
+        if density > density_threshold and c < maxaggr:
             a_bad = res.alpha[ctx.bad_vars]
-            w = reweight(w, a_bad, cfg.reweight_eps, cfg.zero_tol)
-            prob = build_reweighted_lp(ctx, active, i0, w, cfg)
+            w = reweight(w, a_bad, REWEIGHT_EPS)
+            prob = build_reweighted_lp(ctx, active, i0, w)
             sol = solve_lp(prob, warm=sol.warm_start())
             if sol.status != OPTIMAL:
                 raise LpFailure(

@@ -47,12 +47,6 @@ class SeparationContext:
         """Bound substitution's per-variable choice at xbar."""
         return substitution_bounds(self)
 
-    def matrix(self):
-        return self.instance.matrix
-
-    def rhs(self):
-        return self.instance.rhs
-
 
 def bound_distance(j, xbar, bounds, instance):
     """Gap between x_j and its tightest simple or implied upper bound.

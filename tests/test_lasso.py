@@ -4,7 +4,6 @@ import pytest
 from aggsep.errors import ContractViolation
 from aggsep.instance import CONTINUOUS, INTEGER, MilpInstance, Row, Variable
 from aggsep.lasso import (
-    LassoConfig,
     build_lasso_lp,
     build_reweighted_lp,
     lasso_aggregate,
@@ -117,9 +116,8 @@ def test_lasso_stuck_instance_runs_maxaggr_rounds():
     inst = _stuck_instance()
     ctx = preprocess(inst, np.array([2.0, 1.5]), None,
                      PreprocessConfig(mode=MODE_UNIFIED))
-    cfg = LassoConfig(maxaggr=3)
-    results = lasso_aggregate(ctx, 0, cfg)
-    assert len(results) == cfg.maxaggr + 1
+    results = lasso_aggregate(ctx, 0, maxaggr=3)
+    assert len(results) == 4
     for res in results:
         assert res.residual_bad == (0,)
 
