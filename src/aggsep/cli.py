@@ -19,13 +19,25 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_LP = 3
 
+_DEFAULTS = RunConfig()
+_START_ROWS = "top:%d" % _DEFAULTS.start_k
+_TUNABLES = ("maxaggr", "density_threshold", "max_bad_vars", "max_useful_rows",
+             "violation_threshold")
 
-def _start_policy(spec):
+
+def _start_rows(spec):
+    """``--start-rows`` as RunConfig fields: 'all', 'top:K' (K >= 1) or row names."""
     if spec == "all":
-        return POLICY_ALL, 0, ()
+        return {"start_policy": POLICY_ALL}
     if spec.startswith("top:"):
-        return POLICY_TOP, int(spec.split(":", 1)[1]), ()
-    return POLICY_NAMED, 0, tuple(spec.split(","))
+        try:
+            k = int(spec[4:])
+        except ValueError:
+            k = 0
+        if k < 1:
+            raise argparse.ArgumentTypeError("top:K needs an integer K >= 1, got %r" % spec)
+        return {"start_policy": POLICY_TOP, "start_k": k}
+    return {"start_policy": POLICY_NAMED, "start_names": tuple(spec.split(","))}
 
 
 def _load(args):
@@ -39,18 +51,9 @@ def _load(args):
 
 
 def _config(args, algorithm):
-    policy, k, names = _start_policy(getattr(args, "start_rows", "top:20"))
-    return RunConfig(
-        algorithm=algorithm,
-        maxaggr=getattr(args, "maxaggr", 6),
-        density_threshold=getattr(args, "density_threshold", 0.0),
-        max_bad_vars=getattr(args, "max_bad_vars", 50),
-        max_useful_rows=getattr(args, "max_useful_rows", 5000),
-        start_policy=policy,
-        start_k=k or 20,
-        start_names=names,
-        violation_threshold=getattr(args, "violation_threshold", 1e-4),
-    )
+    """RunConfig from the flags; a flag the subcommand lacks keeps its default."""
+    given = {name: getattr(args, name) for name in _TUNABLES if hasattr(args, name)}
+    return RunConfig(algorithm=algorithm, **args.start_rows, **given)
 
 
 def cmd_separate(args):
@@ -97,16 +100,17 @@ def build_parser():
     sep.add_argument("--instance", required=True)
     sep.add_argument("--solution")
     sep.add_argument("--algo", choices=["mw", "lasso", "both"], default="both")
-    sep.add_argument("--maxaggr", type=int, default=6)
-    sep.add_argument("--density-threshold", type=float, default=0.0,
-                     dest="density_threshold")
-    sep.add_argument("--max-bad-vars", type=int, default=50, dest="max_bad_vars")
-    sep.add_argument("--max-useful-rows", type=int, default=5000,
+    sep.add_argument("--maxaggr", type=int, default=_DEFAULTS.maxaggr)
+    sep.add_argument("--density-threshold", type=float,
+                     default=_DEFAULTS.density_threshold, dest="density_threshold")
+    sep.add_argument("--max-bad-vars", type=int, default=_DEFAULTS.max_bad_vars,
+                     dest="max_bad_vars")
+    sep.add_argument("--max-useful-rows", type=int, default=_DEFAULTS.max_useful_rows,
                      dest="max_useful_rows")
-    sep.add_argument("--start-rows", default="top:20", dest="start_rows",
-                     help="'all', 'top:K', or comma-separated row names")
-    sep.add_argument("--violation-threshold", type=float, default=1e-4,
-                     dest="violation_threshold")
+    sep.add_argument("--start-rows", type=_start_rows, default=_START_ROWS,
+                     dest="start_rows", help="'all', 'top:K', or comma-separated row names")
+    sep.add_argument("--violation-threshold", type=float,
+                     default=_DEFAULTS.violation_threshold, dest="violation_threshold")
     sep.add_argument("--out", required=True)
     sep.add_argument("--report")
     sep.set_defaults(func=cmd_separate)
@@ -121,8 +125,9 @@ def build_parser():
     cmp_.add_argument("--solution")
     cmp_.add_argument("--report", required=True)
     cmp_.add_argument("--out")
-    cmp_.add_argument("--start-rows", default="top:20", dest="start_rows")
-    cmp_.add_argument("--maxaggr", type=int, default=6)
+    cmp_.add_argument("--start-rows", type=_start_rows, default=_START_ROWS,
+                      dest="start_rows")
+    cmp_.add_argument("--maxaggr", type=int, default=_DEFAULTS.maxaggr)
     cmp_.set_defaults(func=cmd_compare)
     return p
 

@@ -59,19 +59,14 @@ def sparsity_metrics(aggregations, ctx):
     """Means over the emitted aggregations, Table-2 style arithmetic."""
     if not aggregations:
         return SparsityMetrics()
-    A = ctx.instance.matrix
-    bad = ctx.bad_vars
+    block = ctx.bad_block
     res_counts = []
     tot_counts = []
     used_counts = []
     for agg in aggregations:
         res_counts.append(len(agg.residual_bad))
-        touched = set()
-        for i in agg.used_rows:
-            for j in bad:
-                if A[i, j] != 0.0:
-                    touched.add(int(j))
-        tot_counts.append(len(touched))
+        touched = block[ctx.block_rows(agg.used_rows)].any(axis=0)
+        tot_counts.append(int(np.count_nonzero(touched)))
         used_counts.append(len(agg.used_rows))
     mean_bad = float(np.mean(res_counts))
     mean_tot = float(np.mean(tot_counts))
@@ -125,45 +120,38 @@ def run_separation(instance, point, config=None, duals=None):
             )
         ctx = contexts[mode]
         aggs = []
-        cuts = []
         if ctx.nothing_to_do:
             result.metrics[algo] = SparsityMetrics()
             result.aggregations[algo] = []
             result.diagnostics.append("%s: nothing to do (no bad variables)" % algo)
             continue
         used_rows = set()
-        counter = [0]
-
-        def on_aggregation(agg, _cuts=cuts, _ctx=ctx, _algo=algo):
-            counter[0] += 1
-            cut = separate_on_aggregation(
-                agg, _ctx, config.violation_threshold,
-                cut_name="%s_%d" % (_algo, counter[0]),
-            )
-            if cut is not None:
-                _cuts.append(cut)
-
         for i0 in _starting_rows(ctx, config):
             if i0 in used_rows:
                 continue  # already used inside an earlier aggregation
             try:
                 if algo == "mw":
-                    emitted = mw_aggregate(ctx, i0, config.maxaggr, on_aggregation)
+                    emitted = mw_aggregate(ctx, i0, config.maxaggr)
                 else:
                     emitted = lasso_aggregate(ctx, i0, config.maxaggr,
-                                              config.density_threshold, on_aggregation)
+                                              config.density_threshold)
             except LpFailure as exc:
                 result.diagnostics.append(
                     "%s: starting row %s skipped: %s"
                     % (algo, instance.rows[i0].name, exc)
                 )
                 continue
-            aggs.extend(emitted)
             for agg in emitted:
+                aggs.append(agg)
                 used_rows.update(agg.used_rows)
+                cut = separate_on_aggregation(
+                    agg, ctx, config.violation_threshold,
+                    cut_name="%s_%d" % (algo, len(aggs)),
+                )
+                if cut is not None:
+                    result.cuts.append(cut)
         result.aggregations[algo] = aggs
         result.metrics[algo] = sparsity_metrics(aggs, ctx)
-        result.cuts.extend(cuts)
 
     if all(m.empty for m in result.metrics.values()):
         result.nothing_to_do = True

@@ -2,8 +2,7 @@
 
 All constraint rows are stored in <= form.  Integrality lives on the
 variables; rows carry an ``origin`` tag describing how they were produced
-from the raw input (plain <=, negated >=, one half of an equality split, or
-a detected implied-bound row).
+from the raw input (plain <=, negated >=, or one half of an equality split).
 """
 
 import math
@@ -23,7 +22,6 @@ ORIGIN_LEQ = "original-<="
 ORIGIN_NEGATED_GEQ = "negated->="
 ORIGIN_EQ_POS = "equality-half-pos"
 ORIGIN_EQ_NEG = "equality-half-neg"
-ORIGIN_BOUND_ROW = "bound-row"
 
 
 @dataclass
@@ -178,6 +176,41 @@ class MilpInstance:
     def integer_mask(self):
         return np.array([v.is_integer for v in self.variables], dtype=bool)
 
+    @cached_property
+    def variable_bounds(self):
+        """Implied-bound rows and the bounds they state (VariableBoundTable).
+
+        A row qualifies iff it has exactly two nonzeros, a positive
+        coefficient on a continuous variable and its other nonzero on an
+        integer variable; it then encodes ``x_j <= rhs/a - (c/a) x_j'``.
+        """
+        table = VariableBoundTable()
+        idx = self.var_index
+        bound_rows = []
+        for i, row in enumerate(self.rows):
+            if len(row.coefficients) != 2:
+                continue
+            items = sorted(row.coefficients.items(), key=lambda kv: idx[kv[0]])
+            cont = [
+                (v, c) for v, c in items
+                if not self.variables[idx[v]].is_integer and c > 0
+            ]
+            ints = [(v, c) for v, c in items if self.variables[idx[v]].is_integer]
+            if len(cont) != 1 or len(ints) != 1:
+                continue
+            (cv, a), (iv, c) = cont[0], ints[0]
+            entry = ImpliedBound(
+                var=idx[cv],
+                int_var=idx[iv],
+                const=row.rhs / a,
+                coef=-c / a,
+                source_row=row.name,
+            )
+            table.implied.setdefault(entry.var, []).append(entry)
+            bound_rows.append(i)
+        table.bound_rows = frozenset(bound_rows)
+        return table
+
 
 @dataclass
 class ImpliedBound:
@@ -192,45 +225,18 @@ class ImpliedBound:
 
 @dataclass
 class VariableBoundTable:
-    """Implied bounds per continuous variable."""
+    """Implied bounds per continuous variable, and the rows that state them."""
 
     implied: dict = field(default_factory=dict)  # var index -> [ImpliedBound]
+    bound_rows: frozenset = frozenset()  # indices of implied-bound rows
 
     def entries(self, j):
         return self.implied.get(j, ())
 
 
 def detect_variable_bounds(instance):
-    """Find implied-bound rows and tag them with origin ``bound-row``.
-
-    A row qualifies iff it has exactly two nonzeros, a positive coefficient
-    on a continuous variable and its other nonzero on an integer variable;
-    it then encodes ``x_j <= rhs/a - (c/a) x_j'``.  Idempotent.
-    """
-    table = VariableBoundTable()
-    idx = instance.var_index
-    for row in instance.rows:
-        if len(row.coefficients) != 2:
-            continue
-        items = sorted(row.coefficients.items(), key=lambda kv: idx[kv[0]])
-        cont = [
-            (v, c) for v, c in items
-            if not instance.variables[idx[v]].is_integer and c > 0
-        ]
-        ints = [(v, c) for v, c in items if instance.variables[idx[v]].is_integer]
-        if len(cont) != 1 or len(ints) != 1:
-            continue
-        (cv, a), (iv, c) = cont[0], ints[0]
-        entry = ImpliedBound(
-            var=idx[cv],
-            int_var=idx[iv],
-            const=row.rhs / a,
-            coef=-c / a,
-            source_row=row.name,
-        )
-        table.implied.setdefault(entry.var, []).append(entry)
-        row.origin = ORIGIN_BOUND_ROW
-    return table
+    """Implied-bound table of ``instance``; found once, then reused."""
+    return instance.variable_bounds
 
 
 def make_point(instance, values):

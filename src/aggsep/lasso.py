@@ -22,27 +22,20 @@ def _capped_weights(ctx):
     return np.minimum(ctx.bad_weights, WEIGHT_CAP)
 
 
-def _abs_terms(ctx, rows, weights):
-    A = ctx.instance.matrix
-    return [
-        (float(w), A[rows, j].astype(float))
-        for w, j in zip(weights, ctx.bad_vars)
-    ]
+def _abs_value_lp(ctx, weights, slack_cost, lb, ub):
+    """The abs-value LP over the bad-column block: one term per bad column."""
+    prob = build_abs_value_lp(list(zip(weights, ctx.bad_block.T)), slack_cost, lb, ub)
+    prob.meta["rows"] = ctx.useful_rows.tolist()
+    return prob
 
 
 def build_lasso_lp(ctx, i0):
     """Factor-search LP: weighted |bad columns| plus aggregated slack."""
-    rows = [int(i) for i in ctx.useful_rows]
-    if i0 not in rows:
-        raise ContractViolation("starting row %r is not a useful row" % (i0,))
-    lb = np.zeros(len(rows))
-    lb[rows.index(i0)] = 1.0
-    ub = np.full(len(rows), LAM_CAP)
-    slack_cost = ctx.slacks[rows]
-    prob = build_abs_value_lp(_abs_terms(ctx, rows, _capped_weights(ctx)),
-                              slack_cost, lb, ub)
-    prob.meta["rows"] = rows
-    return prob
+    n = len(ctx.useful_rows)
+    lb = np.zeros(n)
+    lb[ctx.block_rows([i0])] = 1.0
+    ub = np.full(n, LAM_CAP)
+    return _abs_value_lp(ctx, _capped_weights(ctx), ctx.slacks[ctx.useful_rows], lb, ub)
 
 
 def build_reweighted_lp(ctx, active_rows, i0, w):
@@ -51,20 +44,13 @@ def build_reweighted_lp(ctx, active_rows, i0, w):
     Keeps the full column layout of the lasso LP (inactive factors are
     pinned at zero through their bounds) so a prior basis stays valid.
     """
-    rows = [int(i) for i in ctx.useful_rows]
     if i0 not in active_rows:
         raise ContractViolation("starting row must be in the active set")
-    active = set(int(i) for i in active_rows)
-    lb = np.zeros(len(rows))
-    ub = np.zeros(len(rows))
-    for t, i in enumerate(rows):
-        if i in active:
-            ub[t] = LAM_CAP
-    lb[rows.index(i0)] = 1.0
-    ub[rows.index(i0)] = LAM_CAP
-    prob = build_abs_value_lp(_abs_terms(ctx, rows, w), np.zeros(len(rows)), lb, ub)
-    prob.meta["rows"] = rows
-    return prob
+    n = len(ctx.useful_rows)
+    lb = np.zeros(n)
+    lb[ctx.block_rows([i0])] = 1.0
+    ub = np.where(np.isin(ctx.useful_rows, active_rows), LAM_CAP, 0.0)
+    return _abs_value_lp(ctx, w, np.zeros(n), lb, ub)
 
 
 def reweight(w, a, eps, zero_tol=ZERO_TOL):
@@ -77,7 +63,7 @@ def reweight(w, a, eps, zero_tol=ZERO_TOL):
     return out
 
 
-def lasso_aggregate(ctx, i0, maxaggr=6, density_threshold=0.0, on_aggregation=None):
+def lasso_aggregate(ctx, i0, maxaggr=6, density_threshold=0.0):
     """Run the LP-based aggregation from starting row ``i0``.
 
     Reweighted re-solves continue while the share of bad columns left in
@@ -113,8 +99,6 @@ def lasso_aggregate(ctx, i0, maxaggr=6, density_threshold=0.0, on_aggregation=No
     while True:
         res = make_result(ctx, factors, "lasso", i0, c)
         results.append(res)
-        if on_aggregation is not None:
-            on_aggregation(res)
         nbad = len(ctx.bad_vars)
         density = len(res.residual_bad) / nbad if nbad else 0.0
         if density > density_threshold and c < maxaggr:

@@ -312,24 +312,21 @@ def build_abs_value_lp(terms, extra_cost, lam_lb, lam_ub):
     """
     lam_lb = np.asarray(lam_lb, dtype=float)
     lam_ub = np.asarray(lam_ub, dtype=float)
-    extra_cost = np.asarray(extra_cost, dtype=float)
     k = len(lam_lb)
     nt = len(terms)
+    w = np.array([term[0] for term in terms], dtype=float)
+    if np.any(w < 0):
+        raise ContractViolation("absolute-value weight must be nonnegative")
+    const = np.array([term[2] if len(term) > 2 else 0.0 for term in terms], dtype=float)
+    t = np.arange(nt)
     A = np.zeros((nt, k + 2 * nt))
-    rhs = np.zeros(nt)
+    A[:, :k] = np.array([term[1] for term in terms], dtype=float).reshape(nt, k)
+    A[t, k + 2 * t] = -1.0
+    A[t, k + 2 * t + 1] = 1.0
+    rhs = -const
     obj = np.zeros(k + 2 * nt)
     obj[:k] = extra_cost
-    for t, term in enumerate(terms):
-        w, coefs = term[0], term[1]
-        const = term[2] if len(term) > 2 else 0.0
-        if w < 0:
-            raise ContractViolation("absolute-value weight must be nonnegative")
-        A[t, :k] = np.asarray(coefs, dtype=float)
-        A[t, k + 2 * t] = -1.0
-        A[t, k + 2 * t + 1] = 1.0
-        rhs[t] = -const
-        obj[k + 2 * t] = w
-        obj[k + 2 * t + 1] = w
+    obj[k:] = np.repeat(w, 2)
     lb = np.concatenate([lam_lb, np.zeros(2 * nt)])
     ub = np.concatenate([lam_ub, np.full(2 * nt, np.inf)])
     return LpProblem(

@@ -13,7 +13,6 @@ from .instance import (
     MilpInstance,
     RawRow,
     Variable,
-    detect_variable_bounds,
     make_point,
     normalize_rows,
 )
@@ -233,9 +232,7 @@ def parse_mps(stream, name_hint="instance"):
         else:
             raw_rows.append(RawRow(rname, coefs, "=", rhs))
 
-    instance = MilpInstance(name=name, variables=variables, rows=normalize_rows(raw_rows))
-    detect_variable_bounds(instance)
-    return instance
+    return MilpInstance(name=name, variables=variables, rows=normalize_rows(raw_rows))
 
 
 def parse_mps_file(path):

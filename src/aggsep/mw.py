@@ -3,8 +3,7 @@
 Starting from one row, bad continuous variables are eliminated one at a
 time by adding a scaled useful row; a candidate is rejected if it would
 need a nonpositive factor or would reintroduce an already-eliminated bad
-variable.  Every accepted step (and the bare starting row) is offered to
-the separation callback.
+variable.  Every step is decided on the context's bad-column block.
 """
 
 import numpy as np
@@ -25,55 +24,40 @@ def elimination_factor(alpha_j, row_coef_j):
     return lam if lam > 0.0 else None
 
 
-def mw_aggregate(ctx, i0, maxaggr=6, on_aggregation=None):
+def mw_aggregate(ctx, i0, maxaggr=6):
     """Run the stepwise heuristic from starting row ``i0``.
 
-    Returns the list of emitted aggregations (bare starting row first,
-    then one per accepted elimination step, at most maxaggr of those).
+    Returns the emitted aggregations: the bare starting row first, then
+    one per accepted elimination step, at most maxaggr of those.
     """
-    if i0 not in set(int(i) for i in ctx.useful_rows):
-        raise ContractViolation("starting row %r is not a useful row" % (i0,))
-    A = ctx.instance.matrix
-    results = []
-
-    def emit(factors, step, eliminated):
-        res = make_result(ctx, factors, "mw", i0, step, eliminated)
-        results.append(res)
-        if on_aggregation is not None:
-            on_aggregation(res)
-        return res
-
+    block = ctx.bad_block
+    rows = ctx.useful_rows
+    (p0,) = ctx.block_rows([i0])
     factors = {int(i0): 1.0}
-    alpha = A[i0].copy()
-    used = {int(i0)}
-    eliminated = []
-    c = 0
-    emit(factors, 0, eliminated)
+    alpha = block[p0].copy()  # aggregated coefficients on the bad columns
+    used = np.zeros(len(rows), dtype=bool)
+    used[p0] = True
+    eliminated = []  # bad-column positions, in elimination order
+    results = [make_result(ctx, factors, "mw", i0, 0)]
 
-    for j in ctx.bad_vars:
-        if c >= maxaggr:
+    for q in range(block.shape[1]):
+        if len(eliminated) >= maxaggr:
             break
-        j = int(j)
-        if j in eliminated or abs(alpha[j]) <= ZERO_TOL:
+        if abs(alpha[q]) <= ZERO_TOL:
             continue
-        for i in ctx.useful_rows:
-            i = int(i)
-            if i in used or A[i, j] == 0.0:
-                continue
-            lam = elimination_factor(alpha[j], A[i, j])
+        for p in np.flatnonzero(~used & (block[:, q] != 0.0)):
+            lam = elimination_factor(alpha[q], block[p, q])
             if lam is None:
                 continue
-            alpha_new = alpha + lam * A[i]
+            alpha_new = alpha + lam * block[p]
             if any(abs(alpha_new[k]) > ZERO_TOL for k in eliminated):
                 continue  # would reintroduce an eliminated bad variable
             alpha = alpha_new
-            alpha[j] = 0.0
-            factors[i] = lam
-            used.add(i)
-            eliminated.append(j)
-            c += 1
-            emit(factors, c, eliminated)
-            if c >= maxaggr:
-                return results
+            alpha[q] = 0.0
+            factors[int(rows[p])] = lam
+            used[p] = True
+            eliminated.append(q)
+            results.append(make_result(ctx, factors, "mw", i0, len(eliminated),
+                                       ctx.bad_vars[eliminated].tolist()))
             break
     return results

@@ -11,7 +11,8 @@ from functools import cached_property
 import numpy as np
 
 from .cmir import substitution_bounds
-from .instance import ORIGIN_BOUND_ROW, detect_variable_bounds
+from .errors import ContractViolation
+from .instance import detect_variable_bounds
 
 MODE_NORMAL_ROWS = "normal-rows-only"
 MODE_UNIFIED = "unified"
@@ -34,13 +35,26 @@ class SeparationContext:
     useful_rows: np.ndarray  # row indices, decreasing score
     scores: np.ndarray  # aligned with useful_rows
     slacks: np.ndarray  # clipped nonnegative slack per instance row
-    duals: np.ndarray
-    mode: str
-    bound_dist: np.ndarray = None  # per variable (inf for integers w/o meaning)
 
     @property
     def nothing_to_do(self):
         return len(self.bad_vars) == 0
+
+    @cached_property
+    def bad_block(self):
+        """A[useful_rows, bad_vars]: every column an aggregator decides on."""
+        return self.instance.matrix[np.ix_(self.useful_rows, self.bad_vars)]
+
+    @cached_property
+    def _block_pos(self):
+        return {int(i): p for p, i in enumerate(self.useful_rows)}
+
+    def block_rows(self, rows):
+        """Positions in ``bad_block`` of instance rows that must be useful."""
+        try:
+            return [self._block_pos[i] for i in rows]
+        except KeyError as exc:
+            raise ContractViolation("row %s is not a useful row" % exc) from None
 
     @cached_property
     def substitution(self):
@@ -125,9 +139,10 @@ def preprocess(instance, xbar, duals=None, config=None):
     slacks = np.maximum(raw_slack, 0.0)
     max_abs_dual = float(np.abs(duals).max(initial=0.0))
 
+    skip = bounds.bound_rows if config.mode == MODE_NORMAL_ROWS else ()
     useful = []
     for i, row in enumerate(instance.rows):
-        if config.mode == MODE_NORMAL_ROWS and row.origin == ORIGIN_BOUND_ROW:
+        if i in skip:
             continue
         if any(instance.var_index[v] in bad_set for v in row.coefficients):
             useful.append(i)
@@ -147,7 +162,4 @@ def preprocess(instance, xbar, duals=None, config=None):
         useful_rows=np.array(useful, dtype=np.int64),
         scores=np.array([score_of[i] for i in useful], dtype=float),
         slacks=slacks,
-        duals=duals,
-        mode=config.mode,
-        bound_dist=bd,
     )

@@ -70,6 +70,36 @@ def test_compare_deterministic_bytes(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("spec", ["top:x", "top:0", "top:-1", "top:"])
+def test_start_rows_rejects_bad_top_k(tmp_path, capsys, spec):
+    mps, sol = corpus_paths()[0]
+    for command in (["separate", "--out", str(tmp_path / "cuts.jsonl")],
+                    ["compare", "--report", str(tmp_path / "report")]):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--instance", mps, "--solution", sol, "--start-rows", spec])
+        assert exc.value.code == EXIT_PARSE
+        assert "K >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "cuts.jsonl").exists()
+
+
+def test_start_rows_and_defaults_reach_run_config():
+    from aggsep.cli import _config, build_parser
+    from aggsep.harness import POLICY_ALL, POLICY_NAMED, POLICY_TOP, RunConfig
+
+    expected = {
+        None: RunConfig(start_policy=POLICY_TOP),
+        "top:3": RunConfig(start_policy=POLICY_TOP, start_k=3),
+        "all": RunConfig(start_policy=POLICY_ALL),
+        "r1,r2": RunConfig(start_policy=POLICY_NAMED, start_names=("r1", "r2")),
+    }
+    for spec, want in expected.items():
+        flags = [] if spec is None else ["--start-rows", spec]
+        for command in (["separate", "--instance", "m", "--out", "o"],
+                        ["compare", "--instance", "m", "--report", "r"]):
+            args = build_parser().parse_args(command + flags)
+            assert _config(args, "both") == want
+
+
 def test_parse_error_exit_code(tmp_path):
     bad = tmp_path / "bad.mps"
     _write(str(bad), "ROWS\n L c1\n L c1\nCOLUMNS\n x c1 1.0\n")

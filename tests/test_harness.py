@@ -1,8 +1,11 @@
+import hashlib
 import io
 
 import numpy as np
 import pytest
 
+import aggsep.harness
+import aggsep.lasso
 from aggsep.aggregate import AggregationResult
 from aggsep.errors import LpFailure
 from aggsep.harness import (
@@ -15,7 +18,8 @@ from aggsep.harness import (
     solve_relaxation,
     sparsity_metrics,
 )
-from aggsep.instance import CONTINUOUS, MilpInstance, Row, Variable
+from aggsep.instance import CONTINUOUS, INTEGER, MilpInstance, Row, Variable
+from aggsep.lp import ITERATION_LIMIT, LpSolution
 from aggsep.mpsio import parse_mps_file, parse_solution_file, write_cuts
 from aggsep.preprocess import MODE_UNIFIED, PreprocessConfig, preprocess
 
@@ -170,3 +174,53 @@ def test_corpus_loads_and_produces_aggregations():
         point = parse_solution_file(sol, inst)
         res = run_separation(inst, point, RunConfig(start_policy=POLICY_ALL))
         assert res.aggregations["mw"] or res.aggregations["lasso"]
+
+
+def test_separates_exactly_the_recorded_aggregations(monkeypatch):
+    # one row, one bad column: mw emits the bare row; lasso's first solve
+    # leaves the column and its reweighted re-solve hits the iteration
+    # limit, so that starting row fails and nothing of it may be separated
+    inst = MilpInstance(
+        "t",
+        [Variable("x", CONTINUOUS, 0.0, 10.0), Variable("z", INTEGER, 0.0, 5.0),
+         Variable("w", INTEGER, 0.0, 5.0)],
+        [Row("r1", {"x": 1.0, "z": 1.0, "w": 1.0}, 6.0)],
+    )
+    solve_lp = aggsep.lasso.solve_lp
+    separate = aggsep.harness.separate_on_aggregation
+    separated = []
+
+    def cold_only(prob, warm=None):
+        return solve_lp(prob) if warm is None else LpSolution(status=ITERATION_LIMIT)
+
+    def counting(agg, *args, **kwargs):
+        separated.append(agg)
+        return separate(agg, *args, **kwargs)
+
+    monkeypatch.setattr(aggsep.lasso, "solve_lp", cold_only)
+    monkeypatch.setattr(aggsep.harness, "separate_on_aggregation", counting)
+    res = run_separation(inst, np.array([2.0, 1.5, 0.5]),
+                         RunConfig(start_policy=POLICY_ALL))
+    assert res.aggregations["lasso"] == []
+    assert any("lasso: starting row r1 skipped" in d for d in res.diagnostics)
+    recorded = res.aggregations["mw"] + res.aggregations["lasso"]
+    assert len(separated) == len(recorded) == 1
+    assert separated[0] is recorded[0]
+
+
+# sha256[:16] of the corpus's write_cuts + format_metrics texts, and its cut
+# count.  A change that alters these bytes on purpose updates both and says why.
+CORPUS_DIGEST = ("b89a676d73747692", 26)
+
+
+def test_corpus_output_bytes_pinned():
+    text, n_cuts = "", 0
+    for mps, sol in corpus_paths():
+        inst = parse_mps_file(mps)
+        point = parse_solution_file(sol, inst)
+        res = run_separation(inst, point, RunConfig(algorithm="both", start_policy=POLICY_ALL))
+        buf = io.StringIO()
+        write_cuts(res.cuts, buf)
+        text += buf.getvalue() + format_metrics(res.metrics)
+        n_cuts += len(res.cuts)
+    assert (hashlib.sha256(text.encode()).hexdigest()[:16], n_cuts) == CORPUS_DIGEST

@@ -8,7 +8,6 @@ from aggsep.errors import MalformedInstanceError
 from aggsep.instance import (
     CONTINUOUS,
     INTEGER,
-    ORIGIN_BOUND_ROW,
     ORIGIN_EQ_NEG,
     ORIGIN_EQ_POS,
     ORIGIN_LEQ,
@@ -78,7 +77,8 @@ def test_detect_bounds_two_nonzero_pattern():
     table = detect_variable_bounds(inst)
     (e,) = table.entries(0)
     assert e.int_var == 1 and e.const == 0.0 and e.coef == 3.0
-    assert inst.rows[0].origin == ORIGIN_BOUND_ROW
+    assert table.bound_rows == {0}
+    assert inst.rows[0].origin == ORIGIN_LEQ  # the row itself is not rewritten
 
 
 def test_detect_bounds_needs_integer_partner():
@@ -87,7 +87,7 @@ def test_detect_bounds_needs_integer_partner():
     )
     table = detect_variable_bounds(inst)
     assert not table.entries(0)
-    assert inst.rows[0].origin == ORIGIN_LEQ
+    assert not table.bound_rows
 
 
 def test_detect_bounds_needs_exactly_two_nonzeros():
@@ -104,6 +104,7 @@ def test_detect_bounds_idempotent():
     )
     t1 = detect_variable_bounds(inst)
     t2 = detect_variable_bounds(inst)
+    assert t2 is t1  # found once per instance
     assert [(e.var, e.int_var, e.const, e.coef) for e in t1.entries(0)] == [
         (e.var, e.int_var, e.const, e.coef) for e in t2.entries(0)
     ]

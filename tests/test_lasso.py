@@ -159,9 +159,3 @@ def test_lasso_objective_beats_trivial_and_mw(example1, example1_ctx,
         assert sol.objective <= objective({i0: 1.0}) + 1e-7
         for res in mw_aggregate(example1_ctx_mw, i0):
             assert sol.objective <= objective(res.factors) + 1e-7
-
-
-def test_lasso_callback_sees_every_emission(example1_ctx):
-    seen = []
-    results = lasso_aggregate(example1_ctx, 0, on_aggregation=seen.append)
-    assert seen == results

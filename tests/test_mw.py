@@ -107,9 +107,3 @@ def test_mw_respects_maxaggr():
     ctx = preprocess(inst, _POINT)
     results = mw_aggregate(ctx, 0, maxaggr=0)
     assert len(results) == 1  # only the bare starting row
-
-
-def test_mw_callback_sees_every_emission(example1_ctx_mw):
-    seen = []
-    results = mw_aggregate(example1_ctx_mw, 0, on_aggregation=seen.append)
-    assert seen == results
