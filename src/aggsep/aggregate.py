@@ -33,10 +33,6 @@ class AggregationResult:
         return alpha, beta
 
 
-def residual_bad_columns(alpha, bad_vars, tol=ZERO_TOL):
-    return tuple(int(j) for j in bad_vars if abs(alpha[j]) > tol)
-
-
 def make_result(ctx, factors, algorithm, starting_row, step, eliminated=()):
     A = ctx.instance.matrix
     b = ctx.instance.rhs
@@ -56,7 +52,7 @@ def make_result(ctx, factors, algorithm, starting_row, step, eliminated=()):
         beta=float(beta),
         used_rows=tuple(used),
         eliminated=tuple(eliminated),
-        residual_bad=residual_bad_columns(alpha, ctx.bad_vars),
+        residual_bad=tuple(ctx.bad_vars[np.abs(alpha[ctx.bad_vars]) > ZERO_TOL].tolist()),
         algorithm=algorithm,
         starting_row=int(starting_row),
         step=step,

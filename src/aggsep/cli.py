@@ -3,7 +3,7 @@
 import argparse
 import sys
 
-from .errors import LpFailure, MpsParseError
+from .errors import LpFailure, MalformedInstanceError, MpsParseError
 from .harness import (
     POLICY_ALL,
     POLICY_NAMED,
@@ -25,6 +25,10 @@ _TUNABLES = ("maxaggr", "density_threshold", "max_bad_vars", "max_useful_rows",
              "violation_threshold")
 
 
+class _BadInput(Exception):
+    """A flag that names something the instance lacks."""
+
+
 def _start_rows(spec):
     """``--start-rows`` as RunConfig fields: 'all', 'top:K' (K >= 1) or row names."""
     if spec == "all":
@@ -42,6 +46,9 @@ def _start_rows(spec):
 
 def _load(args):
     instance = parse_mps_file(args.instance)
+    for name in args.start_rows.get("start_names", ()):
+        if name not in instance.row_index:
+            raise _BadInput("--start-rows names unknown row %r" % name)
     if getattr(args, "solution", None):
         point = parse_solution_file(args.solution, instance)
         duals = None
@@ -138,6 +145,9 @@ def main(argv=None):
         return args.func(args)
     except MpsParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
+        return EXIT_PARSE
+    except (MalformedInstanceError, _BadInput, OSError) as exc:
+        print("bad input: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
     except LpFailure as exc:
         print("LP failure: %s" % exc, file=sys.stderr)

@@ -9,7 +9,7 @@ from .errors import ContractViolation, LpFailure
 from .lasso import lasso_aggregate
 from .lp import INFEASIBLE, LpProblem, OPTIMAL, UNBOUNDED, solve_lp
 from .mw import mw_aggregate
-from .preprocess import MODE_NORMAL_ROWS, MODE_UNIFIED, PreprocessConfig, preprocess
+from .preprocess import preprocess
 
 POLICY_ALL = "all-useful"
 POLICY_TOP = "top-k-by-score"
@@ -80,8 +80,11 @@ def sparsity_metrics(aggregations, ctx):
     )
 
 
-def _starting_rows(ctx, config):
-    rows = [int(i) for i in ctx.useful_rows]
+def _starting_rows(ctx, config, algo):
+    rows = ctx.useful_rows
+    if algo == "mw":
+        rows = rows[~ctx.bound_row]  # mw never aggregates an implied-bound row
+    rows = rows.tolist()
     if config.start_policy == POLICY_ALL:
         return rows
     if config.start_policy == POLICY_TOP:
@@ -102,23 +105,15 @@ def _starting_rows(ctx, config):
 def run_separation(instance, point, config=None, duals=None):
     """One separation round over the configured starting rows.
 
-    Deterministic for fixed inputs; per-starting-row LP failures become
-    diagnostics and the run continues.
+    Both aggregators run on one SeparationContext.  Deterministic for fixed
+    inputs; per-starting-row LP failures become diagnostics and the run
+    continues.
     """
     config = config or RunConfig()
     result = RunResult()
-    contexts = {}
+    ctx = preprocess(instance, point, duals, config.max_bad_vars, config.max_useful_rows)
 
     for algo in config.algorithms():
-        mode = MODE_UNIFIED if algo == "lasso" else MODE_NORMAL_ROWS
-        if mode not in contexts:
-            contexts[mode] = preprocess(
-                instance,
-                point,
-                duals,
-                PreprocessConfig(config.max_bad_vars, config.max_useful_rows, mode),
-            )
-        ctx = contexts[mode]
         aggs = []
         if ctx.nothing_to_do:
             result.metrics[algo] = SparsityMetrics()
@@ -126,7 +121,7 @@ def run_separation(instance, point, config=None, duals=None):
             result.diagnostics.append("%s: nothing to do (no bad variables)" % algo)
             continue
         used_rows = set()
-        for i0 in _starting_rows(ctx, config):
+        for i0 in _starting_rows(ctx, config, algo):
             if i0 in used_rows:
                 continue  # already used inside an earlier aggregation
             try:

@@ -24,9 +24,7 @@ def _capped_weights(ctx):
 
 def _abs_value_lp(ctx, weights, slack_cost, lb, ub):
     """The abs-value LP over the bad-column block: one term per bad column."""
-    prob = build_abs_value_lp(list(zip(weights, ctx.bad_block.T)), slack_cost, lb, ub)
-    prob.meta["rows"] = ctx.useful_rows.tolist()
-    return prob
+    return build_abs_value_lp(list(zip(weights, ctx.bad_block.T)), slack_cost, lb, ub)
 
 
 def build_lasso_lp(ctx, i0):
@@ -72,24 +70,16 @@ def lasso_aggregate(ctx, i0, maxaggr=6, density_threshold=0.0):
     failure aborts the starting row without emitting anything.
     """
     i0 = int(i0)
-    prob = build_lasso_lp(ctx, i0)
-    rows = prob.meta["rows"]
-    sol = solve_lp(prob)
+    rows = ctx.useful_rows.tolist()
+    sol = solve_lp(build_lasso_lp(ctx, i0))
     if sol.status != OPTIMAL:
         raise LpFailure(
             "lasso LP for starting row %d ended with status %s" % (i0, sol.status),
             status=sol.status,
         )
-    nlam = len(rows)
 
-    def current_factors():
-        lam = sol.x[:nlam]
-        factors = {
-            rows[t]: float(lam[t])
-            for t in range(nlam)
-            if lam[t] > ZERO_TOL or rows[t] == i0
-        }
-        return factors
+    def current_factors():  # the LP's first columns are the factors of ``rows``
+        return {i: float(v) for i, v in zip(rows, sol.x) if v > ZERO_TOL or i == i0}
 
     factors = current_factors()
     active = sorted(factors)

@@ -9,7 +9,7 @@ standard-form columns of an optimal solve can warm-start a problem that
 differs only in objective and/or variable bounds.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +41,6 @@ class LpProblem:
     rhs: np.ndarray
     col_lb: np.ndarray
     col_ub: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.obj = np.asarray(self.obj, dtype=float)
@@ -336,5 +335,4 @@ def build_abs_value_lp(terms, extra_cost, lam_lb, lam_ub):
         rhs=rhs,
         col_lb=lb,
         col_ub=ub,
-        meta={"n_lambda": k, "n_terms": nt},
     )

@@ -20,6 +20,7 @@ from .instance import (
 _SECTIONS = {
     "NAME", "OBJSENSE", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "ENDATA",
 }
+_OBJ_SIGN = {"MIN": 1.0, "MINIMIZE": 1.0, "MAX": -1.0, "MAXIMIZE": -1.0}
 
 
 @dataclass
@@ -42,7 +43,8 @@ class CutRecord:
 def parse_mps(stream, name_hint="instance"):
     """Parse free-format MPS text into a normalized MilpInstance.
 
-    Supports NAME, OBJSENSE, ROWS, COLUMNS (with INTORG/INTEND markers),
+    Supports NAME, OBJSENSE (MIN/MINIMIZE/MAX/MAXIMIZE, on the header line
+    or the next), ROWS, COLUMNS (with INTORG/INTEND markers),
     RHS, RANGES and BOUNDS.  The objective row lands on the variables'
     objective field; ranged and equality rows are expanded into <= pairs.
     """
@@ -53,7 +55,7 @@ def parse_mps(stream, name_hint="instance"):
     col_order = []
     col_entries = {}  # col -> {row: coef}
     integrality = set()
-    objsense = "MIN"
+    sign = 1.0  # objective sign: -1 for OBJSENSE MAX
     obj_row = None
     rhs_vals = {}
     range_vals = {}
@@ -77,9 +79,13 @@ def parse_mps(stream, name_hint="instance"):
                 name = tok[1]
             if head == "ENDATA":
                 break
-            continue
+            if head != "OBJSENSE" or len(tok) == 1:
+                continue
+            tok = tok[1:]  # the sense given on the header line itself
         if section == "OBJSENSE":
-            objsense = tok[0].upper()
+            if len(tok) != 1 or tok[0].upper() not in _OBJ_SIGN:
+                raise MpsParseError("unknown OBJSENSE %r" % " ".join(tok), line=lineno)
+            sign = _OBJ_SIGN[tok[0].upper()]
             continue
         if section == "ROWS":
             if len(tok) != 2:
@@ -166,7 +172,6 @@ def parse_mps(stream, name_hint="instance"):
     if "COLUMNS" not in seen:
         raise MpsParseError("missing COLUMNS section")
 
-    sign = -1.0 if objsense.startswith("MAX") else 1.0
     variables = []
     for col in col_order:
         kind = INTEGER if col in integrality else CONTINUOUS
@@ -244,6 +249,7 @@ def parse_solution(stream, instance):
     """Read ``<variable> <value>`` lines into a dense point.
 
     ``#`` starts a comment; variables absent from the file default to 0.
+    Values must be finite.
     """
     values = np.zeros(instance.n_vars)
     idx = instance.var_index
@@ -257,9 +263,12 @@ def parse_solution(stream, instance):
         if tok[0] not in idx:
             raise SolutionParseError("unknown variable %s" % tok[0], line=lineno)
         try:
-            values[idx[tok[0]]] = float(tok[1])
+            value = float(tok[1])
         except ValueError:
             raise SolutionParseError("bad value %r" % tok[1], line=lineno)
+        if not math.isfinite(value):
+            raise SolutionParseError("non-finite value %r" % tok[1], line=lineno)
+        values[idx[tok[0]]] = value
     return make_point(instance, values)
 
 

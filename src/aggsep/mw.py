@@ -4,6 +4,7 @@ Starting from one row, bad continuous variables are eliminated one at a
 time by adding a scaled useful row; a candidate is rejected if it would
 need a nonpositive factor or would reintroduce an already-eliminated bad
 variable.  Every step is decided on the context's bad-column block.
+Implied-bound rows are never aggregated: mw neither starts from nor adds one.
 """
 
 import numpy as np
@@ -33,9 +34,11 @@ def mw_aggregate(ctx, i0, maxaggr=6):
     block = ctx.bad_block
     rows = ctx.useful_rows
     (p0,) = ctx.block_rows([i0])
+    if ctx.bound_row[p0]:
+        raise ContractViolation("mw cannot start from implied-bound row %d" % i0)
     factors = {int(i0): 1.0}
     alpha = block[p0].copy()  # aggregated coefficients on the bad columns
-    used = np.zeros(len(rows), dtype=bool)
+    used = ctx.bound_row.copy()  # implied-bound rows count as used from the start
     used[p0] = True
     eliminated = []  # bad-column positions, in elimination order
     results = [make_result(ctx, factors, "mw", i0, 0)]

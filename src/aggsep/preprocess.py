@@ -1,11 +1,11 @@
 """Separation preprocessing: bad variables, useful rows, scores.
 
-Freezes everything needed by the aggregators into a SeparationContext so
-concurrent separation runs can share one immutable snapshot.
+Freezes everything the aggregators need into one SeparationContext per
+point: mw, lasso and the sparsity metrics all read the same snapshot.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -13,17 +13,6 @@ import numpy as np
 from .cmir import substitution_bounds
 from .errors import ContractViolation
 from .instance import detect_variable_bounds
-
-MODE_NORMAL_ROWS = "normal-rows-only"
-MODE_UNIFIED = "unified"
-
-
-@dataclass
-class PreprocessConfig:
-    max_bad_vars: int = 50
-    max_useful_rows: int = 5000
-    mode: str = MODE_NORMAL_ROWS
-
 
 @dataclass
 class SeparationContext:
@@ -34,6 +23,7 @@ class SeparationContext:
     bad_weights: np.ndarray  # bound distances aligned with bad_vars
     useful_rows: np.ndarray  # row indices, decreasing score
     scores: np.ndarray  # aligned with useful_rows
+    bound_row: np.ndarray  # bool, aligned with useful_rows: implied-bound rows
     slacks: np.ndarray  # clipped nonnegative slack per instance row
 
     @property
@@ -109,9 +99,11 @@ def row_score(row_coefs, dual, max_abs_dual, slack, xbar, instance, bd):
     return s
 
 
-def preprocess(instance, xbar, duals=None, config=None):
-    """Build the frozen SeparationContext for one point to separate."""
-    config = config or PreprocessConfig()
+def preprocess(instance, xbar, duals=None, max_bad_vars=50, max_useful_rows=5000):
+    """Build the frozen SeparationContext for one point to separate.
+
+    The useful rows include the implied-bound rows, which mw never uses.
+    """
     bounds = detect_variable_bounds(instance)
     n = instance.n_vars
     m = instance.n_rows
@@ -130,7 +122,7 @@ def preprocess(instance, xbar, duals=None, config=None):
     ]
     # largest distances first, ties by ascending index; +inf sorts first
     bad.sort(key=lambda j: (-bd[j], j))
-    bad = bad[: config.max_bad_vars]
+    bad = bad[:max_bad_vars]
     bad_set = set(bad)
 
     A = instance.matrix
@@ -139,19 +131,16 @@ def preprocess(instance, xbar, duals=None, config=None):
     slacks = np.maximum(raw_slack, 0.0)
     max_abs_dual = float(np.abs(duals).max(initial=0.0))
 
-    skip = bounds.bound_rows if config.mode == MODE_NORMAL_ROWS else ()
-    useful = []
-    for i, row in enumerate(instance.rows):
-        if i in skip:
-            continue
-        if any(instance.var_index[v] in bad_set for v in row.coefficients):
-            useful.append(i)
+    useful = [
+        i for i, row in enumerate(instance.rows)
+        if any(instance.var_index[v] in bad_set for v in row.coefficients)
+    ]
     score_of = {
         i: row_score(A[i], duals[i], max_abs_dual, raw_slack[i], xbar, instance, bd)
         for i in useful
     }
     useful.sort(key=lambda i: (-score_of[i], i))
-    useful = useful[: config.max_useful_rows]
+    useful = useful[:max_useful_rows]
 
     return SeparationContext(
         instance=instance,
@@ -161,5 +150,6 @@ def preprocess(instance, xbar, duals=None, config=None):
         bad_weights=np.array([bd[j] for j in bad], dtype=float),
         useful_rows=np.array(useful, dtype=np.int64),
         scores=np.array([score_of[i] for i in useful], dtype=float),
+        bound_row=np.array([i in bounds.bound_rows for i in useful], dtype=bool),
         slacks=slacks,
     )

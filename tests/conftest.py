@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from aggsep.mpsio import parse_mps_file
-from aggsep.preprocess import MODE_NORMAL_ROWS, MODE_UNIFIED, PreprocessConfig, preprocess
+from aggsep.preprocess import preprocess
 
 from helpers import EXAMPLE1_MPS
 
@@ -19,14 +19,5 @@ def example1_point(example1):
 
 @pytest.fixture()
 def example1_ctx(example1, example1_point):
-    """Unified-mode context (the one the lasso aggregator runs in)."""
-    return preprocess(
-        example1, example1_point, None, PreprocessConfig(mode=MODE_UNIFIED)
-    )
-
-
-@pytest.fixture()
-def example1_ctx_mw(example1, example1_point):
-    return preprocess(
-        example1, example1_point, None, PreprocessConfig(mode=MODE_NORMAL_ROWS)
-    )
+    """The separation context both aggregators run in."""
+    return preprocess(example1, example1_point)

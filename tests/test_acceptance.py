@@ -26,12 +26,7 @@ from aggsep.lasso import lasso_aggregate
 from aggsep.lp import OPTIMAL, LpProblem, build_abs_value_lp, solve_lp
 from aggsep.mpsio import parse_mps_file, parse_solution_file
 from aggsep.mw import mw_aggregate
-from aggsep.preprocess import (
-    MODE_NORMAL_ROWS,
-    MODE_UNIFIED,
-    PreprocessConfig,
-    preprocess,
-)
+from aggsep.preprocess import preprocess
 
 from helpers import (
     EXAMPLE1_MPS,
@@ -55,9 +50,8 @@ def criterion(number, label):
 def _example1_contexts():
     inst = parse_mps_file(EXAMPLE1_MPS)
     x0 = np.zeros(inst.n_vars)
-    unified = preprocess(inst, x0, None, PreprocessConfig(mode=MODE_UNIFIED))
-    normal = preprocess(inst, x0, None, PreprocessConfig(mode=MODE_NORMAL_ROWS))
-    return inst, unified, normal
+    ctx = preprocess(inst, x0)
+    return inst, ctx, ctx  # lasso's and mw's: one context serves both
 
 
 def test_criterion_1_example1_regression():
@@ -208,9 +202,8 @@ def test_criterion_7_directional_sparsity():
         pool = {"mw": ([], []), "lasso": ([], [])}
         assert len(corpus_paths()) >= 10
         for inst, point, res in _corpus_runs():
+            ctx = preprocess(inst, point)
             for algo in ("mw", "lasso"):
-                mode = MODE_UNIFIED if algo == "lasso" else MODE_NORMAL_ROWS
-                ctx = preprocess(inst, point, None, PreprocessConfig(mode=mode))
                 m = res.metrics[algo]
                 # reported ratio identity: exactly mean bad / mean total
                 if not m.empty and m.total_bad_cols > 0:

@@ -108,6 +108,27 @@ def test_parse_error_exit_code(tmp_path):
     assert code == EXIT_PARSE
 
 
+_BOUNDED_MPS = "ROWS\n N obj\n L c1\nCOLUMNS\n x c1 1.0\nRHS\n rhs c1 1.0\n"
+
+
+@pytest.mark.parametrize("case", ["lower-above-upper", "nan-point", "inf-point",
+                                  "unknown-start-row", "missing-file"])
+def test_bad_input_exit_code(tmp_path, capsys, case):
+    mps = tmp_path / "m.mps"
+    sol = tmp_path / "m.sol"
+    _write(str(mps), _BOUNDED_MPS + ("BOUNDS\n UP bnd x -1\n" if case == "lower-above-upper"
+                                     else ""))
+    _write(str(sol), {"nan-point": "x nan\n", "inf-point": "x inf\n"}.get(case, "x 0.5\n"))
+    argv = ["separate", "--instance", str(mps), "--solution", str(sol),
+            "--out", str(tmp_path / "cuts.jsonl")]
+    if case == "unknown-start-row":
+        argv += ["--start-rows", "c1,nosuch"]
+    if case == "missing-file":
+        argv[2] = str(tmp_path / "absent.mps")
+    assert main(argv) == EXIT_PARSE
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
 def test_lp_failure_exit_code(tmp_path):
     infeasible = tmp_path / "infeasible.mps"
     _write(

@@ -22,7 +22,7 @@ from aggsep.errors import (
 )
 from aggsep.instance import CONTINUOUS, INTEGER, MilpInstance, Row, Variable
 from aggsep.mpsio import parse_mps_file, parse_solution
-from aggsep.preprocess import MODE_NORMAL_ROWS, MODE_UNIFIED, PreprocessConfig, preprocess
+from aggsep.preprocess import preprocess
 
 from helpers import (
     corpus_paths,
@@ -209,8 +209,7 @@ def test_bound_substitute_simple_upper():
         [Variable("x", CONTINUOUS, 0.0, 4.0), Variable("z", INTEGER, 0.0, 3.0)],
         [Row("r", {"x": 2.0, "z": 3.0}, 10.0)],
     )
-    ctx = preprocess(inst, np.array([3.5, 0.5]), None,
-                     PreprocessConfig(mode=MODE_UNIFIED))
+    ctx = preprocess(inst, np.array([3.5, 0.5]))
     agg = AggregationResult(
         factors={0: 1.0}, alpha=inst.matrix[0].copy(), beta=10.0,
         used_rows=(0,), eliminated=(), residual_bad=(0,),
@@ -236,8 +235,7 @@ def test_bound_substitute_implied_bound():
             Row("r", {"x": 1.0, "z": 1.0}, 5.0),
         ],
     )
-    ctx = preprocess(inst, np.array([1.0, 0.5]), None,
-                     PreprocessConfig(mode=MODE_UNIFIED))
+    ctx = preprocess(inst, np.array([1.0, 0.5]))
     agg = AggregationResult(
         factors={1: 1.0}, alpha=inst.matrix[1].copy(), beta=5.0,
         used_rows=(1,), eliminated=(), residual_bad=(0,),
@@ -257,8 +255,7 @@ def test_bound_substitute_lower_bound_branch():
         [Variable("x", CONTINUOUS, 0.0, 100.0), Variable("z", INTEGER, 0.0, 3.0)],
         [Row("r", {"x": 1.0, "z": 1.0}, 5.0)],
     )
-    ctx = preprocess(inst, np.array([1.0, 0.5]), None,
-                     PreprocessConfig(mode=MODE_UNIFIED))
+    ctx = preprocess(inst, np.array([1.0, 0.5]))
     agg = AggregationResult(
         factors={0: 1.0}, alpha=inst.matrix[0].copy(), beta=5.0,
         used_rows=(0,), eliminated=(), residual_bad=(0,),
@@ -279,8 +276,7 @@ def test_bound_substitute_missing_bound_returns_none():
          Variable("z", INTEGER, 0.0, 3.0)],
         [Row("r", {"x": 1.0, "y": 1.0, "z": 1.0}, 5.0)],
     )
-    ctx = preprocess(inst, np.array([1.0, 0.5, 0.5]), None,
-                     PreprocessConfig(mode=MODE_UNIFIED))
+    ctx = preprocess(inst, np.array([1.0, 0.5, 0.5]))
     agg = AggregationResult(
         factors={0: 1.0}, alpha=inst.matrix[0].copy(), beta=5.0,
         used_rows=(0,), eliminated=(), residual_bad=(0,),
@@ -293,8 +289,7 @@ def test_bound_substitute_missing_bound_returns_none():
         [Variable("y", CONTINUOUS, 0.0, 1.0), Variable("z", INTEGER, 0.0, math.inf)],
         [Row("r", {"y": 1.0, "z": 1.0}, 5.0)],
     )
-    ctx = preprocess(inst, np.array([0.5, 0.5]), None,
-                     PreprocessConfig(mode=MODE_UNIFIED))
+    ctx = preprocess(inst, np.array([0.5, 0.5]))
     agg.alpha = inst.matrix[0].copy()
     assert bound_substitute(agg, ctx) is None
 
@@ -317,26 +312,25 @@ def test_bound_substitute_matches_reference_loop():
         hi = np.where(np.isfinite(inst.upper), inst.upper, lo + 10.0)
         points += [rng.uniform(lo, hi) for _ in range(3)]
         for point in points:
-            for mode in (MODE_NORMAL_ROWS, MODE_UNIFIED):
-                ctx = preprocess(inst, point, None, PreprocessConfig(mode=mode))
-                for _ in range(15):
-                    rows = rng.choice(inst.n_rows, size=int(rng.integers(1, 4)), replace=False)
-                    lam = rng.uniform(0.1, 3.0, size=len(rows))
-                    agg = SimpleNamespace(alpha=lam @ inst.matrix[rows],
-                                          beta=float(lam @ inst.rhs[rows]))
-                    got = bound_substitute(agg, ctx)
-                    ref = reference_bound_substitute(agg, ctx)
-                    assert (got is None) == (ref is None)
-                    if ref is None:
-                        continue
-                    for name in ("a", "u", "int_shift", "zbar"):
-                        assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
-                    assert (got.b, got.sbar, got.int_vars) == (ref.b, ref.sbar, ref.int_vars)
-                    assert len(got.slack_terms) == len(ref.slack_terms)
-                    for t, r in zip(got.slack_terms, ref.slack_terms):
-                        assert (t.var, t.mult, t.const, t.kind) == (r.var, r.mult, r.const, r.kind)
-                        assert list(t.coefs.items()) == list(r.coefs.items())
-                        kinds[t.kind] += 1
+            ctx = preprocess(inst, point)
+            for _ in range(30):
+                rows = rng.choice(inst.n_rows, size=int(rng.integers(1, 4)), replace=False)
+                lam = rng.uniform(0.1, 3.0, size=len(rows))
+                agg = SimpleNamespace(alpha=lam @ inst.matrix[rows],
+                                      beta=float(lam @ inst.rhs[rows]))
+                got = bound_substitute(agg, ctx)
+                ref = reference_bound_substitute(agg, ctx)
+                assert (got is None) == (ref is None)
+                if ref is None:
+                    continue
+                for name in ("a", "u", "int_shift", "zbar"):
+                    assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
+                assert (got.b, got.sbar, got.int_vars) == (ref.b, ref.sbar, ref.int_vars)
+                assert len(got.slack_terms) == len(ref.slack_terms)
+                for t, r in zip(got.slack_terms, ref.slack_terms):
+                    assert (t.var, t.mult, t.const, t.kind) == (r.var, r.mult, r.const, r.kind)
+                    assert list(t.coefs.items()) == list(r.coefs.items())
+                    kinds[t.kind] += 1
     assert min(kinds.values()) > 0, kinds
 
 
@@ -374,7 +368,7 @@ def test_violation_consistency_mapped_back(example1, example1_ctx):
 
     # drive a full separation at a fractional interior point
     point = np.array([0.5, 1.0, 1.0, 0.7])
-    ctx = preprocess(example1, point, None, PreprocessConfig(mode=MODE_UNIFIED))
+    ctx = preprocess(example1, point)
     if ctx.nothing_to_do:
         pytest.skip("no bad variables at this point")
     for i0 in ctx.useful_rows:

@@ -21,7 +21,7 @@ from aggsep.harness import (
 from aggsep.instance import CONTINUOUS, INTEGER, MilpInstance, Row, Variable
 from aggsep.lp import ITERATION_LIMIT, LpSolution
 from aggsep.mpsio import parse_mps_file, parse_solution_file, write_cuts
-from aggsep.preprocess import MODE_UNIFIED, PreprocessConfig, preprocess
+from aggsep.preprocess import preprocess
 
 from helpers import corpus_paths
 
@@ -60,7 +60,7 @@ def test_sparsity_metrics_empty_and_undefined(example1_ctx):
     inst = MilpInstance(
         "t", [Variable("x", CONTINUOUS, 0.0, 5.0)], [Row("r", {"x": 1.0}, 9.0)]
     )
-    ctx = preprocess(inst, np.array([1.0]), None, PreprocessConfig(mode=MODE_UNIFIED))
+    ctx = preprocess(inst, np.array([1.0]))
     ctx.bad_vars = np.array([], dtype=np.int64)
     m = sparsity_metrics([_agg((), (0,))], ctx)
     assert m.ratio is None
@@ -116,12 +116,24 @@ def test_run_separation_named_policy(example1, example1_point):
     assert {a.starting_row for a in res.aggregations["mw"]} == {1}
 
 
+def test_run_separation_preprocesses_once(example1, example1_point, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return preprocess(*args, **kwargs)
+
+    monkeypatch.setattr(aggsep.harness, "preprocess", counting)
+    res = run_separation(example1, example1_point, RunConfig(algorithm="both"))
+    assert set(res.aggregations) == {"mw", "lasso"}
+    assert len(calls) == 1
+
+
 def test_run_separation_metrics_match_recomputation(example1, example1_point):
     res = run_separation(
         example1, example1_point, RunConfig(start_policy=POLICY_ALL)
     )
-    ctx = preprocess(example1, example1_point, None,
-                     PreprocessConfig(mode=MODE_UNIFIED))
+    ctx = preprocess(example1, example1_point)
     redo = sparsity_metrics(res.aggregations["lasso"], ctx)
     assert redo == res.metrics["lasso"]
 

@@ -11,7 +11,7 @@ from aggsep.lasso import (
 )
 from aggsep.lp import OPTIMAL, solve_lp
 from aggsep.mw import mw_aggregate
-from aggsep.preprocess import MODE_UNIFIED, PreprocessConfig, preprocess
+from aggsep.preprocess import preprocess
 
 
 def test_reweight_formula():
@@ -35,10 +35,10 @@ def test_build_lasso_lp_shape(example1_ctx):
     prob = build_lasso_lp(example1_ctx, 0)
     nrows = len(example1_ctx.useful_rows)
     nbad = len(example1_ctx.bad_vars)
-    assert prob.meta["n_lambda"] == nrows
-    assert prob.meta["n_terms"] == nbad
-    assert prob.n_cols == nrows + 2 * nbad
-    t0 = prob.meta["rows"].index(0)
+    # one equality row per bad column; factors, then mu+ and mu- per column
+    assert prob.A.shape == (nbad, nrows + 2 * nbad)
+    assert prob.row_type == ["E"] * nbad
+    t0 = example1_ctx.useful_rows.tolist().index(0)
     assert prob.col_lb[t0] == 1.0
     # slacks at the origin are all 1, so every factor carries slack cost 1
     assert np.all(prob.obj[:nrows] == 1.0)
@@ -56,7 +56,7 @@ def test_lasso_lp_optimum_on_example1(example1_ctx):
         prob = build_lasso_lp(example1_ctx, i0)
         sol = solve_lp(prob)
         assert sol.status == OPTIMAL
-        rows = prob.meta["rows"]
+        rows = example1_ctx.useful_rows.tolist()
         lam = np.array([sol.x[rows.index(i)] for i in range(3)])
         assert lam / lam[0] == pytest.approx([1.0, 1.0, 2.0], abs=1e-7)
 
@@ -64,7 +64,7 @@ def test_lasso_lp_optimum_on_example1(example1_ctx):
 def test_build_reweighted_lp_pins_inactive_rows(example1_ctx):
     w = np.zeros(len(example1_ctx.bad_vars))
     prob = build_reweighted_lp(example1_ctx, [0, 2], 0, w)
-    rows = prob.meta["rows"]
+    rows = example1_ctx.useful_rows.tolist()
     nrows = len(rows)
     assert np.all(prob.obj[:nrows] == 0.0)  # no slack cost
     t1 = rows.index(1)
@@ -94,7 +94,7 @@ def test_lasso_no_bad_vars_single_aggregation():
         [Variable("x", CONTINUOUS, 0.0, 5.0)],
         [Row("r", {"x": 1.0}, 5.0)],
     )
-    ctx = preprocess(inst, np.array([1.0]), None, PreprocessConfig(mode=MODE_UNIFIED))
+    ctx = preprocess(inst, np.array([1.0]))
     ctx.bad_vars = np.array([], dtype=np.int64)
     ctx.bad_weights = np.array([])
     results = lasso_aggregate(ctx, 0)
@@ -114,8 +114,7 @@ def _stuck_instance():
 
 def test_lasso_stuck_instance_runs_maxaggr_rounds():
     inst = _stuck_instance()
-    ctx = preprocess(inst, np.array([2.0, 1.5]), None,
-                     PreprocessConfig(mode=MODE_UNIFIED))
+    ctx = preprocess(inst, np.array([2.0, 1.5]))
     results = lasso_aggregate(ctx, 0, maxaggr=3)
     assert len(results) == 4
     for res in results:
@@ -138,8 +137,7 @@ def test_lasso_invariants_support_and_bounds(example1, example1_ctx):
             support = cur
 
 
-def test_lasso_objective_beats_trivial_and_mw(example1, example1_ctx,
-                                              example1_ctx_mw):
+def test_lasso_objective_beats_trivial_and_mw(example1, example1_ctx):
     # LP optimality: the lasso objective is no worse than lam = e_{i0}
     # and no worse than any MW-produced factor vector
     A = example1.matrix
@@ -157,5 +155,5 @@ def test_lasso_objective_beats_trivial_and_mw(example1, example1_ctx,
         sol = solve_lp(build_lasso_lp(example1_ctx, i0))
         assert sol.status == OPTIMAL
         assert sol.objective <= objective({i0: 1.0}) + 1e-7
-        for res in mw_aggregate(example1_ctx_mw, i0):
+        for res in mw_aggregate(example1_ctx, i0):
             assert sol.objective <= objective(res.factors) + 1e-7

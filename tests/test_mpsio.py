@@ -73,6 +73,33 @@ def test_parse_errors_carry_line_numbers():
     assert exc.value.line == 4
 
 
+_OBJ_TEXT = "ROWS\n N obj\n L c1\nCOLUMNS\n x obj 1.0 c1 1.0\n"
+
+
+@pytest.mark.parametrize("header, sign", [
+    ("", 1.0),
+    ("OBJSENSE MAX\n", -1.0),
+    ("OBJSENSE maximize\n", -1.0),
+    ("OBJSENSE\n    MAX\n", -1.0),
+    ("OBJSENSE\n MAXIMIZE\n", -1.0),
+    ("OBJSENSE MIN\n", 1.0),
+    ("OBJSENSE\n MINIMIZE\n", 1.0),
+], ids=["absent", "max-header", "maximize-header", "max-next", "maximize-next",
+        "min-header", "minimize-next"])
+def test_parse_objsense(header, sign):
+    inst = parse_mps(io.StringIO(header + _OBJ_TEXT))
+    assert inst.objective.tolist() == [sign]
+
+
+@pytest.mark.parametrize("header", [
+    "OBJSENSE MAXX\n", "OBJSENSE\n FOO\n", "OBJSENSE\n MAX MIN\n",
+], ids=["maxx-header", "foo-next", "two-tokens-next"])
+def test_parse_objsense_rejects_unknown(header):
+    with pytest.raises(MpsParseError) as exc:
+        parse_mps(io.StringIO(header + _OBJ_TEXT))
+    assert exc.value.line == header.count("\n")
+
+
 def test_parse_ranges_expand_to_pairs():
     text = (
         "ROWS\n N obj\n L c1\nCOLUMNS\n x c1 1.0\nRHS\n rhs c1 5.0\n"
@@ -122,6 +149,10 @@ def test_parse_solution_errors(example1):
         parse_solution(io.StringIO("nosuch 1.0\n"), example1)
     with pytest.raises(SolutionParseError):
         parse_solution(io.StringIO("x1 abc\n"), example1)
+    for value in ("nan", "inf", "-inf"):
+        with pytest.raises(SolutionParseError) as exc:
+            parse_solution(io.StringIO("x1 0.5\nx2 %s\n" % value), example1)
+        assert exc.value.line == 2
 
 
 def test_solution_roundtrip(example1):

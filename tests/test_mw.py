@@ -4,7 +4,7 @@ import pytest
 from aggsep.errors import ContractViolation
 from aggsep.instance import CONTINUOUS, INTEGER, MilpInstance, Row, Variable
 from aggsep.mw import elimination_factor, mw_aggregate
-from aggsep.preprocess import PreprocessConfig, preprocess
+from aggsep.preprocess import preprocess
 
 
 def test_elimination_factor_example_row_pair(example1):
@@ -23,9 +23,9 @@ def test_elimination_factor_sign_rule():
         elimination_factor(1.0, 0.0)
 
 
-def test_mw_example1_always_leaves_bad_columns(example1_ctx_mw):
+def test_mw_example1_always_leaves_bad_columns(example1_ctx):
     for i0 in (0, 1, 2):
-        results = mw_aggregate(example1_ctx_mw, i0)
+        results = mw_aggregate(example1_ctx, i0)
         assert results, "starting row must emit at least the bare row"
         for res in results:
             assert len(res.residual_bad) >= 1
@@ -80,14 +80,14 @@ def test_mw_single_elimination_step():
     assert final.residual_bad == ()
 
 
-def test_mw_starting_row_must_be_useful(example1_ctx_mw):
+def test_mw_starting_row_must_be_useful(example1_ctx):
     with pytest.raises(ContractViolation):
-        mw_aggregate(example1_ctx_mw, 99)
+        mw_aggregate(example1_ctx, 99)
 
 
-def test_mw_invariants_on_example1(example1, example1_ctx_mw):
+def test_mw_invariants_on_example1(example1, example1_ctx):
     for i0 in (0, 1, 2):
-        results = mw_aggregate(example1_ctx_mw, i0, maxaggr=6)
+        results = mw_aggregate(example1_ctx, i0, maxaggr=6)
         assert len(results) <= 7
         prev_elim = 0
         for res in results:

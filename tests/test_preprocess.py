@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from aggsep.errors import ContractViolation
+from aggsep.harness import POLICY_ALL, POLICY_NAMED, RunConfig, run_separation
 from aggsep.instance import (
     CONTINUOUS,
     INTEGER,
@@ -11,14 +13,9 @@ from aggsep.instance import (
     Variable,
     detect_variable_bounds,
 )
-from aggsep.preprocess import (
-    MODE_NORMAL_ROWS,
-    MODE_UNIFIED,
-    PreprocessConfig,
-    bound_distance,
-    preprocess,
-    row_score,
-)
+from aggsep.lasso import build_lasso_lp, lasso_aggregate
+from aggsep.mw import mw_aggregate
+from aggsep.preprocess import bound_distance, preprocess, row_score
 
 
 def _inst(variables, rows):
@@ -90,7 +87,7 @@ def test_row_score_integer_fractionality():
 
 
 def test_preprocess_example1(example1, example1_point):
-    ctx = preprocess(example1, example1_point, None, PreprocessConfig(mode=MODE_UNIFIED))
+    ctx = preprocess(example1, example1_point)
     names = [example1.variables[j].name for j in ctx.bad_vars]
     assert sorted(names) == ["x2", "x3"]
     assert sorted(int(i) for i in ctx.useful_rows) == [0, 1, 2]
@@ -111,13 +108,16 @@ def test_preprocess_truncates_to_largest_distances():
     variables = [Variable("x%d" % j, CONTINUOUS, 0.0, float(j + 1)) for j in range(n)]
     rows = [Row("r", {"x%d" % j: 1.0 for j in range(n)}, 100.0)]
     inst = _inst(variables, rows)
-    ctx = preprocess(inst, np.zeros(n), None, PreprocessConfig(max_bad_vars=3))
+    ctx = preprocess(inst, np.zeros(n), max_bad_vars=3)
     # distances are 1..8; the three largest are x7, x6, x5
     assert [int(j) for j in ctx.bad_vars] == [7, 6, 5]
     assert list(ctx.bad_weights) == [8.0, 7.0, 6.0]
 
 
-def test_preprocess_mode_filters_bound_rows():
+@pytest.mark.parametrize("n_x", [1.0, -1.0])
+def test_bound_rows_are_useful_for_lasso_only(n_x):
+    # with n_x = -1, mw could eliminate x from n by adding b; only the
+    # bound-row mask keeps it out
     variables = [
         Variable("x", CONTINUOUS, 0.0, 10.0),
         Variable("y", CONTINUOUS, 0.0, 1.0),
@@ -125,18 +125,31 @@ def test_preprocess_mode_filters_bound_rows():
     ]
     rows = [
         Row("b", {"x": 1.0, "z": -1.0}, 0.0),  # implied bound row
-        Row("n", {"x": 1.0, "y": 1.0, "z": 1.0}, 5.0),  # normal (3 nonzeros)
+        Row("n", {"x": n_x, "y": 1.0, "z": 1.0}, 5.0),  # normal (3 nonzeros)
     ]
     inst = _inst(variables, rows)
     point = np.array([0.5, 1.0, 2.0])
-    normal = preprocess(inst, point, None, PreprocessConfig(mode=MODE_NORMAL_ROWS))
-    unified = preprocess(inst, point, None, PreprocessConfig(mode=MODE_UNIFIED))
-    assert sorted(int(i) for i in normal.useful_rows) == [1]
-    assert sorted(int(i) for i in unified.useful_rows) == [0, 1]
+    ctx = preprocess(inst, point)
+    assert sorted(int(i) for i in ctx.useful_rows) == [0, 1]
+    assert ctx.bound_row.tolist() == [int(i) == 0 for i in ctx.useful_rows]
+
+    for res in mw_aggregate(ctx, 1):
+        assert res.used_rows == (1,)
+    with pytest.raises(ContractViolation):
+        mw_aggregate(ctx, 0)
+    run = run_separation(inst, point, RunConfig(algorithm="mw", start_policy=POLICY_ALL))
+    assert [a.used_rows for a in run.aggregations["mw"]] == [(1,)]
+    run = run_separation(inst, point, RunConfig(algorithm="mw", start_policy=POLICY_NAMED,
+                                                start_names=("b",)))
+    assert run.aggregations["mw"] == []
+
+    (t_b,) = ctx.block_rows([0])
+    assert build_lasso_lp(ctx, 1).col_ub[t_b] > 0.0
+    assert all(0 in res.used_rows for res in lasso_aggregate(ctx, 0))
 
 
 def test_preprocess_orders_and_coverage(example1, example1_point):
-    ctx = preprocess(example1, example1_point, None, PreprocessConfig(mode=MODE_UNIFIED))
+    ctx = preprocess(example1, example1_point)
     assert all(
         ctx.bad_weights[t] >= ctx.bad_weights[t + 1]
         for t in range(len(ctx.bad_weights) - 1)
