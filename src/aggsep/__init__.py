@@ -9,7 +9,6 @@ from .cmir import (
     g_function,
     select_partition_and_delta,
     separate_on_aggregation,
-    validate_cut_bruteforce,
 )
 from .harness import (
     RunConfig,
@@ -24,12 +23,11 @@ from .instance import (
     Variable,
     detect_variable_bounds,
     normalize_rows,
-    row_slack,
 )
 from .lasso import build_lasso_lp, build_reweighted_lp, lasso_aggregate, reweight
 from .lp import LpProblem, LpSolution, WarmStart, build_abs_value_lp, solve_lp
 from .mpsio import CutRecord, parse_mps, parse_solution, write_cuts
 from .mw import elimination_factor, mw_aggregate
-from .preprocess import SeparationContext, bound_distance, preprocess, row_score
+from .preprocess import SeparationContext, preprocess
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Bound substitution, c-MIR cut generation, and a brute-force validity oracle.
+"""Bound substitution and c-MIR cut generation.
 
 An aggregated base inequality is rewritten over shifted bounded integers z
 and a single nonnegative slack aggregate s (the weighted sum of continuous
@@ -12,15 +12,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import g_values, max_box_violation
 from .aggregate import ZERO_TOL
-from .errors import ContractViolation, DegenerateCutError, OracleRefusedError
+from .errors import ContractViolation, DegenerateCutError
 from .mpsio import CutRecord
 
 FRACTIONAL_TOL = 1e-6
 DEGENERATE_F_TOL = 1e-9
 DEFAULT_VIOLATION_THRESHOLD = 1e-4
-ORACLE_BOX_LIMIT = 10 ** 6
 
 
 @dataclass
@@ -76,79 +74,26 @@ def g_function(d, f):
     return fl + max(fd - f, 0.0) / (1.0 - f)
 
 
-@dataclass
-class SubstitutionBounds:
-    """The bound each continuous variable is substituted by, at one point.
+def g_values(d, f):
+    """Vectorized ``g_function``.
 
-    Indexed by variable; entries of integer variables are unused.  A slack
-    y_j >= 0 replaces x_j: x_j = l_j + y_j ('lower'), x_j = u_j - y_j
-    ('upper') or x_j = c + d z_k - y_j ('implied', from x_j <= c + d z_k).
+    ``d`` and ``f`` broadcast against each other, so one call scores a
+    (n_delta x q) array with one ``f`` per row.
     """
-
-    usable: np.ndarray  # some bound is finite
-    kind: np.ndarray  # 'lower' | 'upper' | 'implied'
-    bound: np.ndarray  # l_j, u_j or c
-    int_var: np.ndarray  # k of an implied bound, -1 otherwise
-    int_coef: np.ndarray  # d of an implied bound, 0 otherwise
-    slack_const: np.ndarray  # constant of y_j as an affine expression of x
-    slack_at_point: np.ndarray  # y_j at xbar
-
-
-def substitution_bounds(ctx):
-    """Pick, for every continuous variable, the bound nearest ``ctx.xbar``.
-
-    The tightest upper-type candidate is the simple upper bound or the
-    smallest implied one at xbar; a finite lower bound wins when xbar sits
-    closer to it.  The choice does not depend on the aggregation, so a
-    SeparationContext makes it once (``ctx.substitution``).
-    """
-    inst = ctx.instance
-    xbar = ctx.xbar
-    lower = inst.lower
-    best_val = np.where(np.isfinite(inst.upper), inst.upper, np.inf)
-    best = {}
-    for j, entries in ctx.bounds.implied.items():
-        for e in entries:
-            cand = e.const + e.coef * xbar[e.int_var]
-            if cand < best_val[j]:
-                best_val[j] = cand
-                best[j] = e
-    has_upper = np.isfinite(best_val)
-    use_lower = np.isfinite(lower) & (~has_upper | (xbar - lower < best_val - xbar))
-    kind = np.where(use_lower, "lower", "upper").astype(object)
-    bound = np.where(use_lower, lower, inst.upper)
-    int_var = np.full(inst.n_vars, -1, dtype=np.int64)
-    int_coef = np.zeros(inst.n_vars)
-    for j, e in best.items():
-        if not use_lower[j]:
-            kind[j] = "implied"
-            bound[j] = e.const
-            int_var[j] = e.int_var
-            int_coef[j] = e.coef
-    implied = int_var >= 0
-    slack_const = np.where(use_lower, -lower, bound)
-    # y_j = const + ((0.0 + first term) + second term) at xbar: the order of
-    # the sum of the affine terms of SlackTerm.coefs, starting from zero
-    first = np.where(use_lower, xbar, np.where(implied, int_coef * xbar[int_var], -xbar))
-    second = np.where(implied, -xbar, 0.0)
-    return SubstitutionBounds(
-        usable=has_upper | use_lower,
-        kind=kind,
-        bound=bound,
-        int_var=int_var,
-        int_coef=int_coef,
-        slack_const=slack_const,
-        slack_at_point=slack_const + ((0.0 + first) + second),
-    )
+    d = np.asarray(d, dtype=np.float64)
+    fl = np.floor(d)
+    fd = d - fl
+    return fl + np.maximum(fd - f, 0.0) / (1.0 - f)
 
 
 def bound_substitute(aggregation, ctx):
     """Rewrite an aggregated inequality as a mixed knapsack row.
 
-    Continuous variables are replaced by the bound ``substitution_bounds``
-    picks (simple upper, the best implied upper, or a finite lower bound
-    when the point sits closer to it); integer variables are shifted to a
-    zero lower bound.  Returns None when a needed bound is missing.
+    Continuous variables are replaced by the bound ``preprocess`` picked
+    for them at the point (``ctx.substitution``: simple upper, the best
+    implied upper, or a finite lower bound when the point sits closer to
+    it); integer variables are shifted to a zero lower bound.  Returns None
+    when a needed bound is missing.
     """
     inst = ctx.instance
     sub = ctx.substitution
@@ -363,24 +308,3 @@ def separate_on_aggregation(aggregation, ctx, violation_threshold=DEFAULT_VIOLAT
         delta=cut.delta,
     )
 
-
-def validate_cut_bruteforce(cut, k, tol=1e-7):
-    """Exhaustively check the cut over the integer box of the knapsack row.
-
-    For each z the minimum feasible slack is max(0, a.z - b); the cut must
-    hold at every such (z, s).
-    """
-    box = 1.0
-    for u in k.u:
-        box *= u + 1
-    if box > ORACLE_BOX_LIMIT:
-        raise OracleRefusedError("enumeration box of size %g refused" % box)
-    viol = max_box_violation(
-        np.ascontiguousarray(k.a, dtype=np.float64),
-        np.ascontiguousarray(k.u, dtype=np.int64),
-        float(k.b),
-        np.ascontiguousarray(cut.z_coefs, dtype=np.float64),
-        float(cut.rhs_knapsack),
-        float(cut.s_coef),
-    )
-    return viol <= tol

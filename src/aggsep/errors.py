@@ -39,6 +39,3 @@ class DegenerateCutError(AggsepError):
     """The rounding fraction f is within tolerance of an integer; the
     candidate cut degenerates to the scaled base row."""
 
-
-class OracleRefusedError(AggsepError):
-    """Brute-force oracle precondition violated (enumeration box too large)."""

@@ -80,7 +80,9 @@ def sparsity_metrics(aggregations, ctx):
     )
 
 
-def _starting_rows(ctx, config, algo):
+def _starting_rows(ctx, config, algo, diagnostics):
+    """The algorithm's starting rows; a named row that is not one of them is
+    reported in ``diagnostics`` and dropped."""
     rows = ctx.useful_rows
     if algo == "mw":
         rows = rows[~ctx.bound_row]  # mw never aggregates an implied-bound row
@@ -98,6 +100,11 @@ def _starting_rows(ctx, config, algo):
             i = index[name]
             if i in rows:
                 out.append(i)
+            else:
+                why = ("an implied-bound row, which mw never aggregates"
+                       if i in ctx.bounds.bound_rows and algo == "mw"
+                       else "not a useful row (no kept bad column, or past max_useful_rows)")
+                diagnostics.append("%s: starting row %s dropped: %s" % (algo, name, why))
         return out
     raise ContractViolation("unknown starting-row policy %r" % config.start_policy)
 
@@ -121,7 +128,7 @@ def run_separation(instance, point, config=None, duals=None):
             result.diagnostics.append("%s: nothing to do (no bad variables)" % algo)
             continue
         used_rows = set()
-        for i0 in _starting_rows(ctx, config, algo):
+        for i0 in _starting_rows(ctx, config, algo, result.diagnostics):
             if i0 in used_rows:
                 continue  # already used inside an earlier aggregation
             try:

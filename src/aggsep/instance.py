@@ -204,7 +204,6 @@ class MilpInstance:
                 int_var=idx[iv],
                 const=row.rhs / a,
                 coef=-c / a,
-                source_row=row.name,
             )
             table.implied.setdefault(entry.var, []).append(entry)
             bound_rows.append(i)
@@ -220,7 +219,6 @@ class ImpliedBound:
     int_var: int  # integer variable index
     const: float
     coef: float
-    source_row: str
 
 
 @dataclass
@@ -250,11 +248,3 @@ def make_point(instance, values):
         raise ContractViolation("point contains non-finite entries")
     return x
 
-
-def row_slack(row, point, instance):
-    """``rhs - coefficients . point`` for one row."""
-    idx = instance.var_index
-    acc = 0.0
-    for var, val in row.coefficients.items():
-        acc += val * point[idx[var]]
-    return row.rhs - acc

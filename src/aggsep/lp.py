@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import ratio_test
 from .errors import ContractViolation, LpFailure
 
 BASIC = 0
@@ -130,6 +129,35 @@ def _default_status(lb, ub):
     only_ub = ~np.isfinite(lb) & np.isfinite(ub)
     status[only_ub] = AT_UPPER
     return status
+
+
+def ratio_test(w, xb, lb, ub, sdir, tcap):
+    """Bounded-variable primal ratio test.
+
+    ``xb`` moves along ``-sdir*w`` as the entering variable takes step
+    ``t >= 0``; ``tcap`` bounds the step by the entering variable's own
+    range.  Returns ``(t, leave, to_upper)`` where ``leave`` is the blocking
+    basic position (-1 for a bound flip / unbounded step) and ``to_upper``
+    tells which bound the leaving variable hits.
+    """
+    eps = 1e-10
+    d = sdir * w
+    t = tcap
+    leave = -1
+    to_upper = False
+    with np.errstate(divide="ignore", invalid="ignore"):
+        down = np.where(d > eps, (xb - lb) / d, np.inf)
+        upr = np.where(d < -eps, (ub - xb) / (-d), np.inf)
+    down = np.where(np.isfinite(lb), down, np.inf)
+    upr = np.where(np.isfinite(ub), upr, np.inf)
+    ratios = np.minimum(down, upr)
+    if ratios.size:
+        k = int(np.argmin(ratios))
+        if ratios[k] < t:
+            t = float(max(ratios[k], 0.0))
+            leave = k
+            to_upper = bool(upr[k] < down[k])
+    return t, leave, to_upper
 
 
 def _simplex_loop(A, b, c, lb, ub, basis, status, enterable, max_iter):

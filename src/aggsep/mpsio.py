@@ -21,6 +21,7 @@ _SECTIONS = {
     "NAME", "OBJSENSE", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "ENDATA",
 }
 _OBJ_SIGN = {"MIN": 1.0, "MINIMIZE": 1.0, "MAX": -1.0, "MAXIMIZE": -1.0}
+_BOUND_TYPES = {"LO", "UP", "FX", "FR", "MI", "PL", "BV", "LI", "UI"}
 
 
 @dataclass
@@ -60,6 +61,7 @@ def parse_mps(stream, name_hint="instance"):
     rhs_vals = {}
     range_vals = {}
     bounds = {}  # col -> list of (type, value)
+    bound_line = {}  # col -> number of its last BOUNDS line
     in_integer = False
     seen = set()
 
@@ -149,6 +151,8 @@ def parse_mps(stream, name_hint="instance"):
             continue
         if section == "BOUNDS":
             btype = tok[0].upper()
+            if btype not in _BOUND_TYPES:
+                raise MpsParseError("unknown bound type %r" % tok[0], line=lineno)
             if btype in ("FR", "MI", "PL", "BV"):
                 if len(tok) < 3:
                     raise MpsParseError("malformed BOUNDS entry", line=lineno)
@@ -164,6 +168,7 @@ def parse_mps(stream, name_hint="instance"):
             if col not in col_entries:
                 raise MpsParseError("bound on unknown column %s" % col, line=lineno)
             bounds.setdefault(col, []).append((btype, val))
+            bound_line[col] = lineno
             continue
         raise MpsParseError("data before any section header", line=lineno)
 
@@ -195,16 +200,17 @@ def parse_mps(stream, name_hint="instance"):
             elif btype == "LI":
                 kind = INTEGER
                 lo = val
-            elif btype == "UI":
+            else:  # UI
                 kind = INTEGER
                 hi = val
-            else:
-                raise MpsParseError("unknown bound type %r" % btype)
         if kind == INTEGER:
             if math.isfinite(lo):
                 lo = math.ceil(lo - 1e-9)
             if math.isfinite(hi):
                 hi = math.floor(hi + 1e-9)
+        if lo > hi:
+            raise MpsParseError("column %s has lower %g > upper %g" % (col, lo, hi),
+                                line=bound_line[col])
         obj = sign * col_entries[col].get(obj_row, 0.0) if obj_row else 0.0
         variables.append(Variable(col, kind, lo, hi, obj))
 

@@ -1,7 +1,10 @@
-"""Separation preprocessing: bad variables, useful rows, scores.
+"""Separation preprocessing: bound choice, bad variables, useful rows, scores.
 
 Freezes everything the aggregators need into one SeparationContext per
-point: mw, lasso and the sparsity metrics all read the same snapshot.
+point: mw, lasso, bound substitution and the sparsity metrics all read the
+same snapshot.  Each continuous variable's bound at the point is decided
+here once (``substitution_bounds``); the bad variables and the bound
+substitution both read that table.
 """
 
 import math
@@ -10,15 +13,35 @@ from functools import cached_property
 
 import numpy as np
 
-from .cmir import substitution_bounds
 from .errors import ContractViolation
 from .instance import detect_variable_bounds
+
+
+@dataclass
+class SubstitutionBounds:
+    """The bound each continuous variable is substituted by, at one point.
+
+    Indexed by variable; entries of integer variables are unused.  A slack
+    y_j >= 0 replaces x_j: x_j = l_j + y_j ('lower'), x_j = u_j - y_j
+    ('upper') or x_j = c + d z_k - y_j ('implied', from x_j <= c + d z_k).
+    """
+
+    upper: np.ndarray  # tightest simple or implied upper bound at the point
+    usable: np.ndarray  # some bound is finite
+    kind: np.ndarray  # 'lower' | 'upper' | 'implied'
+    bound: np.ndarray  # l_j, u_j or c
+    int_var: np.ndarray  # k of an implied bound, -1 otherwise
+    int_coef: np.ndarray  # d of an implied bound, 0 otherwise
+    slack_const: np.ndarray  # constant of y_j as an affine expression of x
+    slack_at_point: np.ndarray  # y_j at xbar
+
 
 @dataclass
 class SeparationContext:
     instance: object
     xbar: np.ndarray
     bounds: object  # VariableBoundTable
+    substitution: SubstitutionBounds  # each continuous variable's bound at xbar
     bad_vars: np.ndarray  # variable indices, decreasing bound distance
     bad_weights: np.ndarray  # bound distances aligned with bad_vars
     useful_rows: np.ndarray  # row indices, decreasing score
@@ -46,110 +69,123 @@ class SeparationContext:
         except KeyError as exc:
             raise ContractViolation("row %s is not a useful row" % exc) from None
 
-    @cached_property
-    def substitution(self):
-        """Bound substitution's per-variable choice at xbar."""
-        return substitution_bounds(self)
 
+def substitution_bounds(instance, bounds, xbar):
+    """Pick, for every continuous variable, the bound nearest ``xbar``.
 
-def bound_distance(j, xbar, bounds, instance):
-    """Gap between x_j and its tightest simple or implied upper bound.
-
-    Returns +inf when no finite candidate exists; never negative (the point
-    is clipped into its simple bounds first).
+    The tightest upper-type candidate is the simple upper bound or the
+    smallest implied one at xbar (the first of equal candidates); a finite
+    lower bound wins when xbar sits closer to it.
     """
-    var = instance.variables[j]
-    xj = min(max(xbar[j], var.lower), var.upper)
-    best = var.upper if math.isfinite(var.upper) else math.inf
-    for e in bounds.entries(j):
-        xk = xbar[e.int_var]
-        vk = instance.variables[e.int_var]
-        xk = min(max(xk, vk.lower), vk.upper)
-        cand = e.const + e.coef * xk
-        if cand < best:
-            best = cand
-    if not math.isfinite(best):
-        return math.inf
-    return max(best - xj, 0.0)
+    lower = instance.lower
+    best_val = np.where(np.isfinite(instance.upper), instance.upper, np.inf)
+    best = {}
+    for j, entries in bounds.implied.items():
+        for e in entries:
+            cand = e.const + e.coef * xbar[e.int_var]
+            if cand < best_val[j]:
+                best_val[j] = cand
+                best[j] = e
+    has_upper = np.isfinite(best_val)
+    use_lower = np.isfinite(lower) & (~has_upper | (xbar - lower < best_val - xbar))
+    kind = np.where(use_lower, "lower", "upper").astype(object)
+    bound = np.where(use_lower, lower, instance.upper)
+    int_var = np.full(instance.n_vars, -1, dtype=np.int64)
+    int_coef = np.zeros(instance.n_vars)
+    for j, e in best.items():
+        if not use_lower[j]:
+            kind[j] = "implied"
+            bound[j] = e.const
+            int_var[j] = e.int_var
+            int_coef[j] = e.coef
+    implied = int_var >= 0
+    slack_const = np.where(use_lower, -lower, bound)
+    # y_j = const + ((0.0 + first term) + second term) at xbar: the order of
+    # the sum of the affine terms of SlackTerm.coefs, starting from zero
+    first = np.where(use_lower, xbar, np.where(implied, int_coef * xbar[int_var], -xbar))
+    second = np.where(implied, -xbar, 0.0)
+    return SubstitutionBounds(
+        upper=best_val,
+        usable=has_upper | use_lower,
+        kind=kind,
+        bound=bound,
+        int_var=int_var,
+        int_coef=int_coef,
+        slack_const=slack_const,
+        slack_at_point=slack_const + ((0.0 + first) + second),
+    )
 
 
-def row_score(row_coefs, dual, max_abs_dual, slack, xbar, instance, bd):
-    """Equal-weight sum of five [0,1] ingredients.
+def _row_means(values, members):
+    """Mean of ``values`` over each row's ``members``, summed in column order.
 
-    dual pull, sparsity, tightness, integer fractionality at the point, and
-    a bound-distance analogue of fractionality for continuous variables.
+    Rows without a member get 0.  Each row's member values are packed to
+    the left of a zero-padded array, so the sequential sum runs over the
+    longest row rather than over every column.
     """
-    n = instance.n_vars
-    nz = np.flatnonzero(row_coefs)
-    s = abs(dual) / (1.0 + max_abs_dual)
-    s += 1.0 - len(nz) / n if n else 0.0
-    s += math.exp(-max(slack, 0.0))
-    int_fracs = []
-    cont_fracs = []
-    for j in nz:
-        if instance.variables[j].is_integer:
-            int_fracs.append(xbar[j] - math.floor(xbar[j]))
-        else:
-            b = bd[j]
-            cont_fracs.append(1.0 if math.isinf(b) else b / (1.0 + b))
-    if int_fracs:
-        s += sum(int_fracs) / len(int_fracs)
-    if cont_fracs:
-        s += sum(cont_fracs) / len(cont_fracs)
-    return s
+    rows, cols = np.nonzero(members)
+    count = np.bincount(rows, minlength=len(members))
+    packed = np.zeros((len(members), count.max(initial=0) + 1))
+    packed[rows, np.arange(len(rows)) - (np.cumsum(count) - count)[rows]] = values[cols]
+    total = np.cumsum(packed, axis=1)[:, -1]
+    return np.where(count > 0, total / np.maximum(count, 1), 0.0)
 
 
 def preprocess(instance, xbar, duals=None, max_bad_vars=50, max_useful_rows=5000):
     """Build the frozen SeparationContext for one point to separate.
 
-    The useful rows include the implied-bound rows, which mw never uses.
+    A bad variable is a continuous one strictly below its tightest simple
+    or implied upper bound at the (clipped) point; its weight is that
+    distance, +inf without a finite upper bound.  A useful row has a bad
+    column; it is scored by the equal-weight sum of five [0, 1]
+    ingredients: dual pull, sparsity, tightness, the mean fractionality of
+    its integers at the point and the mean of d/(1+d) over its continuous
+    variables' distances d.  The useful rows include the implied-bound
+    rows, which mw never uses.
     """
     bounds = detect_variable_bounds(instance)
+    xbar = np.asarray(xbar, dtype=float)
     n = instance.n_vars
-    m = instance.n_rows
     if duals is None:
-        duals = np.zeros(m)
+        duals = np.zeros(instance.n_rows)
     duals = np.asarray(duals, dtype=float)
+    sub = substitution_bounds(instance, bounds, xbar)
 
-    bd = np.full(n, math.inf)
-    for j in range(n):
-        if not instance.variables[j].is_integer:
-            bd[j] = bound_distance(j, xbar, bounds, instance)
-
-    bad = [
-        j for j in range(n)
-        if not instance.variables[j].is_integer and bd[j] > 0
-    ]
+    is_int = instance.integer_mask
+    inside = np.clip(xbar, instance.lower, instance.upper)
+    has_upper = ~is_int & np.isfinite(sub.upper)
+    dist = np.full(n, np.inf)
+    dist[has_upper] = np.maximum(sub.upper[has_upper] - inside[has_upper], 0.0)
     # largest distances first, ties by ascending index; +inf sorts first
-    bad.sort(key=lambda j: (-bd[j], j))
-    bad = bad[:max_bad_vars]
-    bad_set = set(bad)
+    bad = np.flatnonzero(~is_int & (dist > 0))
+    bad = bad[np.argsort(-dist[bad], kind="stable")][:max_bad_vars]
 
     A = instance.matrix
-    b = instance.rhs
-    raw_slack = b - A @ xbar
-    slacks = np.maximum(raw_slack, 0.0)
+    raw_slack = instance.rhs - A @ xbar
     max_abs_dual = float(np.abs(duals).max(initial=0.0))
-
-    useful = [
-        i for i, row in enumerate(instance.rows)
-        if any(instance.var_index[v] in bad_set for v in row.coefficients)
-    ]
-    score_of = {
-        i: row_score(A[i], duals[i], max_abs_dual, raw_slack[i], xbar, instance, bd)
-        for i in useful
-    }
-    useful.sort(key=lambda i: (-score_of[i], i))
-    useful = useful[:max_useful_rows]
+    useful = np.flatnonzero((A[:, bad] != 0).any(axis=1))
+    nz = A[useful] != 0
+    int_frac = xbar - np.floor(xbar)
+    cont_frac = np.ones(n)
+    cont_frac[has_upper] = dist[has_upper] / (1.0 + dist[has_upper])
+    scores = np.abs(duals[useful]) / (1.0 + max_abs_dual)
+    scores += 1.0 - nz.sum(axis=1) / n
+    # math.exp, not np.exp: the two differ in the last bit on some inputs
+    scores += [math.exp(-s) for s in np.maximum(raw_slack[useful], 0.0).tolist()]
+    scores += _row_means(int_frac, nz & is_int)
+    scores += _row_means(cont_frac, nz & ~is_int)
+    order = np.argsort(-scores, kind="stable")[:max_useful_rows]
+    useful = useful[order]
 
     return SeparationContext(
         instance=instance,
-        xbar=np.asarray(xbar, dtype=float),
+        xbar=xbar,
         bounds=bounds,
-        bad_vars=np.array(bad, dtype=np.int64),
-        bad_weights=np.array([bd[j] for j in bad], dtype=float),
-        useful_rows=np.array(useful, dtype=np.int64),
-        scores=np.array([score_of[i] for i in useful], dtype=float),
-        bound_row=np.array([i in bounds.bound_rows for i in useful], dtype=bool),
-        slacks=slacks,
+        substitution=sub,
+        bad_vars=bad,
+        bad_weights=dist[bad],
+        useful_rows=useful,
+        scores=scores[order],
+        bound_row=np.isin(useful, list(bounds.bound_rows)),
+        slacks=np.maximum(raw_slack, 0.0),
     )

@@ -1,4 +1,5 @@
-"""Shared test helpers: brute-force oracles and random-problem generators."""
+"""Shared test helpers: brute-force oracles, scalar reference implementations
+of array code, and random-problem generators."""
 
 import itertools
 import math
@@ -18,9 +19,15 @@ from aggsep.cmir import (
 )
 from aggsep.lp import LpProblem
 
+ORACLE_BOX_LIMIT = 10 ** 6
+
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 CORPUS_DIR = os.path.join(DATA_DIR, "corpus")
 EXAMPLE1_MPS = os.path.join(DATA_DIR, "example1.mps")
+
+
+class OracleRefusedError(Exception):
+    """Brute-force oracle precondition violated (enumeration box too large)."""
 
 
 def corpus_paths():
@@ -252,4 +259,140 @@ def reference_bound_substitute(aggregation, ctx):
         slack_terms=tuple(slack_terms),
         zbar=np.array(zbar, dtype=float),
         sbar=float(sbar),
+    )
+
+
+def row_slack(row, point, instance):
+    """``rhs - coefficients . point`` for one row."""
+    idx = instance.var_index
+    acc = 0.0
+    for var, val in row.coefficients.items():
+        acc += val * point[idx[var]]
+    return row.rhs - acc
+
+
+def max_box_violation(a, u, b, zcoef, rhs, scoef):
+    """Maximum cut violation over the integer box ``0 <= z <= u``.
+
+    For each integer point the minimal feasible slack of the base row
+    ``a.z <= b + s`` is ``s = max(0, a.z - b)``; the cut reads
+    ``zcoef.z <= rhs + scoef*s``.  Returns the largest ``zcoef.z - rhs -
+    scoef*s`` over the box.
+    """
+    q = len(a)
+    if q == 0:
+        s = max(0.0, -b)
+        return -rhs - scoef * s
+    shape = tuple(int(ui) + 1 for ui in u)
+    grid = np.indices(shape, dtype=np.float64).reshape(q, -1)
+    act = a @ grid
+    s = np.maximum(act - b, 0.0)
+    lhs = zcoef @ grid
+    return float(np.max(lhs - rhs - scoef * s))
+
+
+def validate_cut_bruteforce(cut, k, tol=1e-7):
+    """Exhaustively check the cut over the integer box of the knapsack row.
+
+    For each z the minimum feasible slack is max(0, a.z - b); the cut must
+    hold at every such (z, s).
+    """
+    box = 1.0
+    for u in k.u:
+        box *= u + 1
+    if box > ORACLE_BOX_LIMIT:
+        raise OracleRefusedError("enumeration box of size %g refused" % box)
+    viol = max_box_violation(
+        np.ascontiguousarray(k.a, dtype=np.float64),
+        np.ascontiguousarray(k.u, dtype=np.int64),
+        float(k.b),
+        np.ascontiguousarray(cut.z_coefs, dtype=np.float64),
+        float(cut.rhs_knapsack),
+        float(cut.s_coef),
+    )
+    return viol <= tol
+
+
+def bound_distance(j, xbar, bounds, instance):
+    """Gap between x_j and its tightest simple or implied upper bound.
+
+    The per-variable loop that ``preprocess`` replaced.  Returns +inf when
+    no finite candidate exists; never negative (the point is clipped into
+    its simple bounds first).  Unlike ``preprocess``, it also clips the
+    integer partner of an implied bound into that variable's bounds.
+    """
+    var = instance.variables[j]
+    xj = min(max(xbar[j], var.lower), var.upper)
+    best = var.upper if math.isfinite(var.upper) else math.inf
+    for e in bounds.entries(j):
+        xk = xbar[e.int_var]
+        vk = instance.variables[e.int_var]
+        xk = min(max(xk, vk.lower), vk.upper)
+        cand = e.const + e.coef * xk
+        if cand < best:
+            best = cand
+    if not math.isfinite(best):
+        return math.inf
+    return max(best - xj, 0.0)
+
+
+def row_score(row_coefs, dual, max_abs_dual, slack, xbar, instance, bd):
+    """Equal-weight sum of five [0,1] ingredients; the per-row loop that
+    ``preprocess`` replaced.
+
+    dual pull, sparsity, tightness, integer fractionality at the point, and
+    a bound-distance analogue of fractionality for continuous variables.
+    """
+    n = instance.n_vars
+    nz = np.flatnonzero(row_coefs)
+    s = abs(dual) / (1.0 + max_abs_dual)
+    s += 1.0 - len(nz) / n if n else 0.0
+    s += math.exp(-max(slack, 0.0))
+    int_fracs = []
+    cont_fracs = []
+    for j in nz:
+        if instance.variables[j].is_integer:
+            int_fracs.append(xbar[j] - math.floor(xbar[j]))
+        else:
+            b = bd[j]
+            cont_fracs.append(1.0 if math.isinf(b) else b / (1.0 + b))
+    if int_fracs:
+        s += sum(int_fracs) / len(int_fracs)
+    if cont_fracs:
+        s += sum(cont_fracs) / len(cont_fracs)
+    return s
+
+
+def reference_preprocess(instance, xbar, duals, max_bad_vars=50, max_useful_rows=5000):
+    """The per-variable and per-row loops ``preprocess`` replaced, built on
+    ``bound_distance`` and ``row_score``; returns the context's arrays."""
+    bounds = instance.variable_bounds
+    n = instance.n_vars
+    bd = np.full(n, math.inf)
+    for j in range(n):
+        if not instance.variables[j].is_integer:
+            bd[j] = bound_distance(j, xbar, bounds, instance)
+    bad = [j for j in range(n) if not instance.variables[j].is_integer and bd[j] > 0]
+    bad.sort(key=lambda j: (-bd[j], j))
+    bad = bad[:max_bad_vars]
+    bad_set = set(bad)
+    A = instance.matrix
+    raw_slack = instance.rhs - A @ xbar
+    max_abs_dual = float(np.abs(duals).max(initial=0.0))
+    useful = [
+        i for i, row in enumerate(instance.rows)
+        if any(instance.var_index[v] in bad_set for v in row.coefficients)
+    ]
+    score_of = {
+        i: row_score(A[i], duals[i], max_abs_dual, raw_slack[i], xbar, instance, bd)
+        for i in useful
+    }
+    useful.sort(key=lambda i: (-score_of[i], i))
+    useful = useful[:max_useful_rows]
+    return SimpleNamespace(
+        bad_vars=np.array(bad, dtype=np.int64),
+        bad_weights=np.array([bd[j] for j in bad], dtype=float),
+        useful_rows=np.array(useful, dtype=np.int64),
+        scores=np.array([score_of[i] for i in useful], dtype=float),
+        bound_row=np.array([i in bounds.bound_rows for i in useful], dtype=bool),
     )

@@ -18,7 +18,6 @@ from aggsep.cmir import (
     delta_candidates,
     g_function,
     proximity_partition,
-    validate_cut_bruteforce,
 )
 from aggsep.errors import DegenerateCutError
 from aggsep.harness import POLICY_ALL, RunConfig, run_separation, sparsity_metrics
@@ -34,6 +33,7 @@ from helpers import (
     enumerate_bfs_optimum,
     random_knapsack_row,
     random_lp,
+    validate_cut_bruteforce,
 )
 
 

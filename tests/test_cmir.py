@@ -13,22 +13,19 @@ from aggsep.cmir import (
     proximity_partition,
     select_partition_and_delta,
     separate_on_aggregation,
-    validate_cut_bruteforce,
 )
-from aggsep.errors import (
-    ContractViolation,
-    DegenerateCutError,
-    OracleRefusedError,
-)
+from aggsep.errors import ContractViolation, DegenerateCutError
 from aggsep.instance import CONTINUOUS, INTEGER, MilpInstance, Row, Variable
 from aggsep.mpsio import parse_mps_file, parse_solution
 from aggsep.preprocess import preprocess
 
 from helpers import (
+    OracleRefusedError,
     corpus_paths,
     random_knapsack_row,
     reference_bound_substitute,
     reference_select,
+    validate_cut_bruteforce,
 )
 
 

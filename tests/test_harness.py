@@ -116,6 +116,42 @@ def test_run_separation_named_policy(example1, example1_point):
     assert {a.starting_row for a in res.aggregations["mw"]} == {1}
 
 
+def _dropped_start_instance():
+    variables = [
+        Variable("x", CONTINUOUS, 0.0, 10.0),
+        Variable("y", CONTINUOUS, 0.0, 1.0),
+        Variable("z", INTEGER, 0.0, 3.0),
+    ]
+    rows = [
+        Row("b", {"x": 1.0, "z": -1.0}, 0.0),  # implied-bound row
+        Row("n", {"x": -1.0, "y": 1.0, "z": 1.0}, 5.0),
+        Row("i", {"z": 1.0}, 3.0),  # integer column only: never useful
+    ]
+    return MilpInstance("t", variables, rows), np.array([0.5, 1.0, 2.0])
+
+
+def test_named_implied_bound_row_dropped_for_mw_is_reported():
+    inst, point = _dropped_start_instance()
+    res = run_separation(inst, point, RunConfig(algorithm="mw", start_policy=POLICY_NAMED,
+                                                start_names=("b",)))
+    assert res.aggregations["mw"] == []
+    assert res.diagnostics == [
+        "mw: starting row b dropped: an implied-bound row, which mw never aggregates"]
+
+
+def test_named_row_without_bad_column_is_reported_per_algorithm():
+    inst, point = _dropped_start_instance()
+    res = run_separation(inst, point, RunConfig(algorithm="both", start_policy=POLICY_NAMED,
+                                                start_names=("i", "n")))
+    assert [a.starting_row for a in res.aggregations["mw"]] == [1]
+    assert {a.starting_row for a in res.aggregations["lasso"]} == {1}
+    assert [d for d in res.diagnostics if "dropped" in d] == [
+        "%s: starting row i dropped: not a useful row "
+        "(no kept bad column, or past max_useful_rows)" % algo
+        for algo in ("mw", "lasso")
+    ]
+
+
 def test_run_separation_preprocesses_once(example1, example1_point, monkeypatch):
     calls = []
 

@@ -18,8 +18,9 @@ from aggsep.instance import (
     Variable,
     detect_variable_bounds,
     normalize_rows,
-    row_slack,
 )
+
+from helpers import row_slack
 
 
 def test_normalize_geq_negated():

@@ -3,10 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from aggsep import _kernels
-from aggsep.cmir import g_function
+from aggsep.cmir import g_function, g_values
+from aggsep.lp import ratio_test
 
-from helpers import random_knapsack_row
+from helpers import max_box_violation, random_knapsack_row
 
 
 def _box_violation_reference(a, u, b, zcoef, rhs, scoef):
@@ -22,7 +22,7 @@ def test_g_values_matches_scalar_g():
     rng = np.random.default_rng(0)
     d = rng.uniform(-6, 6, size=200)
     f = 0.37
-    got = _kernels.g_values(d, f)
+    got = g_values(d, f)
     expect = np.array([g_function(x, f) for x in d])
     assert np.max(np.abs(got - expect)) <= 1e-12
 
@@ -34,7 +34,7 @@ def test_max_box_violation_matches_reference():
         zcoef = rng.uniform(-3, 3, size=k.q)
         rhs = float(rng.uniform(-5, 5))
         scoef = float(rng.uniform(0.1, 3.0))
-        got = _kernels.max_box_violation(
+        got = max_box_violation(
             np.ascontiguousarray(k.a), k.u.astype(np.int64), float(k.b),
             np.ascontiguousarray(zcoef), rhs, scoef,
         )
@@ -48,7 +48,7 @@ def test_ratio_test_blocking_variable():
     xb = np.array([2.0, 1.0])
     lb = np.array([0.0, 0.0])
     ub = np.array([np.inf, 3.0])
-    t, leave, to_upper = _kernels.ratio_test(w, xb, lb, ub, 1.0, np.inf)
+    t, leave, to_upper = ratio_test(w, xb, lb, ub, 1.0, np.inf)
     assert t == pytest.approx(2.0)
     assert leave == 0 and not to_upper
 
@@ -58,7 +58,7 @@ def test_ratio_test_bound_flip_cap():
     xb = np.array([1.0])
     lb = np.array([0.0])
     ub = np.array([np.inf])
-    t, leave, _ = _kernels.ratio_test(w, xb, lb, ub, 1.0, 4.0)
+    t, leave, _ = ratio_test(w, xb, lb, ub, 1.0, 4.0)
     assert t == pytest.approx(4.0)
     assert leave == -1
 

@@ -123,6 +123,21 @@ def test_parse_integer_bounds_rounded():
     assert inst.variables[0].upper == 3.0
 
 
+_BOUNDS_HEAD = "ROWS\n N obj\n L c1\nCOLUMNS\n x c1 1.0\n y c1 1.0\nRHS\n rhs c1 5.0\nBOUNDS\n"
+
+
+@pytest.mark.parametrize("bounds, line", [
+    (" XX bnd x 3\n", 10),  # unknown type, rejected at its own line
+    (" UP bnd x -1\n", 10),  # below the default lower bound 0
+    (" LO bnd x 4\n UP bnd y 2\n UP bnd x 3\n", 12),  # the column's last line
+    (" LI bnd x 0.5\n UI bnd x 0.7\n", 11),  # empty once rounded to integers
+])
+def test_parse_bounds_errors_carry_line(bounds, line):
+    with pytest.raises(MpsParseError) as exc:
+        parse_mps(io.StringIO(_BOUNDS_HEAD + bounds))
+    assert exc.value.line == line
+
+
 def test_parse_deterministic():
     a = parse_mps(io.StringIO(TINY))
     b = parse_mps(io.StringIO(TINY))

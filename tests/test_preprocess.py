@@ -14,8 +14,11 @@ from aggsep.instance import (
     detect_variable_bounds,
 )
 from aggsep.lasso import build_lasso_lp, lasso_aggregate
+from aggsep.mpsio import parse_mps_file, parse_solution_file
 from aggsep.mw import mw_aggregate
-from aggsep.preprocess import bound_distance, preprocess, row_score
+from aggsep.preprocess import preprocess
+
+from helpers import bound_distance, corpus_paths, reference_preprocess, row_score
 
 
 def _inst(variables, rows):
@@ -101,6 +104,7 @@ def test_preprocess_no_bad_vars():
     ctx = preprocess(inst, np.array([5.0]))
     assert ctx.nothing_to_do
     assert len(ctx.useful_rows) == 0
+    assert preprocess(_inst([], [Row("r", {}, 1.0)]), np.zeros(0)).nothing_to_do
 
 
 def test_preprocess_truncates_to_largest_distances():
@@ -169,3 +173,66 @@ def test_preprocess_slacks_clipped():
     )
     ctx = preprocess(inst, np.array([3.0]))
     assert ctx.slacks[0] == 0.0
+
+
+CONTEXT_ARRAYS = ("bad_vars", "bad_weights", "useful_rows", "scores", "bound_row")
+
+
+def _random_instance(rng, n_cont=30, n_int=20, n_rows=40, n_bound_rows=10):
+    """Dense-ish rows, so that scores sum many terms, plus implied-bound rows."""
+    variables = [Variable("x%d" % j, CONTINUOUS, 0.0, float(rng.choice([4.0, math.inf])))
+                 for j in range(n_cont)]
+    variables += [Variable("z%d" % j, INTEGER, 0.0, 5.0) for j in range(n_int)]
+    names = [v.name for v in variables]
+    rows = []
+    for i in range(n_rows):
+        cols = np.flatnonzero(rng.random(len(names)) < 0.5)
+        rows.append(Row("r%d" % i, {names[j]: float(rng.normal()) for j in cols},
+                        float(rng.uniform(0.0, 20.0))))
+    for i in range(n_bound_rows):
+        j, k = int(rng.integers(n_cont)), n_cont + int(rng.integers(n_int))
+        rows.append(Row("b%d" % i, {names[j]: 1.0, names[k]: -float(rng.uniform(1, 3))},
+                        float(rng.uniform(0.0, 2.0))))
+    return MilpInstance("random", variables, rows)
+
+
+def test_context_arrays_match_scalar_references():
+    rng = np.random.default_rng(7)
+    cases = [(parse_mps_file(mps), sol) for mps, sol in corpus_paths()]
+    cases += [(_random_instance(rng), None) for _ in range(3)]
+    checked = 0
+    for inst, sol in cases:
+        hi = np.where(np.isfinite(inst.upper), inst.upper, inst.lower + 10.0)
+        points = [parse_solution_file(sol, inst)] if sol else []
+        points += [rng.uniform(inst.lower, hi) for _ in range(3)]  # inside the box
+        for point in points:
+            for duals in (np.zeros(inst.n_rows), rng.normal(size=inst.n_rows)):
+                ctx = preprocess(inst, point, duals)
+                ref = reference_preprocess(inst, point, duals)
+                for name in CONTEXT_ARRAYS:
+                    got, want = getattr(ctx, name), getattr(ref, name)
+                    assert got.dtype == want.dtype, name
+                    assert got.tobytes() == want.tobytes(), (mps, name)
+                checked += len(ctx.bad_vars) > 0
+    assert checked > 0
+
+
+def test_implied_bound_partner_is_not_clipped():
+    # x <= z with z in [0, 3]; at z = 5 the implied bound reads 5, not 3
+    inst = _inst(
+        [Variable("x", CONTINUOUS, 0.0, 10.0), Variable("z", INTEGER, 0.0, 3.0)],
+        [Row("b", {"x": 1.0, "z": -1.0}, 0.0)],
+    )
+    point = np.array([4.5, 5.0])
+    ctx = preprocess(inst, point)
+    assert ctx.substitution.upper[0] == 5.0
+    assert ctx.substitution.kind[0] == "implied"
+    assert ctx.bad_weights.tolist() == [0.5]
+    # the scalar reference clipped z into [0, 3] first, so x was not bad
+    assert bound_distance(0, point, detect_variable_bounds(inst), inst) == 0.0
+
+
+def test_bad_weight_clips_the_point_into_its_simple_bounds():
+    inst = _inst([Variable("x", CONTINUOUS, 0.0, 5.0)], [Row("r", {"x": 1.0}, 5.0)])
+    assert preprocess(inst, np.array([-3.0])).bad_weights.tolist() == [5.0]
+    assert preprocess(inst, np.array([7.0])).nothing_to_do

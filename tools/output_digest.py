@@ -1,0 +1,90 @@
+"""Digests of aggsep's output bytes on the corpus and on the benchmark generator.
+
+A refactor that must not change results can be checked by running this
+before and after it and comparing the lines.  Each line reads
+``name digest cuts``: the first 16 hex digits of the sha256 of the
+concatenated ``write_cuts`` and ``format_metrics`` texts, and the number
+of cuts written.
+
+* ``corpus``: every instance of ``tests/data/corpus`` at its bundled
+  point, both algorithms, every useful row a starting row.
+* one line per ``sepbench`` workload: seeds 1-2 x the first 6 instances
+  of each seed's pool, each run as one benchmark round (``Rounder`` with
+  the benchmark's ``RunConfig``).
+
+BLAS is held to one thread, as in the benchmark: the relaxation's bytes
+depend on the thread count.  Run from the repository root:
+
+    python3 tools/output_digest.py
+"""
+
+import os
+import sys
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+for _var in THREAD_VARS:
+    os.environ[_var] = "1"  # only acts before numpy is first imported
+
+import hashlib  # noqa: E402
+import io  # noqa: E402
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "sepbench"))
+
+import gen  # noqa: E402
+import run as sepbench  # noqa: E402
+
+from aggsep import harness, mpsio  # noqa: E402
+
+SEEDS = (1, 2)
+PER_SEED = 6
+CORPUS_DIR = os.path.join(ROOT, "tests", "data", "corpus")
+
+
+def digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def corpus_line():
+    text, n_cuts = "", 0
+    config = harness.RunConfig(algorithm="both", start_policy=harness.POLICY_ALL)
+    for fn in sorted(os.listdir(CORPUS_DIR)):
+        if not fn.endswith(".mps"):
+            continue
+        inst = mpsio.parse_mps_file(os.path.join(CORPUS_DIR, fn))
+        point = mpsio.parse_solution_file(os.path.join(CORPUS_DIR, fn[:-4] + ".sol"), inst)
+        res = harness.run_separation(inst, point, config)
+        buf = io.StringIO()
+        mpsio.write_cuts(res.cuts, buf)
+        text += buf.getvalue() + harness.format_metrics(res.metrics)
+        n_cuts += len(res.cuts)
+    return "corpus", digest(text), n_cuts
+
+
+def workload_line(name):
+    wl = sepbench.WORKLOADS[name]
+    config = harness.RunConfig(
+        algorithm="both",
+        start_policy=harness.POLICY_ALL if wl.start == "all" else harness.POLICY_TOP,
+        start_k=20,
+    )
+    text, n_cuts = "", 0
+    for seed in SEEDS:
+        pool = gen.pool(seed, gen.Shape(*wl.shape), PER_SEED, name[:2])
+        rounder = sepbench.Rounder(mpsio, harness, config, wl.relax, pool)
+        for p in pool:
+            _, _, res, cut_text = rounder.round(p)
+            text += cut_text + harness.format_metrics(res.metrics)
+            n_cuts += len(res.cuts)
+    return name, digest(text), n_cuts
+
+
+def main():
+    for line in [corpus_line()] + [workload_line(n) for n in sepbench.WORKLOADS]:
+        print("%s %s %d" % line)
+
+
+if __name__ == "__main__":
+    main()
