@@ -21,12 +21,21 @@ EXIT_LP = 3
 
 _DEFAULTS = RunConfig()
 _START_ROWS = "top:%d" % _DEFAULTS.start_k
-_TUNABLES = ("maxaggr", "density_threshold", "max_bad_vars", "max_useful_rows",
-             "violation_threshold")
 
 
 class _BadInput(Exception):
     """A flag that names something the instance lacks."""
+
+
+def _integer(text, low, name):
+    """``text`` as an integer ``name`` >= ``low``, for an argparse type."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = low - 1
+    if value < low:
+        raise argparse.ArgumentTypeError("needs an integer %s >= %d, got %r" % (name, low, text))
+    return value
 
 
 def _start_rows(spec):
@@ -34,13 +43,7 @@ def _start_rows(spec):
     if spec == "all":
         return {"start_policy": POLICY_ALL}
     if spec.startswith("top:"):
-        try:
-            k = int(spec[4:])
-        except ValueError:
-            k = 0
-        if k < 1:
-            raise argparse.ArgumentTypeError("top:K needs an integer K >= 1, got %r" % spec)
-        return {"start_policy": POLICY_TOP, "start_k": k}
+        return {"start_policy": POLICY_TOP, "start_k": _integer(spec[4:], 1, "K")}
     return {"start_policy": POLICY_NAMED, "start_names": tuple(spec.split(","))}
 
 
@@ -49,7 +52,7 @@ def _load(args):
     for name in args.start_rows.get("start_names", ()):
         if name not in instance.row_index:
             raise _BadInput("--start-rows names unknown row %r" % name)
-    if getattr(args, "solution", None):
+    if args.solution:
         point = parse_solution_file(args.solution, instance)
         duals = None
     else:
@@ -58,22 +61,27 @@ def _load(args):
 
 
 def _config(args, algorithm):
-    """RunConfig from the flags; a flag the subcommand lacks keeps its default."""
-    given = {name: getattr(args, name) for name in _TUNABLES if hasattr(args, name)}
-    return RunConfig(algorithm=algorithm, **args.start_rows, **given)
+    return RunConfig(algorithm=algorithm, maxaggr=args.maxaggr, **args.start_rows)
+
+
+def _run(args, algorithm):
+    """One separation round: diagnostics to stderr, cuts to ``--out`` if
+    given; returns the metrics report text."""
+    instance, point, duals = _load(args)
+    result = run_separation(instance, point, _config(args, algorithm), duals)
+    for diag in result.diagnostics:
+        print(diag, file=sys.stderr)
+    if args.out:
+        with open(args.out, "w") as fh:
+            write_cuts(result.cuts, fh)
+    return "instance %s\n" % instance.name + format_metrics(result.metrics)
 
 
 def cmd_separate(args):
-    instance, point, duals = _load(args)
-    result = run_separation(instance, point, _config(args, args.algo), duals)
-    with open(args.out, "w") as fh:
-        write_cuts(result.cuts, fh)
+    report = _run(args, args.algo)
     if args.report:
         with open(args.report, "w") as fh:
-            fh.write("instance %s\n" % instance.name)
-            fh.write(format_metrics(result.metrics))
-    for diag in result.diagnostics:
-        print(diag, file=sys.stderr)
+            fh.write(report)
     return EXIT_OK
 
 
@@ -86,16 +94,21 @@ def cmd_relax(args):
 
 
 def cmd_compare(args):
-    instance, point, duals = _load(args)
-    result = run_separation(instance, point, _config(args, "both"), duals)
-    report = "instance %s\n" % instance.name + format_metrics(result.metrics)
+    report = _run(args, "both")
     with open(args.report, "w") as fh:
         fh.write(report)
-    if args.out:
-        with open(args.out, "w") as fh:
-            write_cuts(result.cuts, fh)
     sys.stdout.write(report)
     return EXIT_OK
+
+
+def _add_run_flags(parser):
+    """The flags ``separate`` and ``compare`` share: input and tuning."""
+    parser.add_argument("--instance", required=True)
+    parser.add_argument("--solution")
+    parser.add_argument("--maxaggr", type=lambda text: _integer(text, 0, "N"),
+                        default=_DEFAULTS.maxaggr, metavar="N")
+    parser.add_argument("--start-rows", type=_start_rows, default=_START_ROWS,
+                        dest="start_rows", help="'all', 'top:K', or comma-separated row names")
 
 
 def build_parser():
@@ -104,20 +117,8 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     sep = sub.add_parser("separate", help="run one separation round")
-    sep.add_argument("--instance", required=True)
-    sep.add_argument("--solution")
+    _add_run_flags(sep)
     sep.add_argument("--algo", choices=["mw", "lasso", "both"], default="both")
-    sep.add_argument("--maxaggr", type=int, default=_DEFAULTS.maxaggr)
-    sep.add_argument("--density-threshold", type=float,
-                     default=_DEFAULTS.density_threshold, dest="density_threshold")
-    sep.add_argument("--max-bad-vars", type=int, default=_DEFAULTS.max_bad_vars,
-                     dest="max_bad_vars")
-    sep.add_argument("--max-useful-rows", type=int, default=_DEFAULTS.max_useful_rows,
-                     dest="max_useful_rows")
-    sep.add_argument("--start-rows", type=_start_rows, default=_START_ROWS,
-                     dest="start_rows", help="'all', 'top:K', or comma-separated row names")
-    sep.add_argument("--violation-threshold", type=float,
-                     default=_DEFAULTS.violation_threshold, dest="violation_threshold")
     sep.add_argument("--out", required=True)
     sep.add_argument("--report")
     sep.set_defaults(func=cmd_separate)
@@ -128,13 +129,9 @@ def build_parser():
     rel.set_defaults(func=cmd_relax)
 
     cmp_ = sub.add_parser("compare", help="run both aggregators side by side")
-    cmp_.add_argument("--instance", required=True)
-    cmp_.add_argument("--solution")
+    _add_run_flags(cmp_)
     cmp_.add_argument("--report", required=True)
     cmp_.add_argument("--out")
-    cmp_.add_argument("--start-rows", type=_start_rows, default=_START_ROWS,
-                      dest="start_rows")
-    cmp_.add_argument("--maxaggr", type=int, default=_DEFAULTS.maxaggr)
     cmp_.set_defaults(func=cmd_compare)
     return p
 

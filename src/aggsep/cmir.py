@@ -18,7 +18,7 @@ from .mpsio import CutRecord
 
 FRACTIONAL_TOL = 1e-6
 DEGENERATE_F_TOL = 1e-9
-DEFAULT_VIOLATION_THRESHOLD = 1e-4
+VIOLATION_THRESHOLD = 1e-4
 
 
 @dataclass
@@ -231,8 +231,9 @@ def delta_candidates(k):
     return cands[np.sort(first)]
 
 
-def select_partition_and_delta(k, violation_threshold=DEFAULT_VIOLATION_THRESHOLD):
-    """Most violated cut over the candidate deltas, or None.
+def select_partition_and_delta(k):
+    """Most violated cut over the candidate deltas, or None below
+    ``VIOLATION_THRESHOLD``.
 
     Every non-degenerate delta is scored at once on an (n_delta x q)
     array.  The array's summation order differs from ``cmir_inequality``'s,
@@ -272,13 +273,12 @@ def select_partition_and_delta(k, violation_threshold=DEFAULT_VIOLATION_THRESHOL
         cut = cmir_inequality(k, T, U, delta)
         if best is None or cut.violation > best.violation:
             best = cut
-    if best is not None and best.violation > violation_threshold:
+    if best is not None and best.violation > VIOLATION_THRESHOLD:
         return best
     return None
 
 
-def separate_on_aggregation(aggregation, ctx, violation_threshold=DEFAULT_VIOLATION_THRESHOLD,
-                            cut_name=None):
+def separate_on_aggregation(aggregation, ctx, cut_name):
     """bound substitution -> (T, U, delta) search -> CutRecord, or None."""
     k = bound_substitute(aggregation, ctx)
     if k is None or k.q == 0:
@@ -286,7 +286,7 @@ def separate_on_aggregation(aggregation, ctx, violation_threshold=DEFAULT_VIOLAT
     fz = k.zbar - np.floor(k.zbar)
     if np.all(np.minimum(fz, 1.0 - fz) <= FRACTIONAL_TOL):
         return None
-    cut = select_partition_and_delta(k, violation_threshold)
+    cut = select_partition_and_delta(k)
     if cut is None:
         return None
     inst = ctx.instance
@@ -296,7 +296,7 @@ def separate_on_aggregation(aggregation, ctx, violation_threshold=DEFAULT_VIOLAT
     }
     rows = inst.rows
     return CutRecord(
-        name=cut_name or ("cmir_%s" % rows[aggregation.starting_row].name),
+        name=cut_name,
         coefficients=coefficients,
         rhs=cut.rhs,
         violation=cut.violation,

@@ -4,7 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cmir import DEFAULT_VIOLATION_THRESHOLD, separate_on_aggregation
+from .cmir import separate_on_aggregation
 from .errors import ContractViolation, LpFailure
 from .lasso import lasso_aggregate
 from .lp import INFEASIBLE, LpProblem, OPTIMAL, UNBOUNDED, solve_lp
@@ -20,13 +20,9 @@ POLICY_NAMED = "named"
 class RunConfig:
     algorithm: str = "both"  # 'mw' | 'lasso' | 'both'
     maxaggr: int = 6
-    density_threshold: float = 0.0
-    max_bad_vars: int = 50
-    max_useful_rows: int = 5000
     start_policy: str = POLICY_TOP
     start_k: int = 20
     start_names: tuple = ()
-    violation_threshold: float = DEFAULT_VIOLATION_THRESHOLD
 
     def algorithms(self):
         if self.algorithm == "both":
@@ -118,7 +114,7 @@ def run_separation(instance, point, config=None, duals=None):
     """
     config = config or RunConfig()
     result = RunResult()
-    ctx = preprocess(instance, point, duals, config.max_bad_vars, config.max_useful_rows)
+    ctx = preprocess(instance, point, duals)
 
     for algo in config.algorithms():
         aggs = []
@@ -135,8 +131,7 @@ def run_separation(instance, point, config=None, duals=None):
                 if algo == "mw":
                     emitted = mw_aggregate(ctx, i0, config.maxaggr)
                 else:
-                    emitted = lasso_aggregate(ctx, i0, config.maxaggr,
-                                              config.density_threshold)
+                    emitted = lasso_aggregate(ctx, i0, config.maxaggr)
             except LpFailure as exc:
                 result.diagnostics.append(
                     "%s: starting row %s skipped: %s"
@@ -146,10 +141,7 @@ def run_separation(instance, point, config=None, duals=None):
             for agg in emitted:
                 aggs.append(agg)
                 used_rows.update(agg.used_rows)
-                cut = separate_on_aggregation(
-                    agg, ctx, config.violation_threshold,
-                    cut_name="%s_%d" % (algo, len(aggs)),
-                )
+                cut = separate_on_aggregation(agg, ctx, "%s_%d" % (algo, len(aggs)))
                 if cut is not None:
                     result.cuts.append(cut)
         result.aggregations[algo] = aggs

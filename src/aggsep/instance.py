@@ -35,11 +35,10 @@ class Variable:
     def __post_init__(self):
         if self.kind not in (CONTINUOUS, INTEGER):
             raise MalformedInstanceError("unknown variable kind %r" % self.kind)
-        if math.isnan(self.lower) or math.isnan(self.upper):
-            raise MalformedInstanceError("NaN bound on variable %s" % self.name)
-        if self.lower > self.upper:
+        # NaN, a lower bound of +inf and an upper bound of -inf all fail
+        if not (self.lower <= self.upper and self.lower < math.inf and self.upper > -math.inf):
             raise MalformedInstanceError(
-                "variable %s has lower %g > upper %g" % (self.name, self.lower, self.upper)
+                "variable %s has bounds [%g, %g]" % (self.name, self.lower, self.upper)
             )
 
     @property
@@ -124,10 +123,16 @@ class MilpInstance:
             if r.name in rnames:
                 raise MalformedInstanceError("duplicate row name %s" % r.name)
             rnames.add(r.name)
-            for var in r.coefficients:
+            if not math.isfinite(r.rhs):
+                raise MalformedInstanceError("non-finite rhs in row %s" % r.name)
+            for var, val in r.coefficients.items():
                 if var not in names:
                     raise MalformedInstanceError(
                         "row %s references unknown variable %s" % (r.name, var)
+                    )
+                if not math.isfinite(val):
+                    raise MalformedInstanceError(
+                        "non-finite coefficient %r on %s in row %s" % (val, var, r.name)
                     )
 
     @cached_property

@@ -1,10 +1,10 @@
 """Sparsity-driven LP-based aggregation.
 
 First solve: an L1 surrogate that trades weighted bad-column mass against
-the slack of the aggregated base inequality.  If too many bad columns
-survive, iterative reweighting re-solves a slack-free variant restricted
-to the active rows, warm-started from the previous basis, until the
-aggregated row is sparse enough or the round limit is hit.
+the slack of the aggregated base inequality.  While a bad column
+survives, iterative reweighting re-solves a slack-free variant restricted
+to the active rows, warm-started from the previous basis, until none is
+left or the round limit is hit.
 """
 
 import numpy as np
@@ -51,23 +51,20 @@ def build_reweighted_lp(ctx, active_rows, i0, w):
     return _abs_value_lp(ctx, w, np.zeros(n), lb, ub)
 
 
-def reweight(w, a, eps, zero_tol=ZERO_TOL):
+def reweight(w, a):
     """Per-column update w <- w/(eps+|a|); vanished columns get weight 0."""
-    if eps <= 0:
-        raise ContractViolation("reweighting epsilon must be positive")
     w = np.asarray(w, dtype=float)
     a = np.abs(np.asarray(a, dtype=float))
-    out = np.where(a > zero_tol, w / (eps + a), 0.0)
-    return out
+    return np.where(a > ZERO_TOL, w / (REWEIGHT_EPS + a), 0.0)
 
 
-def lasso_aggregate(ctx, i0, maxaggr=6, density_threshold=0.0):
+def lasso_aggregate(ctx, i0, maxaggr=6):
     """Run the LP-based aggregation from starting row ``i0``.
 
-    Reweighted re-solves continue while the share of bad columns left in
-    the aggregated row exceeds ``density_threshold``, at most ``maxaggr``
-    of them, so at most maxaggr+1 aggregations are returned.  An LP
-    failure aborts the starting row without emitting anything.
+    Reweighted re-solves continue while a bad column is left in the
+    aggregated row, at most ``maxaggr`` of them, so at most maxaggr+1
+    aggregations are returned.  An LP failure aborts the starting row
+    without emitting anything.
     """
     i0 = int(i0)
     rows = ctx.useful_rows.tolist()
@@ -89,11 +86,8 @@ def lasso_aggregate(ctx, i0, maxaggr=6, density_threshold=0.0):
     while True:
         res = make_result(ctx, factors, "lasso", i0, c)
         results.append(res)
-        nbad = len(ctx.bad_vars)
-        density = len(res.residual_bad) / nbad if nbad else 0.0
-        if density > density_threshold and c < maxaggr:
-            a_bad = res.alpha[ctx.bad_vars]
-            w = reweight(w, a_bad, REWEIGHT_EPS)
+        if res.residual_bad and c < maxaggr:
+            w = reweight(w, res.alpha[ctx.bad_vars])
             prob = build_reweighted_lp(ctx, active, i0, w)
             sol = solve_lp(prob, warm=sol.warm_start())
             if sol.status != OPTIMAL:

@@ -331,11 +331,10 @@ def solve_lp(problem, warm=None, max_iter=None):
 def build_abs_value_lp(terms, extra_cost, lam_lb, lam_ub):
     """LP for  min  sum_t w_t |expr_t(lam)| + extra_cost . lam.
 
-    Each term is ``(weight, coef_vector)`` or ``(weight, coef_vector,
-    const)`` describing the affine expression ``coef_vector . lam + const``
-    with weight >= 0; the absolute value is split into mu+ - mu- with an
-    equality row ``expr_t(lam) - mu+ + mu- = 0`` and cost
-    ``w_t (mu+ + mu-)``.
+    Each term is ``(weight, coef_vector)`` describing the linear
+    expression ``coef_vector . lam`` with weight >= 0; the absolute value
+    is split into mu+ - mu- with an equality row
+    ``expr_t(lam) - mu+ + mu- = 0`` and cost ``w_t (mu+ + mu-)``.
     """
     lam_lb = np.asarray(lam_lb, dtype=float)
     lam_ub = np.asarray(lam_ub, dtype=float)
@@ -344,13 +343,11 @@ def build_abs_value_lp(terms, extra_cost, lam_lb, lam_ub):
     w = np.array([term[0] for term in terms], dtype=float)
     if np.any(w < 0):
         raise ContractViolation("absolute-value weight must be nonnegative")
-    const = np.array([term[2] if len(term) > 2 else 0.0 for term in terms], dtype=float)
     t = np.arange(nt)
     A = np.zeros((nt, k + 2 * nt))
     A[:, :k] = np.array([term[1] for term in terms], dtype=float).reshape(nt, k)
     A[t, k + 2 * t] = -1.0
     A[t, k + 2 * t + 1] = 1.0
-    rhs = -const
     obj = np.zeros(k + 2 * nt)
     obj[:k] = extra_cost
     obj[k:] = np.repeat(w, 2)
@@ -360,7 +357,7 @@ def build_abs_value_lp(terms, extra_cost, lam_lb, lam_ub):
         obj=obj,
         A=A,
         row_type=["E"] * nt,
-        rhs=rhs,
+        rhs=np.zeros(nt),
         col_lb=lb,
         col_ub=ub,
     )

@@ -164,7 +164,11 @@ def parse_mps(stream, name_hint="instance"):
                 try:
                     val = float(tok[3])
                 except ValueError:
-                    raise MpsParseError("bad bound value %r" % tok[3], line=lineno)
+                    val = math.nan
+                # not a number, a lower bound of +inf or an upper bound of -inf
+                if (math.isnan(val) or (val == math.inf and btype in ("LO", "FX", "LI"))
+                        or (val == -math.inf and btype in ("UP", "FX", "UI"))):
+                    raise MpsParseError("bad %s bound value %r" % (btype, tok[3]), line=lineno)
             if col not in col_entries:
                 raise MpsParseError("bound on unknown column %s" % col, line=lineno)
             bounds.setdefault(col, []).append((btype, val))

@@ -16,6 +16,9 @@ import numpy as np
 from .errors import ContractViolation
 from .instance import detect_variable_bounds
 
+MAX_BAD_VARS = 50  # bad variables kept, largest bound distance first
+MAX_USEFUL_ROWS = 5000  # useful rows kept, highest score first
+
 
 @dataclass
 class SubstitutionBounds:
@@ -131,7 +134,7 @@ def _row_means(values, members):
     return np.where(count > 0, total / np.maximum(count, 1), 0.0)
 
 
-def preprocess(instance, xbar, duals=None, max_bad_vars=50, max_useful_rows=5000):
+def preprocess(instance, xbar, duals=None):
     """Build the frozen SeparationContext for one point to separate.
 
     A bad variable is a continuous one strictly below its tightest simple
@@ -158,7 +161,7 @@ def preprocess(instance, xbar, duals=None, max_bad_vars=50, max_useful_rows=5000
     dist[has_upper] = np.maximum(sub.upper[has_upper] - inside[has_upper], 0.0)
     # largest distances first, ties by ascending index; +inf sorts first
     bad = np.flatnonzero(~is_int & (dist > 0))
-    bad = bad[np.argsort(-dist[bad], kind="stable")][:max_bad_vars]
+    bad = bad[np.argsort(-dist[bad], kind="stable")][:MAX_BAD_VARS]
 
     A = instance.matrix
     raw_slack = instance.rhs - A @ xbar
@@ -174,7 +177,7 @@ def preprocess(instance, xbar, duals=None, max_bad_vars=50, max_useful_rows=5000
     scores += [math.exp(-s) for s in np.maximum(raw_slack[useful], 0.0).tolist()]
     scores += _row_means(int_frac, nz & is_int)
     scores += _row_means(cont_frac, nz & ~is_int)
-    order = np.argsort(-scores, kind="stable")[:max_useful_rows]
+    order = np.argsort(-scores, kind="stable")[:MAX_USEFUL_ROWS]
     useful = useful[order]
 
     return SeparationContext(

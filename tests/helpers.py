@@ -10,11 +10,11 @@ import numpy as np
 
 from aggsep.aggregate import ZERO_TOL
 from aggsep.cmir import (
-    DEFAULT_VIOLATION_THRESHOLD,
     DEGENERATE_F_TOL,
     FRACTIONAL_TOL,
     MixedKnapsackRow,
     SlackTerm,
+    VIOLATION_THRESHOLD,
     g_function,
 )
 from aggsep.lp import LpProblem
@@ -144,7 +144,7 @@ def random_knapsack_row(rng, max_q=6, max_u=5):
     )
 
 
-def reference_select(k, violation_threshold=DEFAULT_VIOLATION_THRESHOLD):
+def reference_select(k, violation_threshold=VIOLATION_THRESHOLD):
     """The scalar per-delta c-MIR search that the array search replaced.
 
     Proximity partition, then every delta candidate in order, each cut built

@@ -82,6 +82,42 @@ def test_start_rows_rejects_bad_top_k(tmp_path, capsys, spec):
     assert not (tmp_path / "cuts.jsonl").exists()
 
 
+@pytest.mark.parametrize("value", ["-1", "x"])
+def test_maxaggr_rejects_negative(tmp_path, capsys, value):
+    mps, sol = corpus_paths()[0]
+    for command in (["separate", "--out", str(tmp_path / "cuts.jsonl")],
+                    ["compare", "--report", str(tmp_path / "report")]):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--instance", mps, "--solution", sol, "--maxaggr", value])
+        assert exc.value.code == EXIT_PARSE
+        assert "integer N >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "cuts.jsonl").exists()
+
+
+@pytest.mark.parametrize("flag", ["--density-threshold", "--max-bad-vars",
+                                  "--max-useful-rows", "--violation-threshold"])
+def test_removed_tuning_flags_are_unrecognized(tmp_path, capsys, flag):
+    mps, sol = corpus_paths()[0]
+    with pytest.raises(SystemExit) as exc:
+        main(["separate", "--instance", mps, "--solution", sol,
+              "--out", str(tmp_path / "cuts.jsonl"), flag, "0.5"])
+    assert exc.value.code == EXIT_PARSE
+    assert "unrecognized arguments: %s" % flag in capsys.readouterr().err
+
+
+def test_compare_prints_diagnostics_like_separate(tmp_path, capsys):
+    mps, sol = corpus_paths()[0]  # corpus01: c4 has no bad column at its point
+    errs = []
+    for command in (["separate", "--out", str(tmp_path / "cuts.jsonl")],
+                    ["compare", "--report", str(tmp_path / "report")]):
+        assert main(command + ["--instance", mps, "--solution", sol,
+                               "--start-rows", "c4"]) == EXIT_OK
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert "mw: starting row c4 dropped" in errs[1]
+    assert "lasso: starting row c4 dropped" in errs[1]
+
+
 def test_start_rows_and_defaults_reach_run_config():
     from aggsep.cli import _config, build_parser
     from aggsep.harness import POLICY_ALL, POLICY_NAMED, POLICY_TOP, RunConfig

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from aggsep import cmir
 from aggsep.aggregate import AggregationResult
 from aggsep.cmir import (
     MixedKnapsackRow,
@@ -176,14 +177,16 @@ def _equivalence_row(rng, case):
     return k
 
 
-def test_select_matches_reference_loop():
+def test_select_matches_reference_loop(monkeypatch):
     rng = np.random.default_rng(17)
     outcomes = {"cut": 0, "below_threshold": 0, "all_degenerate": 0}
     for i in range(240):
         k = _equivalence_row(rng, i % 4)
         # threshold -inf exposes the best cut even when it is not violated
         ref = reference_select(k, -np.inf)
-        got = select_partition_and_delta(k, -np.inf)
+        with monkeypatch.context() as m:
+            m.setattr(cmir, "VIOLATION_THRESHOLD", -np.inf)
+            got = select_partition_and_delta(k)
         assert (got is None) == (ref is None), i
         if ref is None:
             outcomes["all_degenerate"] += 1
@@ -415,7 +418,7 @@ def test_separate_on_aggregation_empty_cases(example1_ctx):
         algorithm="mw", starting_row=0,
     )
     # at xbar = 0 every integer variable is integral: no cut attempted
-    assert separate_on_aggregation(agg, example1_ctx) is None
+    assert separate_on_aggregation(agg, example1_ctx, "mw_1") is None
 
 
 def test_random_cuts_all_valid():

@@ -150,6 +150,20 @@ def test_duplicate_names_rejected():
         MilpInstance("t", [Variable("x")], [Row("r", {"y": 1.0}, 0.0)])
 
 
+@pytest.mark.parametrize("coef, rhs", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.inf),
+                                       (1.0, -math.inf), (1.0, math.nan)])
+def test_instance_rejects_nonfinite_row_data(coef, rhs):
+    with pytest.raises(MalformedInstanceError):
+        MilpInstance("t", [Variable("x")], [Row("r", {"x": coef}, rhs)])
+
+
+@pytest.mark.parametrize("lower, upper", [(math.inf, math.inf), (-math.inf, -math.inf),
+                                          (math.nan, 1.0), (0.0, math.nan)])
+def test_variable_rejects_bounds_outside_the_reals(lower, upper):
+    with pytest.raises(MalformedInstanceError):
+        Variable("x", lower=lower, upper=upper)
+
+
 def test_matrix_and_bounds_arrays(example1):
     A = example1.matrix
     assert A.shape == (3, 4)

@@ -125,11 +125,12 @@ def test_primal_feasibility_at_optimum():
 
 
 def test_abs_lp_single_term():
-    prob = build_abs_value_lp([(1.0, [1.0], -1.0)], [0.0], [0.0], [np.inf])
+    # min |lam1 - lam2| + lam1 with lam1 >= 1: the only optimum is (1, 1)
+    prob = build_abs_value_lp([(1.0, [1.0, -1.0])], [1.0, 0.0], [1.0, 0.0], [np.inf, np.inf])
     sol = solve_lp(prob)
     assert sol.status == OPTIMAL
-    assert sol.objective == pytest.approx(0.0, abs=1e-9)
-    assert sol.x[0] == pytest.approx(1.0)
+    assert sol.objective == pytest.approx(1.0)
+    assert sol.x[:2] == pytest.approx([1.0, 1.0])
 
 
 def test_abs_lp_no_terms_cost_only():

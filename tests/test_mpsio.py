@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -131,11 +132,22 @@ _BOUNDS_HEAD = "ROWS\n N obj\n L c1\nCOLUMNS\n x c1 1.0\n y c1 1.0\nRHS\n rhs c1
     (" UP bnd x -1\n", 10),  # below the default lower bound 0
     (" LO bnd x 4\n UP bnd y 2\n UP bnd x 3\n", 12),  # the column's last line
     (" LI bnd x 0.5\n UI bnd x 0.7\n", 11),  # empty once rounded to integers
+    (" UP bnd x nan\n", 10),
+    (" LO bnd x inf\n", 10),  # a lower bound of +inf
+    (" FX bnd x inf\n", 10),
+    (" FX bnd x -inf\n", 10),  # an upper bound of -inf
+    (" UP bnd x 3\n UP bnd y -inf\n", 11),
 ])
 def test_parse_bounds_errors_carry_line(bounds, line):
     with pytest.raises(MpsParseError) as exc:
         parse_mps(io.StringIO(_BOUNDS_HEAD + bounds))
     assert exc.value.line == line
+
+
+def test_parse_infinite_bounds_on_their_own_side():
+    inst = parse_mps(io.StringIO(_BOUNDS_HEAD + " LO bnd x -inf\n UP bnd y inf\n"))
+    assert inst.lower.tolist() == [-math.inf, 0.0]
+    assert inst.upper.tolist() == [math.inf, math.inf]
 
 
 def test_parse_deterministic():

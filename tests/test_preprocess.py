@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -19,6 +20,9 @@ from aggsep.mw import mw_aggregate
 from aggsep.preprocess import preprocess
 
 from helpers import bound_distance, corpus_paths, reference_preprocess, row_score
+
+# the package's ``preprocess`` attribute is the function, not this module
+PREPROCESS = importlib.import_module("aggsep.preprocess")
 
 
 def _inst(variables, rows):
@@ -107,15 +111,33 @@ def test_preprocess_no_bad_vars():
     assert preprocess(_inst([], [Row("r", {}, 1.0)]), np.zeros(0)).nothing_to_do
 
 
-def test_preprocess_truncates_to_largest_distances():
+def test_preprocess_truncates_to_largest_distances(monkeypatch):
     n = 8
     variables = [Variable("x%d" % j, CONTINUOUS, 0.0, float(j + 1)) for j in range(n)]
     rows = [Row("r", {"x%d" % j: 1.0 for j in range(n)}, 100.0)]
     inst = _inst(variables, rows)
-    ctx = preprocess(inst, np.zeros(n), max_bad_vars=3)
+    monkeypatch.setattr(PREPROCESS, "MAX_BAD_VARS", 3)
+    ctx = preprocess(inst, np.zeros(n))
     # distances are 1..8; the three largest are x7, x6, x5
     assert [int(j) for j in ctx.bad_vars] == [7, 6, 5]
     assert list(ctx.bad_weights) == [8.0, 7.0, 6.0]
+
+
+def test_useful_rows_cap_keeps_the_highest_scores(monkeypatch):
+    mps, sol = corpus_paths()[0]
+    inst = parse_mps_file(mps)
+    point = parse_solution_file(sol, inst)
+    uncapped = preprocess(inst, point).useful_rows.tolist()
+    assert len(uncapped) > 2
+    monkeypatch.setattr(PREPROCESS, "MAX_USEFUL_ROWS", 2)
+    assert preprocess(inst, point).useful_rows.tolist() == uncapped[:2]
+    cut_off = inst.rows[uncapped[2]].name
+    run = run_separation(inst, point, RunConfig(algorithm="lasso", start_policy=POLICY_NAMED,
+                                                start_names=(cut_off,)))
+    assert run.aggregations["lasso"] == []
+    assert run.diagnostics == [
+        "lasso: starting row %s dropped: not a useful row "
+        "(no kept bad column, or past max_useful_rows)" % cut_off]
 
 
 @pytest.mark.parametrize("n_x", [1.0, -1.0])
