@@ -22,7 +22,6 @@ from .instance import (
     Row,
     Variable,
     detect_variable_bounds,
-    normalize_rows,
 )
 from .lasso import build_lasso_lp, build_reweighted_lp, lasso_aggregate, reweight
 from .lp import LpProblem, LpSolution, WarmStart, build_abs_value_lp, solve_lp

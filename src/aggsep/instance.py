@@ -1,8 +1,7 @@
 """Normalized MILP data model.
 
-All constraint rows are stored in <= form.  Integrality lives on the
-variables; rows carry an ``origin`` tag describing how they were produced
-from the raw input (plain <=, negated >=, or one half of an equality split).
+All constraint rows are stored in <= form (``parse_mps`` turns the other
+senses into <= rows); integrality lives on the variables.
 """
 
 import math
@@ -17,11 +16,6 @@ ZERO_TOL = 1e-9
 
 CONTINUOUS = "continuous"
 INTEGER = "integer"
-
-ORIGIN_LEQ = "original-<="
-ORIGIN_NEGATED_GEQ = "negated->="
-ORIGIN_EQ_POS = "equality-half-pos"
-ORIGIN_EQ_NEG = "equality-half-neg"
 
 
 @dataclass
@@ -40,6 +34,10 @@ class Variable:
             raise MalformedInstanceError(
                 "variable %s has bounds [%g, %g]" % (self.name, self.lower, self.upper)
             )
+        if not math.isfinite(self.objective):
+            raise MalformedInstanceError(
+                "variable %s has objective %r" % (self.name, self.objective)
+            )
 
     @property
     def is_integer(self):
@@ -53,55 +51,6 @@ class Row:
     name: str
     coefficients: dict  # variable name -> nonzero coefficient
     rhs: float
-    origin: str = ORIGIN_LEQ
-
-
-@dataclass
-class RawRow:
-    """A row as read from the input, before sense normalization."""
-
-    name: str
-    coefficients: dict
-    sense: str  # '<=', '>=' or '='
-    rhs: float
-
-
-def _clean_coefficients(name, coefficients):
-    out = {}
-    for var, val in coefficients.items():
-        if not math.isfinite(val):
-            raise MalformedInstanceError(
-                "non-finite coefficient %r on %s in row %s" % (val, var, name)
-            )
-        if abs(val) >= ZERO_TOL:
-            out[var] = float(val)
-    return out
-
-
-def normalize_rows(raw_rows):
-    """Normalize raw rows of any sense into <= rows.
-
-    '>=' rows are negated; '=' rows are split into two opposed <= halves
-    (the negative half gets the suffix ``_neg``); explicit zeros are
-    dropped.
-    """
-    rows = []
-    for raw in raw_rows:
-        if not math.isfinite(raw.rhs):
-            raise MalformedInstanceError("non-finite rhs in row %s" % raw.name)
-        coefs = _clean_coefficients(raw.name, raw.coefficients)
-        if raw.sense == "<=":
-            rows.append(Row(raw.name, coefs, float(raw.rhs), ORIGIN_LEQ))
-        elif raw.sense == ">=":
-            neg = {v: -c for v, c in coefs.items()}
-            rows.append(Row(raw.name, neg, -float(raw.rhs), ORIGIN_NEGATED_GEQ))
-        elif raw.sense == "=":
-            neg = {v: -c for v, c in coefs.items()}
-            rows.append(Row(raw.name, dict(coefs), float(raw.rhs), ORIGIN_EQ_POS))
-            rows.append(Row(raw.name + "_neg", neg, -float(raw.rhs), ORIGIN_EQ_NEG))
-        else:
-            raise MalformedInstanceError("unknown sense %r in row %s" % (raw.sense, raw.name))
-    return rows
 
 
 @dataclass

@@ -23,6 +23,7 @@ FREE = 3
 FEAS_TOL = 1e-7
 OPT_TOL = 1e-7
 DEGEN_PIVOT_LIMIT = 1000
+MAX_ITER_FACTOR = 50  # a phase stops after MAX_ITER_FACTOR * (rows + cols) pivots
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -282,7 +283,7 @@ def _try_warm(A, b, lb, ub, warm):
     return basis, status
 
 
-def solve_lp(problem, warm=None, max_iter=None):
+def solve_lp(problem, warm=None):
     """Solve an LpProblem, optionally warm-started from a prior basis.
 
     The warm start is used only if its basis is primal feasible for the new
@@ -290,8 +291,7 @@ def solve_lp(problem, warm=None, max_iter=None):
     """
     A, b, c, lb, ub = _standard_form(problem)
     m, width = A.shape
-    if max_iter is None:
-        max_iter = 50 * (problem.n_rows + problem.n_cols)
+    max_iter = MAX_ITER_FACTOR * (problem.n_rows + problem.n_cols)
 
     start = None if warm is None else _try_warm(A, b, lb, ub, warm)
     if start is not None:

@@ -10,11 +10,11 @@ from .errors import MpsParseError, SolutionParseError
 from .instance import (
     INTEGER,
     CONTINUOUS,
+    ZERO_TOL,
     MilpInstance,
-    RawRow,
+    Row,
     Variable,
     make_point,
-    normalize_rows,
 )
 
 _SECTIONS = {
@@ -41,13 +41,35 @@ class CutRecord:
     sense: str = "<="
 
 
+def _number(text, what, lineno, infinite_ok=False):
+    """``text`` as a float.  Text that is not a number, NaN, and +-inf
+    unless ``infinite_ok`` raise MpsParseError at ``lineno``."""
+    try:
+        val = float(text)
+    except ValueError:
+        val = math.nan
+    if math.isnan(val) or (math.isinf(val) and not infinite_ok):
+        raise MpsParseError("bad %s %r" % (what, text), line=lineno)
+    return val
+
+
+def _negated(coefficients):
+    return {col: -v for col, v in coefficients.items()}
+
+
 def parse_mps(stream, name_hint="instance"):
     """Parse free-format MPS text into a normalized MilpInstance.
 
     Supports NAME, OBJSENSE (MIN/MINIMIZE/MAX/MAXIMIZE, on the header line
     or the next), ROWS, COLUMNS (with INTORG/INTEND markers),
     RHS, RANGES and BOUNDS.  The objective row lands on the variables'
-    objective field; ranged and equality rows are expanded into <= pairs.
+    objective field.  Every other row becomes one or two <= rows, in ROWS
+    order, with its coefficients in column order and explicit zeros
+    dropped: 'L' as is, 'G' negated, 'E' as the row plus its negation
+    ``<row>_neg``, and a ranged row as its upper side plus its negated
+    lower side ``<row>_lo``.  Every value must be a finite number (a bound
+    may be infinite on its own side); a bad one is an MpsParseError at its
+    line.
     """
     name = name_hint
     section = None
@@ -127,10 +149,8 @@ def parse_mps(stream, name_hint="instance"):
                     raise MpsParseError(
                         "coefficient for unknown row %s" % rname, line=lineno
                     )
-                try:
-                    col_entries[col][rname] = col_entries[col].get(rname, 0.0) + float(val)
-                except ValueError:
-                    raise MpsParseError("bad coefficient %r" % val, line=lineno)
+                val = _number(val, "coefficient", lineno)
+                col_entries[col][rname] = col_entries[col].get(rname, 0.0) + val
             continue
         if section in ("RHS", "RANGES"):
             if len(tok) < 3:
@@ -144,10 +164,7 @@ def parse_mps(stream, name_hint="instance"):
                     raise MpsParseError(
                         "%s for unknown row %s" % (section, rname), line=lineno
                     )
-                try:
-                    target[rname] = float(val)
-                except ValueError:
-                    raise MpsParseError("bad value %r" % val, line=lineno)
+                target[rname] = _number(val, "%s value" % section, lineno)
             continue
         if section == "BOUNDS":
             btype = tok[0].upper()
@@ -161,12 +178,9 @@ def parse_mps(stream, name_hint="instance"):
                 if len(tok) < 4:
                     raise MpsParseError("malformed BOUNDS entry", line=lineno)
                 col = tok[2]
-                try:
-                    val = float(tok[3])
-                except ValueError:
-                    val = math.nan
-                # not a number, a lower bound of +inf or an upper bound of -inf
-                if (math.isnan(val) or (val == math.inf and btype in ("LO", "FX", "LI"))
+                val = _number(tok[3], "%s bound value" % btype, lineno, infinite_ok=True)
+                # a lower bound of +inf or an upper bound of -inf
+                if ((val == math.inf and btype in ("LO", "FX", "LI"))
                         or (val == -math.inf and btype in ("UP", "FX", "UI"))):
                     raise MpsParseError("bad %s bound value %r" % (btype, tok[3]), line=lineno)
             if col not in col_entries:
@@ -182,6 +196,7 @@ def parse_mps(stream, name_hint="instance"):
         raise MpsParseError("missing COLUMNS section")
 
     variables = []
+    coefs = {rname: {} for rname in row_order}  # row -> {col: coef}, column order
     for col in col_order:
         kind = INTEGER if col in integrality else CONTINUOUS
         lo, hi = 0.0, math.inf
@@ -215,39 +230,37 @@ def parse_mps(stream, name_hint="instance"):
         if lo > hi:
             raise MpsParseError("column %s has lower %g > upper %g" % (col, lo, hi),
                                 line=bound_line[col])
-        obj = sign * col_entries[col].get(obj_row, 0.0) if obj_row else 0.0
+        entries = col_entries[col]
+        obj = sign * entries.get(obj_row, 0.0) if obj_row else 0.0
         variables.append(Variable(col, kind, lo, hi, obj))
+        for rname, v in entries.items():
+            if rname in coefs and abs(v) >= ZERO_TOL:
+                coefs[rname][col] = v
 
-    raw_rows = []
+    rows = []
     for rname in row_order:
-        coefs = {}
-        for col in col_order:
-            v = col_entries[col].get(rname)
-            if v is not None:
-                coefs[col] = v
-        sense = row_sense[rname]
-        rhs = rhs_vals.get(rname, 0.0)
+        row, sense, rhs = coefs[rname], row_sense[rname], rhs_vals.get(rname, 0.0)
         if rname in range_vals:
             r = range_vals[rname]
             if sense == "L":
                 lo_rhs, hi_rhs = rhs - abs(r), rhs
             elif sense == "G":
                 lo_rhs, hi_rhs = rhs, rhs + abs(r)
-            else:  # E
-                if r >= 0:
-                    lo_rhs, hi_rhs = rhs, rhs + r
-                else:
-                    lo_rhs, hi_rhs = rhs + r, rhs
-            raw_rows.append(RawRow(rname, dict(coefs), "<=", hi_rhs))
-            raw_rows.append(RawRow(rname + "_lo", dict(coefs), ">=", lo_rhs))
+            elif r >= 0:  # E
+                lo_rhs, hi_rhs = rhs, rhs + r
+            else:
+                lo_rhs, hi_rhs = rhs + r, rhs
+            rows.append(Row(rname, row, hi_rhs))
+            rows.append(Row(rname + "_lo", _negated(row), -lo_rhs))
         elif sense == "L":
-            raw_rows.append(RawRow(rname, coefs, "<=", rhs))
+            rows.append(Row(rname, row, rhs))
         elif sense == "G":
-            raw_rows.append(RawRow(rname, coefs, ">=", rhs))
-        else:
-            raw_rows.append(RawRow(rname, coefs, "=", rhs))
+            rows.append(Row(rname, _negated(row), -rhs))
+        else:  # E
+            rows.append(Row(rname, row, rhs))
+            rows.append(Row(rname + "_neg", _negated(row), -rhs))
 
-    return MilpInstance(name=name, variables=variables, rows=normalize_rows(raw_rows))
+    return MilpInstance(name=name, variables=variables, rows=rows)
 
 
 def parse_mps_file(path):

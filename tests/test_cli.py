@@ -165,6 +165,14 @@ def test_bad_input_exit_code(tmp_path, capsys, case):
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
+def test_relax_rejects_nonfinite_objective(tmp_path, capsys):
+    mps = tmp_path / "m.mps"
+    _write(str(mps), "ROWS\n N obj\n L c1\nCOLUMNS\n x obj nan c1 1.0\nRHS\n rhs c1 1.0\n")
+    assert main(["relax", "--instance", str(mps), "--out", str(tmp_path / "p.sol")]) == EXIT_PARSE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "line 5" in err[0]
+
+
 def test_lp_failure_exit_code(tmp_path):
     infeasible = tmp_path / "infeasible.mps"
     _write(

@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -8,62 +9,14 @@ from aggsep.errors import MalformedInstanceError
 from aggsep.instance import (
     CONTINUOUS,
     INTEGER,
-    ORIGIN_EQ_NEG,
-    ORIGIN_EQ_POS,
-    ORIGIN_LEQ,
-    ORIGIN_NEGATED_GEQ,
     MilpInstance,
-    RawRow,
     Row,
     Variable,
     detect_variable_bounds,
-    normalize_rows,
 )
+from aggsep.mpsio import parse_mps
 
 from helpers import row_slack
-
-
-def test_normalize_geq_negated():
-    rows = normalize_rows([RawRow("r", {"x1": 1.0, "x2": 1.0}, ">=", 3.0)])
-    assert len(rows) == 1
-    assert rows[0].coefficients == {"x1": -1.0, "x2": -1.0}
-    assert rows[0].rhs == -3.0
-    assert rows[0].origin == ORIGIN_NEGATED_GEQ
-
-
-def test_normalize_equality_split():
-    rows = normalize_rows([RawRow("r", {"x1": 1.0}, "=", 2.0)])
-    assert len(rows) == 2
-    pos, neg = rows
-    assert pos.origin == ORIGIN_EQ_POS and neg.origin == ORIGIN_EQ_NEG
-    assert pos.coefficients == {"x1": 1.0} and pos.rhs == 2.0
-    assert neg.coefficients == {"x1": -1.0} and neg.rhs == -2.0
-    assert neg.name == "r_neg"
-
-
-def test_normalize_leq_passthrough():
-    coefs = {"x1": 1.0 / 3.0, "x2": 1.0, "x3": -2.0 / 3.0}
-    rows = normalize_rows([RawRow("r", dict(coefs), "<=", 1.0)])
-    assert rows[0].coefficients == coefs
-    assert rows[0].rhs == 1.0
-    assert rows[0].origin == ORIGIN_LEQ
-
-
-def test_normalize_drops_zeros_and_rejects_nonfinite():
-    rows = normalize_rows([RawRow("r", {"x1": 1.0, "x2": 1e-12}, "<=", 1.0)])
-    assert "x2" not in rows[0].coefficients
-    with pytest.raises(MalformedInstanceError):
-        normalize_rows([RawRow("r", {"x1": math.inf}, "<=", 1.0)])
-    with pytest.raises(MalformedInstanceError):
-        normalize_rows([RawRow("r", {"x1": 1.0}, "<=", math.nan)])
-
-
-def test_normalize_equality_halves_are_exact_negations():
-    coefs = {"a": 1.25, "b": -0.5, "c": 3.0}
-    pos, neg = normalize_rows([RawRow("r", coefs, "=", 0.75)])
-    for v in coefs:
-        assert neg.coefficients[v] == -pos.coefficients[v]
-    assert neg.rhs == -pos.rhs
 
 
 def _inst(rows, kinds):
@@ -79,7 +32,7 @@ def test_detect_bounds_two_nonzero_pattern():
     (e,) = table.entries(0)
     assert e.int_var == 1 and e.const == 0.0 and e.coef == 3.0
     assert table.bound_rows == {0}
-    assert inst.rows[0].origin == ORIGIN_LEQ  # the row itself is not rewritten
+    assert inst.rows[0].coefficients == {"v0": 1.0, "v1": -3.0}  # not rewritten
 
 
 def test_detect_bounds_needs_integer_partner():
@@ -132,9 +85,9 @@ def test_row_slack_example1_at_origin(example1):
     st.lists(st.floats(-3, 3), min_size=2, max_size=2),
 )
 def test_equality_halves_have_opposite_slack(coefs, rhs, point):
-    raw = RawRow("r", {"v0": coefs[0], "v1": coefs[1]}, "=", rhs)
-    pos, neg = normalize_rows([raw])
-    inst = _inst([pos, neg], [CONTINUOUS, CONTINUOUS])
+    text = "ROWS\n E r\nCOLUMNS\n v0 r %r\n v1 r %r\nRHS\n rhs r %r\n" % (*coefs, rhs)
+    inst = parse_mps(io.StringIO(text))
+    pos, neg = inst.rows
     x = np.array(point)
     assert row_slack(pos, x, inst) == pytest.approx(-row_slack(neg, x, inst), abs=1e-12)
 
@@ -162,6 +115,12 @@ def test_instance_rejects_nonfinite_row_data(coef, rhs):
 def test_variable_rejects_bounds_outside_the_reals(lower, upper):
     with pytest.raises(MalformedInstanceError):
         Variable("x", lower=lower, upper=upper)
+
+
+@pytest.mark.parametrize("objective", [math.nan, math.inf, -math.inf])
+def test_variable_rejects_nonfinite_objective(objective):
+    with pytest.raises(MalformedInstanceError):
+        Variable("x", objective=objective)
 
 
 def test_matrix_and_bounds_arrays(example1):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from aggsep import lp
 from aggsep.errors import ContractViolation
 from aggsep.lp import (
     INFEASIBLE,
@@ -66,10 +67,11 @@ def test_unbounded_detected():
     assert solve_lp(prob).status == UNBOUNDED
 
 
-def test_iteration_limit_status():
+def test_iteration_limit_status(monkeypatch):
     rng = np.random.default_rng(5)
     prob = random_lp(rng)
-    assert solve_lp(prob, max_iter=0).status == ITERATION_LIMIT
+    monkeypatch.setattr(lp, "MAX_ITER_FACTOR", 0)
+    assert solve_lp(prob).status == ITERATION_LIMIT
 
 
 def test_matches_bruteforce_oracle_sample():

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from aggsep.errors import MpsParseError, SolutionParseError
 from aggsep.mpsio import (
@@ -142,6 +143,114 @@ def test_parse_bounds_errors_carry_line(bounds, line):
     with pytest.raises(MpsParseError) as exc:
         parse_mps(io.StringIO(_BOUNDS_HEAD + bounds))
     assert exc.value.line == line
+
+
+_VALUE_HEAD = "ROWS\n N obj\n L c1\nCOLUMNS\n"
+
+
+@pytest.mark.parametrize("bad", ["inf", "-inf", "nan", "1e400"])
+@pytest.mark.parametrize("body, line", [
+    (" x c1 {}\n", 5),
+    (" x obj {} c1 1.0\n", 5),
+    (" x c1 1.0\nRHS\n rhs c1 {}\n", 7),
+    (" x c1 1.0\nRHS\n rhs c1 1.0\n rhs obj {}\n", 8),
+    (" x c1 1.0\nRHS\n rhs c1 1.0\nRANGES\n rng c1 {}\n", 9),
+], ids=["coefficient", "objective", "rhs", "objective-rhs", "range"])
+def test_parse_nonfinite_values_carry_line(body, line, bad):
+    with pytest.raises(MpsParseError) as exc:
+        parse_mps(io.StringIO(_VALUE_HEAD + body.format(bad)))
+    assert exc.value.line == line
+
+
+# Models of up to 4 columns x0.. and 4 rows r0.., rendered as MPS text.  A
+# row is (sense, rhs, range or None, one coefficient or None per column);
+# coefficients include explicit zeros, and ranges have both signs.
+_VALUES = st.one_of(st.floats(-100, 100), st.sampled_from([0.0, -0.0, 1e-12, -5e-10]))
+_NONFINITE = ("inf", "-inf", "nan", "1e400")
+
+
+@st.composite
+def _models(draw):
+    n_cols = draw(st.integers(1, 4))
+    row = st.tuples(
+        st.sampled_from("LGE"),
+        st.floats(-50, 50),
+        st.one_of(st.none(), st.floats(-10, 10)),
+        st.lists(st.one_of(st.none(), _VALUES), min_size=n_cols, max_size=n_cols),
+    )
+    rows = draw(st.lists(row, min_size=1, max_size=4))
+    objective = draw(st.lists(_VALUES, min_size=n_cols, max_size=n_cols))
+    split = draw(st.integers(0, n_cols - 1))  # this column's entries take two lines
+    poison = draw(st.one_of(st.none(), st.tuples(st.integers(0, 99),
+                                                 st.sampled_from(_NONFINITE))))
+    return objective, rows, split, poison
+
+
+def _render(objective, rows, split):
+    """Token lines of the model's MPS text, the headers marked by a leading
+    None, and the (line, token) position of every value."""
+    lines = [[None, "ROWS"], ["N", "obj"]]
+    lines += [[sense, "r%d" % i] for i, (sense, _, _, _) in enumerate(rows)]
+    lines.append([None, "COLUMNS"])
+    for j, obj in enumerate(objective):
+        entries = [("obj", obj)] + [("r%d" % i, coefs[j])
+                                    for i, (_, _, _, coefs) in enumerate(rows)
+                                    if coefs[j] is not None]
+        cut = (len(entries) + 1) // 2 if j == split else len(entries)
+        for part in (entries[:cut], entries[cut:]):
+            if part:
+                lines.append(["x%d" % j] + [t for r, v in part for t in (r, repr(v))])
+    lines.append([None, "RHS"])
+    lines += [["rhs", "r%d" % i, repr(rhs)] for i, (_, rhs, _, _) in enumerate(rows)]
+    ranged = [(i, rng) for i, (_, _, rng, _) in enumerate(rows) if rng is not None]
+    if ranged:
+        lines.append([None, "RANGES"])
+        lines += [["rng", "r%d" % i, repr(rng)] for i, rng in ranged]
+    values = [(k, t) for k, toks in enumerate(lines) if toks[0] is not None
+              for t in range(2, len(toks), 2)]
+    return lines, values
+
+
+def _text(lines):
+    return "".join((toks[1] if toks[0] is None else " " + " ".join(toks)) + "\n"
+                   for toks in lines)
+
+
+def _expected_rows(rows):
+    """The <= rows of the model: (name, [(column, coefficient)], rhs)."""
+    out = []
+    for i, (sense, rhs, rng, coefs) in enumerate(rows):
+        name = "r%d" % i
+        pos = [("x%d" % j, v) for j, v in enumerate(coefs) if v is not None and abs(v) >= 1e-9]
+        neg = [(col, -v) for col, v in pos]  # so r_neg is exactly -r
+        if rng is not None:
+            lo, hi = {"L": (rhs - abs(rng), rhs), "G": (rhs, rhs + abs(rng)),
+                      "E": (rhs, rhs + rng) if rng >= 0 else (rhs + rng, rhs)}[sense]
+            out += [(name, pos, hi), (name + "_lo", neg, -lo)]
+        elif sense == "L":
+            out.append((name, pos, rhs))
+        elif sense == "G":
+            out.append((name, neg, -rhs))
+        else:
+            out += [(name, pos, rhs), (name + "_neg", neg, -rhs)]
+    return out
+
+
+@given(_models())
+def test_parse_rows_match_their_mps_text(model):
+    objective, rows, split, poison = model
+    lines, values = _render(objective, rows, split)
+    if poison is not None:
+        (k, t), bad = values[poison[0] % len(values)], poison[1]
+        lines[k][t] = bad
+        with pytest.raises(MpsParseError) as exc:
+            parse_mps(io.StringIO(_text(lines)))
+        assert exc.value.line == k + 1
+        return
+    inst = parse_mps(io.StringIO(_text(lines)))
+    got = [(r.name, list(r.coefficients.items()), r.rhs) for r in inst.rows]
+    assert got == _expected_rows(rows)
+    assert inst.objective.tolist() == objective
 
 
 def test_parse_infinite_bounds_on_their_own_side():
