@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from aggsep.errors import MalformedInstanceError
+from aggsep.errors import MalformedInstanceError, MpsParseError
 from aggsep.instance import (
     CONTINUOUS,
     INTEGER,
@@ -17,6 +17,55 @@ from aggsep.instance import (
 from aggsep.mpsio import parse_mps
 
 from helpers import row_slack
+
+
+def _one_row(sense, coefs, rhs):
+    """The <= rows parse_mps makes of a single MPS row `r`."""
+    cols = "".join(" %s r %r\n" % (v, c) for v, c in coefs.items())
+    text = "ROWS\n N obj\n %s r\nCOLUMNS\n%sRHS\n rhs r %r\n" % (sense, cols, rhs)
+    return parse_mps(io.StringIO(text)).rows
+
+
+def test_normalize_geq_negated():
+    rows = _one_row("G", {"x1": 1.0, "x2": 1.0}, 3.0)
+    assert len(rows) == 1
+    assert rows[0].coefficients == {"x1": -1.0, "x2": -1.0}
+    assert rows[0].rhs == -3.0
+    assert rows[0].name == "r"
+
+
+def test_normalize_equality_split():
+    rows = _one_row("E", {"x1": 1.0}, 2.0)
+    assert len(rows) == 2
+    pos, neg = rows
+    assert pos.coefficients == {"x1": 1.0} and pos.rhs == 2.0
+    assert neg.coefficients == {"x1": -1.0} and neg.rhs == -2.0
+    assert pos.name == "r" and neg.name == "r_neg"
+
+
+def test_normalize_leq_passthrough():
+    coefs = {"x1": 1.0 / 3.0, "x2": 1.0, "x3": -2.0 / 3.0}
+    rows = _one_row("L", coefs, 1.0)
+    assert rows[0].coefficients == coefs
+    assert list(rows[0].coefficients) == list(coefs)
+    assert rows[0].rhs == 1.0
+
+
+def test_normalize_drops_zeros_and_rejects_nonfinite():
+    rows = _one_row("L", {"x1": 1.0, "x2": 1e-12}, 1.0)
+    assert "x2" not in rows[0].coefficients
+    with pytest.raises(MpsParseError):
+        _one_row("L", {"x1": math.inf}, 1.0)
+    with pytest.raises(MpsParseError):
+        _one_row("L", {"x1": 1.0}, math.nan)
+
+
+def test_normalize_equality_halves_are_exact_negations():
+    coefs = {"a": 1.25, "b": -0.5, "c": 3.0}
+    pos, neg = _one_row("E", coefs, 0.75)
+    for v in coefs:
+        assert neg.coefficients[v] == -pos.coefficients[v]
+    assert neg.rhs == -pos.rhs
 
 
 def _inst(rows, kinds):
