@@ -22,26 +22,21 @@ VIOLATION_THRESHOLD = 1e-4
 
 
 @dataclass
-class SlackTerm:
-    """One contribution  mult * y  to s, with  y = const + coefs . x  >= 0."""
-
-    var: int  # the substituted continuous variable
-    mult: float  # |alpha_var|
-    const: float
-    coefs: dict  # variable index -> coefficient (affine expression of y)
-    kind: str  # 'upper' | 'implied' | 'lower'
-
-
-@dataclass
 class MixedKnapsackRow:
-    """sum a_j z_j <= b + s  with  0 <= z_j <= u_j integer, s >= 0."""
+    """sum a_j z_j <= b + s  with  0 <= z_j <= u_j integer, s >= 0.
+
+    s = sum slack_mult * y over the slacks of ``slack_vars``, each slack's
+    affine form y_j(x) read from ``substitution`` (None without slacks).
+    """
 
     a: np.ndarray
     u: np.ndarray
     b: float
     int_vars: tuple  # original variable index per knapsack position
     int_shift: np.ndarray  # lower bound subtracted per position
-    slack_terms: tuple  # of SlackTerm
+    slack_vars: np.ndarray  # substituted continuous variables, by index
+    slack_mult: np.ndarray  # |alpha_j| per slack variable
+    substitution: object  # SubstitutionBounds of the point
     zbar: np.ndarray
     sbar: float
 
@@ -118,33 +113,26 @@ def bound_substitute(aggregation, ctx):
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         return None
 
-    # b and sbar are running sums whose order the cut's bytes depend on
-    b = float(aggregation.beta)
-    for t in (a_cont * sub.bound[cont]).tolist() + (a * lo).tolist():
-        b -= t
     mult = np.abs(a_cont)
-    sbar = 0.0
-    for t in (mult * sub.slack_at_point[cont]).tolist():
-        sbar += t
-    slack_terms = tuple(
-        SlackTerm(j, m, const, {k: d, j: -1.0} if kind == "implied"
-                  else {j: 1.0 if kind == "lower" else -1.0}, kind)
-        for j, m, const, kind, k, d in zip(
-            cont.tolist(), mult.tolist(), sub.slack_const[cont].tolist(),
-            sub.kind[cont].tolist(), sub.int_var[cont].tolist(),
-            sub.int_coef[cont].tolist())
-    )
-
+    moved = np.concatenate((a_cont * sub.bound[cont], a * lo))  # out of b, in this order
     return MixedKnapsackRow(
         a=a,
         u=np.round(hi - lo),
-        b=b,
+        b=_running_sum(float(aggregation.beta), -moved),
         int_vars=tuple(int_vars.tolist()),
         int_shift=lo,
-        slack_terms=slack_terms,
+        slack_vars=cont,
+        slack_mult=mult,
+        substitution=sub,
         zbar=ctx.xbar[int_vars] - lo,
-        sbar=sbar,
+        sbar=_running_sum(0.0, mult * sub.slack_at_point[cont]),
     )
+
+
+def _running_sum(start, terms):
+    """``start`` plus ``terms``, added left to right: the bytes of b, sbar
+    and the cut's right-hand sides depend on this summation order."""
+    return float(np.cumsum(np.concatenate(([start], terms)))[-1])
 
 
 def cmir_inequality(k, T, U, delta):
@@ -168,10 +156,7 @@ def cmir_inequality(k, T, U, delta):
     z_coefs[t_pos] = g_values(k.a[t_pos] / delta, f)
     g_u = g_values(-k.a[u_pos] / delta, f)
     z_coefs[u_pos] = -g_u
-    rhs = math.floor(beta)
-    # sequential, in U order: the cut's bytes depend on this summation order
-    for g, u in zip(g_u, k.u[u_pos]):
-        rhs -= g * u
+    rhs = _running_sum(math.floor(beta), -(g_u * k.u[u_pos]))  # in U order
     s_coef = 1.0 / (delta * (1.0 - f))
     cut = CmirCut(
         partition_t=T,
@@ -188,23 +173,32 @@ def cmir_inequality(k, T, U, delta):
 
 
 def _map_back(cut, k):
-    """Express the knapsack-space cut over the original variables."""
-    coefs = {}
-    rhs = cut.rhs_knapsack
-    for pos, j in enumerate(k.int_vars):
-        c = cut.z_coefs[pos]
-        if c != 0.0:
-            coefs[j] = coefs.get(j, 0.0) + c
-            rhs += c * k.int_shift[pos]
-    # s_coef * s = sum(scale * (const + c.x)): the constants join the
-    # right-hand side and the c.x terms move to the left with a minus sign
-    for t in k.slack_terms:
-        scale = cut.s_coef * t.mult
-        rhs += scale * t.const
-        for j, c in t.coefs.items():
-            coefs[j] = coefs.get(j, 0.0) - scale * c
-    cut.coefficients = {j: v for j, v in coefs.items() if abs(v) > ZERO_TOL}
-    cut.rhs = float(rhs)
+    """Express the knapsack-space cut over the original variables.
+
+    s_coef * s = sum(scale_j * y_j) with y_j = const_j + d_j x_k + sign_j x_j:
+    the constants join the right-hand side and the x terms move to the left
+    with a minus sign.  Both sums run over the integer positions first,
+    then the slacks in order (an implied slack's x_k before its x_j).
+    """
+    on = cut.z_coefs != 0.0
+    z = cut.z_coefs[on]
+    var = [np.asarray(k.int_vars, dtype=np.int64)[on]]
+    coef = [z]
+    rhs_terms = [z * k.int_shift[on]]
+    if len(k.slack_vars):
+        sub, j = k.substitution, k.slack_vars
+        scale = cut.s_coef * k.slack_mult
+        implied = sub.int_var[j] >= 0
+        var += [sub.int_var[j][implied], j]
+        coef += [-(scale * sub.int_coef[j])[implied], -(scale * sub.slack_sign[j])]
+        rhs_terms.append(scale * sub.slack_const[j])
+    # np.add.at adds in visiting order: per variable, the order above
+    keys, pos = np.unique(np.concatenate(var), return_inverse=True)
+    acc = np.zeros(len(keys))
+    np.add.at(acc, pos, np.concatenate(coef))
+    keep = np.abs(acc) > ZERO_TOL
+    cut.coefficients = dict(zip(keys[keep].tolist(), acc[keep].tolist()))
+    cut.rhs = _running_sum(cut.rhs_knapsack, np.concatenate(rhs_terms))
     # violation in knapsack space; the affine map back preserves it
     cut.violation = float(
         cut.z_coefs @ k.zbar - cut.rhs_knapsack - cut.s_coef * k.sbar

@@ -98,7 +98,7 @@ def _starting_rows(ctx, config, algo, diagnostics):
                 out.append(i)
             else:
                 why = ("an implied-bound row, which mw never aggregates"
-                       if i in ctx.bounds.bound_rows and algo == "mw"
+                       if i in ctx.bounds.rows and algo == "mw"
                        else "not a useful row (no kept bad column, or past max_useful_rows)")
                 diagnostics.append("%s: starting row %s dropped: %s" % (algo, name, why))
         return out

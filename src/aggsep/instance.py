@@ -5,8 +5,9 @@ senses into <= rows); integrality lives on the variables.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -132,62 +133,40 @@ class MilpInstance:
 
     @cached_property
     def variable_bounds(self):
-        """Implied-bound rows and the bounds they state (VariableBoundTable).
+        """Implied-bound rows and the bounds they state, in row order.
 
         A row qualifies iff it has exactly two nonzeros, a positive
-        coefficient on a continuous variable and its other nonzero on an
-        integer variable; it then encodes ``x_j <= rhs/a - (c/a) x_j'``.
+        coefficient a on a continuous variable and its other nonzero c on
+        an integer variable; it then encodes ``x_var <= const + coef *
+        x_int_var`` with const = rhs/a and coef = -c/a.
         """
-        table = VariableBoundTable()
         idx = self.var_index
-        bound_rows = []
-        for i, row in enumerate(self.rows):
-            if len(row.coefficients) != 2:
-                continue
-            items = sorted(row.coefficients.items(), key=lambda kv: idx[kv[0]])
-            cont = [
-                (v, c) for v, c in items
-                if not self.variables[idx[v]].is_integer and c > 0
-            ]
-            ints = [(v, c) for v, c in items if self.variables[idx[v]].is_integer]
-            if len(cont) != 1 or len(ints) != 1:
-                continue
-            (cv, a), (iv, c) = cont[0], ints[0]
-            entry = ImpliedBound(
-                var=idx[cv],
-                int_var=idx[iv],
-                const=row.rhs / a,
-                coef=-c / a,
-            )
-            table.implied.setdefault(entry.var, []).append(entry)
-            bound_rows.append(i)
-        table.bound_rows = frozenset(bound_rows)
-        return table
+        two = [(i, r.coefficients) for i, r in enumerate(self.rows) if len(r.coefficients) == 2]
+        rows = np.array([i for i, _ in two], dtype=np.int64)
+        cols = np.array([[idx[v] for v in c] for _, c in two], dtype=np.int64).reshape(-1, 2)
+        vals = np.array([list(c.values()) for _, c in two], dtype=float).reshape(-1, 2)
+        swap = self.integer_mask[cols[:, 0]]  # an integer first: swap the two
+        cols[swap], vals[swap] = cols[swap, ::-1], vals[swap, ::-1]
+        is_int = self.integer_mask[cols]
+        keep = ~is_int[:, 0] & is_int[:, 1] & (vals[:, 0] > 0)
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+        return VariableBounds(rows=rows, var=cols[:, 0], int_var=cols[:, 1],
+                              const=self.rhs[rows] / vals[:, 0], coef=-vals[:, 1] / vals[:, 0])
 
 
-@dataclass
-class ImpliedBound:
-    """An implied upper bound ``x_var <= const + coef * x_intvar``."""
+class VariableBounds(NamedTuple):
+    """Implied upper bounds ``x_var <= const + coef * x_int_var``, one entry
+    per implied-bound row, in row order."""
 
-    var: int  # continuous variable index
-    int_var: int  # integer variable index
-    const: float
-    coef: float
-
-
-@dataclass
-class VariableBoundTable:
-    """Implied bounds per continuous variable, and the rows that state them."""
-
-    implied: dict = field(default_factory=dict)  # var index -> [ImpliedBound]
-    bound_rows: frozenset = frozenset()  # indices of implied-bound rows
-
-    def entries(self, j):
-        return self.implied.get(j, ())
+    rows: np.ndarray  # the row stating each bound
+    var: np.ndarray  # continuous variable index
+    int_var: np.ndarray  # integer variable index
+    const: np.ndarray
+    coef: np.ndarray
 
 
 def detect_variable_bounds(instance):
-    """Implied-bound table of ``instance``; found once, then reused."""
+    """Implied bounds of ``instance``; found once, then reused."""
     return instance.variable_bounds
 
 

@@ -67,13 +67,16 @@ def parse_mps(stream, name_hint="instance"):
     order, with its coefficients in column order and explicit zeros
     dropped: 'L' as is, 'G' negated, 'E' as the row plus its negation
     ``<row>_neg``, and a ranged row as its upper side plus its negated
-    lower side ``<row>_lo``.  Every value must be a finite number (a bound
-    may be infinite on its own side); a bad one is an MpsParseError at its
-    line.
+    lower side ``<row>_lo``; a ROWS row with the name of such a side is an
+    MpsParseError at the later line that makes the two clash.  Every value
+    must be a finite number (a bound may be infinite on its own side), and
+    so must the sum of repeated entries of one (column, row) pair; a bad
+    one is an MpsParseError at its line.
     """
     name = name_hint
     section = None
     row_sense = {}  # row name -> 'N' | 'L' | 'G' | 'E'
+    row_line = {}  # row name -> its ROWS line
     row_order = []
     col_order = []
     col_entries = {}  # col -> {row: coef}
@@ -82,6 +85,7 @@ def parse_mps(stream, name_hint="instance"):
     obj_row = None
     rhs_vals = {}
     range_vals = {}
+    range_line = {}  # ranged row name -> its last RANGES line
     bounds = {}  # col -> list of (type, value)
     bound_line = {}  # col -> number of its last BOUNDS line
     in_integer = False
@@ -120,6 +124,7 @@ def parse_mps(stream, name_hint="instance"):
             if rname in row_sense:
                 raise MpsParseError("duplicate row name %s" % rname, line=lineno)
             row_sense[rname] = sense
+            row_line[rname] = lineno
             if sense == "N":
                 if obj_row is None:
                     obj_row = rname
@@ -149,8 +154,11 @@ def parse_mps(stream, name_hint="instance"):
                     raise MpsParseError(
                         "coefficient for unknown row %s" % rname, line=lineno
                     )
-                val = _number(val, "coefficient", lineno)
-                col_entries[col][rname] = col_entries[col].get(rname, 0.0) + val
+                val = col_entries[col].get(rname, 0.0) + _number(val, "coefficient", lineno)
+                if not math.isfinite(val):
+                    raise MpsParseError("coefficients of %s in row %s sum to %r"
+                                        % (col, rname, val), line=lineno)
+                col_entries[col][rname] = val
             continue
         if section in ("RHS", "RANGES"):
             if len(tok) < 3:
@@ -165,6 +173,8 @@ def parse_mps(stream, name_hint="instance"):
                         "%s for unknown row %s" % (section, rname), line=lineno
                     )
                 target[rname] = _number(val, "%s value" % section, lineno)
+                if section == "RANGES":
+                    range_line[rname] = lineno
             continue
         if section == "BOUNDS":
             btype = tok[0].upper()
@@ -240,6 +250,12 @@ def parse_mps(stream, name_hint="instance"):
     rows = []
     for rname in row_order:
         row, sense, rhs = coefs[rname], row_sense[rname], rhs_vals.get(rname, 0.0)
+        if rname in range_vals or sense == "E":
+            other = rname + ("_lo" if rname in range_vals else "_neg")
+            if row_sense.get(other, "N") != "N":
+                raise MpsParseError(
+                    "row %s has the name of a side of row %s" % (other, rname),
+                    line=max(row_line[rname], row_line[other], range_line.get(rname, 0)))
         if rname in range_vals:
             r = range_vals[rname]
             if sense == "L":

@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContractViolation
-from .instance import detect_variable_bounds
+from .instance import detect_variable_bounds, make_point
 
 MAX_BAD_VARS = 50  # bad variables kept, largest bound distance first
 MAX_USEFUL_ROWS = 5000  # useful rows kept, highest score first
@@ -25,17 +25,18 @@ class SubstitutionBounds:
     """The bound each continuous variable is substituted by, at one point.
 
     Indexed by variable; entries of integer variables are unused.  A slack
-    y_j >= 0 replaces x_j: x_j = l_j + y_j ('lower'), x_j = u_j - y_j
-    ('upper') or x_j = c + d z_k - y_j ('implied', from x_j <= c + d z_k).
+    y_j >= 0 replaces x_j: x_j = l_j + y_j (lower), x_j = u_j - y_j
+    (upper) or x_j = c + d z_k - y_j (implied, from x_j <= c + d z_k).
+    Each slack's affine form is y_j = slack_const + int_coef x_k + slack_sign x_j.
     """
 
     upper: np.ndarray  # tightest simple or implied upper bound at the point
     usable: np.ndarray  # some bound is finite
-    kind: np.ndarray  # 'lower' | 'upper' | 'implied'
     bound: np.ndarray  # l_j, u_j or c
     int_var: np.ndarray  # k of an implied bound, -1 otherwise
     int_coef: np.ndarray  # d of an implied bound, 0 otherwise
-    slack_const: np.ndarray  # constant of y_j as an affine expression of x
+    slack_const: np.ndarray  # -l_j, u_j or c
+    slack_sign: np.ndarray  # +1 for a lower bound, -1 otherwise
     slack_at_point: np.ndarray  # y_j at xbar
 
 
@@ -43,7 +44,7 @@ class SubstitutionBounds:
 class SeparationContext:
     instance: object
     xbar: np.ndarray
-    bounds: object  # VariableBoundTable
+    bounds: object  # VariableBounds: the instance's implied-bound rows
     substitution: SubstitutionBounds  # each continuous variable's bound at xbar
     bad_vars: np.ndarray  # variable indices, decreasing bound distance
     bad_weights: np.ndarray  # bound distances aligned with bad_vars
@@ -77,44 +78,47 @@ def substitution_bounds(instance, bounds, xbar):
     """Pick, for every continuous variable, the bound nearest ``xbar``.
 
     The tightest upper-type candidate is the simple upper bound or the
-    smallest implied one at xbar (the first of equal candidates); a finite
-    lower bound wins when xbar sits closer to it.
+    smallest implied one at xbar (the first in row order of equal
+    candidates); a finite lower bound wins when xbar sits closer to it.
     """
     lower = instance.lower
     best_val = np.where(np.isfinite(instance.upper), instance.upper, np.inf)
-    best = {}
-    for j, entries in bounds.implied.items():
-        for e in entries:
-            cand = e.const + e.coef * xbar[e.int_var]
-            if cand < best_val[j]:
-                best_val[j] = cand
-                best[j] = e
+    # each variable's smallest implied candidate: a stable sort by variable,
+    # then value, puts it (the first in row order of equal ones) first
+    cand = bounds.const + bounds.coef * xbar[bounds.int_var]
+    order = np.lexsort((cand, bounds.var))
+    _, first = np.unique(bounds.var[order], return_index=True)
+    pick = order[first]
+    pick = pick[cand[pick] < best_val[bounds.var[pick]]]
+    best = np.full(instance.n_vars, -1, dtype=np.int64)  # the winning bound entry
+    best[bounds.var[pick]] = pick
+    best_val[bounds.var[pick]] = cand[pick]
+
     has_upper = np.isfinite(best_val)
     use_lower = np.isfinite(lower) & (~has_upper | (xbar - lower < best_val - xbar))
-    kind = np.where(use_lower, "lower", "upper").astype(object)
+    best[use_lower] = -1
+    implied = best >= 0
+    e = best[implied]
     bound = np.where(use_lower, lower, instance.upper)
+    bound[implied] = bounds.const[e]
     int_var = np.full(instance.n_vars, -1, dtype=np.int64)
+    int_var[implied] = bounds.int_var[e]
     int_coef = np.zeros(instance.n_vars)
-    for j, e in best.items():
-        if not use_lower[j]:
-            kind[j] = "implied"
-            bound[j] = e.const
-            int_var[j] = e.int_var
-            int_coef[j] = e.coef
-    implied = int_var >= 0
+    int_coef[implied] = bounds.coef[e]
     slack_const = np.where(use_lower, -lower, bound)
-    # y_j = const + ((0.0 + first term) + second term) at xbar: the order of
-    # the sum of the affine terms of SlackTerm.coefs, starting from zero
-    first = np.where(use_lower, xbar, np.where(implied, int_coef * xbar[int_var], -xbar))
-    second = np.where(implied, -xbar, 0.0)
+    slack_sign = np.where(use_lower, 1.0, -1.0)
+    # y_j = const + ((0.0 + first term) + second term), summing the affine
+    # form's x terms in order: x_k before x_j
+    first = np.where(implied, int_coef * xbar[int_var], slack_sign * xbar)
+    second = np.where(implied, slack_sign * xbar, 0.0)
     return SubstitutionBounds(
         upper=best_val,
         usable=has_upper | use_lower,
-        kind=kind,
         bound=bound,
         int_var=int_var,
         int_coef=int_coef,
         slack_const=slack_const,
+        slack_sign=slack_sign,
         slack_at_point=slack_const + ((0.0 + first) + second),
     )
 
@@ -147,11 +151,12 @@ def preprocess(instance, xbar, duals=None):
     rows, which mw never uses.
     """
     bounds = detect_variable_bounds(instance)
-    xbar = np.asarray(xbar, dtype=float)
+    xbar = make_point(instance, xbar)
     n = instance.n_vars
-    if duals is None:
-        duals = np.zeros(instance.n_rows)
-    duals = np.asarray(duals, dtype=float)
+    duals = np.zeros(instance.n_rows) if duals is None else np.asarray(duals, dtype=float)
+    if duals.shape != (instance.n_rows,) or not np.all(np.isfinite(duals)):
+        raise ContractViolation("duals need %d finite entries, got shape %s"
+                                % (instance.n_rows, duals.shape))
     sub = substitution_bounds(instance, bounds, xbar)
 
     is_int = instance.integer_mask
@@ -189,6 +194,6 @@ def preprocess(instance, xbar, duals=None):
         bad_weights=dist[bad],
         useful_rows=useful,
         scores=scores[order],
-        bound_row=np.isin(useful, list(bounds.bound_rows)),
+        bound_row=np.isin(useful, bounds.rows),
         slacks=np.maximum(raw_slack, 0.0),
     )

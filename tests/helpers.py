@@ -13,7 +13,6 @@ from aggsep.cmir import (
     DEGENERATE_F_TOL,
     FRACTIONAL_TOL,
     MixedKnapsackRow,
-    SlackTerm,
     VIOLATION_THRESHOLD,
     g_function,
 )
@@ -138,7 +137,9 @@ def random_knapsack_row(rng, max_q=6, max_u=5):
         b=b,
         int_vars=tuple(range(q)),
         int_shift=np.zeros(q),
-        slack_terms=(),
+        slack_vars=np.zeros(0, dtype=np.int64),
+        slack_mult=np.zeros(0),
+        substitution=None,
         zbar=zbar,
         sbar=sbar,
     )
@@ -194,13 +195,19 @@ def reference_select(k, violation_threshold=VIOLATION_THRESHOLD):
 
 
 def reference_bound_substitute(aggregation, ctx):
-    """The per-variable bound substitution loop that the array code replaced."""
+    """The per-variable bound substitution loop that the array code replaced.
+
+    Returns the knapsack row's fields; ``slack_forms`` holds each slack's
+    affine form ``y = const + sum(c * x_i for i, c in terms)`` as
+    ``(kind, const, terms)``.
+    """
     inst = ctx.instance
+    bounds = ctx.bounds
     xbar = ctx.xbar
     alpha = aggregation.alpha
     b = aggregation.beta
     int_coef = {}
-    slack_terms = []
+    slack_vars, slack_mult, slack_forms = [], [], []
     for j in np.flatnonzero(np.abs(alpha) > ZERO_TOL):
         j = int(j)
         var = inst.variables[j]
@@ -210,8 +217,8 @@ def reference_bound_substitute(aggregation, ctx):
         aj = alpha[j]
         best_val = var.upper if math.isfinite(var.upper) else math.inf
         best = None
-        for e in ctx.bounds.entries(j):
-            cand = e.const + e.coef * xbar[e.int_var]
+        for e in np.flatnonzero(bounds.var == j):
+            cand = bounds.const[e] + bounds.coef[e] * xbar[bounds.int_var[e]]
             if cand < best_val:
                 best_val = cand
                 best = e
@@ -221,17 +228,19 @@ def reference_bound_substitute(aggregation, ctx):
         )
         if not has_upper and not use_lower:
             return None
+        slack_vars.append(j)
+        slack_mult.append(abs(aj))
         if use_lower:
             b -= aj * var.lower
-            slack_terms.append(SlackTerm(j, abs(aj), -var.lower, {j: 1.0}, "lower"))
+            slack_forms.append(("lower", -var.lower, [(j, 1.0)]))
         elif best is None:
             b -= aj * var.upper
-            slack_terms.append(SlackTerm(j, abs(aj), var.upper, {j: -1.0}, "upper"))
+            slack_forms.append(("upper", var.upper, [(j, -1.0)]))
         else:
-            b -= aj * best.const
-            int_coef[best.int_var] = int_coef.get(best.int_var, 0.0) + aj * best.coef
-            slack_terms.append(SlackTerm(
-                j, abs(aj), best.const, {best.int_var: best.coef, j: -1.0}, "implied"))
+            k, const, coef = int(bounds.int_var[best]), bounds.const[best], bounds.coef[best]
+            b -= aj * const
+            int_coef[k] = int_coef.get(k, 0.0) + aj * coef
+            slack_forms.append(("implied", const, [(k, coef), (j, -1.0)]))
     int_vars, a, u, shift, zbar = [], [], [], [], []
     for j in sorted(int_coef):
         coef = int_coef[j]
@@ -247,19 +256,49 @@ def reference_bound_substitute(aggregation, ctx):
         zbar.append(xbar[j] - var.lower)
         b -= coef * var.lower
     sbar = 0.0
-    for t in slack_terms:
-        y = t.const + sum(c * xbar[k] for k, c in t.coefs.items())
-        sbar += t.mult * y
-    return MixedKnapsackRow(
+    for mult, (_, const, terms) in zip(slack_mult, slack_forms):
+        y = const + sum(c * xbar[i] for i, c in terms)
+        sbar += mult * y
+    return SimpleNamespace(
         a=np.array(a, dtype=float),
         u=np.array(u, dtype=float),
         b=float(b),
         int_vars=tuple(int_vars),
         int_shift=np.array(shift, dtype=float),
-        slack_terms=tuple(slack_terms),
+        slack_vars=np.array(slack_vars, dtype=np.int64),
+        slack_mult=np.array(slack_mult, dtype=float),
+        slack_forms=slack_forms,
         zbar=np.array(zbar, dtype=float),
         sbar=float(sbar),
     )
+
+
+def substitution_kind(sub, j):
+    """'lower', 'upper' or 'implied': the bound variable j is substituted by."""
+    if sub.slack_sign[j] > 0:
+        return "lower"
+    return "implied" if sub.int_var[j] >= 0 else "upper"
+
+
+def reference_map_back(cut, ref):
+    """The per-term dict loop that the array map-back replaced.
+
+    ``ref`` is a ``reference_bound_substitute`` result; returns the cut's
+    (coefficients, rhs) over the original variables.
+    """
+    coefs = {}
+    rhs = cut.rhs_knapsack
+    for pos, j in enumerate(ref.int_vars):
+        c = cut.z_coefs[pos]
+        if c != 0.0:
+            coefs[j] = coefs.get(j, 0.0) + c
+            rhs += c * ref.int_shift[pos]
+    for mult, (_, const, terms) in zip(ref.slack_mult, ref.slack_forms):
+        scale = cut.s_coef * mult
+        rhs += scale * const
+        for i, c in terms:
+            coefs[i] = coefs.get(i, 0.0) - scale * c
+    return {j: v for j, v in coefs.items() if abs(v) > ZERO_TOL}, float(rhs)
 
 
 def row_slack(row, point, instance):
@@ -313,6 +352,23 @@ def validate_cut_bruteforce(cut, k, tol=1e-7):
     return viol <= tol
 
 
+def reference_variable_bounds(instance):
+    """The per-row detection loop that the array detection replaced:
+    ``(row, var, int_var, const, coef)`` per implied-bound row."""
+    idx = instance.var_index
+    out = []
+    for i, row in enumerate(instance.rows):
+        if len(row.coefficients) != 2:
+            continue
+        items = sorted(row.coefficients.items(), key=lambda kv: idx[kv[0]])
+        cont = [(v, c) for v, c in items if not instance.variables[idx[v]].is_integer and c > 0]
+        ints = [(v, c) for v, c in items if instance.variables[idx[v]].is_integer]
+        if len(cont) == 1 and len(ints) == 1:
+            (cv, a), (iv, c) = cont[0], ints[0]
+            out.append((i, idx[cv], idx[iv], row.rhs / a, -c / a))
+    return out
+
+
 def bound_distance(j, xbar, bounds, instance):
     """Gap between x_j and its tightest simple or implied upper bound.
 
@@ -324,11 +380,10 @@ def bound_distance(j, xbar, bounds, instance):
     var = instance.variables[j]
     xj = min(max(xbar[j], var.lower), var.upper)
     best = var.upper if math.isfinite(var.upper) else math.inf
-    for e in bounds.entries(j):
-        xk = xbar[e.int_var]
-        vk = instance.variables[e.int_var]
-        xk = min(max(xk, vk.lower), vk.upper)
-        cand = e.const + e.coef * xk
+    for e in np.flatnonzero(bounds.var == j):
+        vk = instance.variables[bounds.int_var[e]]
+        xk = min(max(xbar[bounds.int_var[e]], vk.lower), vk.upper)
+        cand = bounds.const[e] + bounds.coef[e] * xk
         if cand < best:
             best = cand
     if not math.isfinite(best):
@@ -394,5 +449,5 @@ def reference_preprocess(instance, xbar, duals, max_bad_vars=50, max_useful_rows
         bad_weights=np.array([bd[j] for j in bad], dtype=float),
         useful_rows=np.array(useful, dtype=np.int64),
         scores=np.array([score_of[i] for i in useful], dtype=float),
-        bound_row=np.array([i in bounds.bound_rows for i in useful], dtype=bool),
+        bound_row=np.array([i in set(bounds.rows.tolist()) for i in useful], dtype=bool),
     )

@@ -25,7 +25,9 @@ from helpers import (
     corpus_paths,
     random_knapsack_row,
     reference_bound_substitute,
+    reference_map_back,
     reference_select,
+    substitution_kind,
     validate_cut_bruteforce,
 )
 
@@ -37,7 +39,8 @@ def _knap(a, u, b, zbar=None, sbar=0.0):
         zbar = np.zeros(len(a))
     return MixedKnapsackRow(
         a=a, u=u, b=float(b), int_vars=tuple(range(len(a))),
-        int_shift=np.zeros(len(a)), slack_terms=(),
+        int_shift=np.zeros(len(a)), slack_vars=np.zeros(0, dtype=np.int64),
+        slack_mult=np.zeros(0), substitution=None,
         zbar=np.asarray(zbar, dtype=float), sbar=float(sbar),
     )
 
@@ -220,9 +223,9 @@ def test_bound_substitute_simple_upper():
     # 3z <= 2 + s with s = 2y
     assert k.a == pytest.approx([3.0])
     assert k.b == pytest.approx(2.0)
-    assert len(k.slack_terms) == 1
-    assert k.slack_terms[0].mult == 2.0
-    assert k.slack_terms[0].kind == "upper"
+    assert k.slack_vars.tolist() == [0]
+    assert k.slack_mult.tolist() == [2.0]
+    assert substitution_kind(k.substitution, 0) == "upper"
     assert k.sbar == pytest.approx(2.0 * (4.0 - 3.5))
 
 
@@ -245,8 +248,11 @@ def test_bound_substitute_implied_bound():
     # x <= 0 + 3z substitutes x = 3z - y: coefficient 3 migrates onto z
     assert k.int_vars == (1,)
     assert k.a == pytest.approx([4.0])  # 1 (own) + 3 (migrated)
-    assert k.slack_terms[0].kind == "implied"
-    assert k.slack_terms[0].coefs == {1: 3.0, 0: -1.0}
+    sub = k.substitution
+    assert k.slack_vars.tolist() == [0] and substitution_kind(sub, 0) == "implied"
+    # y = 0 + 3z - x
+    assert (sub.slack_const[0], sub.int_var[0], sub.int_coef[0], sub.slack_sign[0]) == (
+        0.0, 1, 3.0, -1.0)
 
 
 def test_bound_substitute_lower_bound_branch():
@@ -263,7 +269,7 @@ def test_bound_substitute_lower_bound_branch():
     )
     k = bound_substitute(agg, ctx)
     # xbar = 1 is far closer to the lower bound 0 than to the upper 100
-    assert k.slack_terms[0].kind == "lower"
+    assert substitution_kind(k.substitution, k.slack_vars[0]) == "lower"
     assert k.a == pytest.approx([1.0])
     assert k.b == pytest.approx(5.0)
 
@@ -295,15 +301,18 @@ def test_bound_substitute_missing_bound_returns_none():
 
 
 def test_bound_substitute_matches_reference_loop():
-    """Array bound substitution equals the per-variable loop, bit for bit.
+    """Array bound substitution equals the per-variable loop, bit for bit,
+    and so does the map-back of a cut built on its row.
 
     Aggregations are random nonnegative combinations of one to three corpus
-    rows, at the corpus point and at random points of the box.
+    rows, at the corpus point and at random points of the box, on each
+    corpus instance and on a copy with lower integer bounds.
     """
     from types import SimpleNamespace
 
     rng = np.random.default_rng(23)
     kinds = {"lower": 0, "upper": 0, "implied": 0}
+    mapped = 0
     for mps, sol in corpus_paths():
         inst = parse_mps_file(mps)
         with open(sol) as fh:
@@ -311,8 +320,13 @@ def test_bound_substitute_matches_reference_loop():
         lo = np.where(np.isfinite(inst.lower), inst.lower, -5.0)
         hi = np.where(np.isfinite(inst.upper), inst.upper, lo + 10.0)
         points += [rng.uniform(lo, hi) for _ in range(3)]
-        for point in points:
-            ctx = preprocess(inst, point)
+        # the same rows with the integer lower bounds moved down by 2, so
+        # that the knapsack's shifts and the cut's integer terms are nonzero
+        lowered = MilpInstance(inst.name, [
+            Variable(v.name, v.kind, v.lower - 2.0 * v.is_integer, v.upper, v.objective)
+            for v in inst.variables], inst.rows)
+        for model, point in [(m, p) for m in (inst, lowered) for p in points]:
+            ctx = preprocess(model, point)
             for _ in range(30):
                 rows = rng.choice(inst.n_rows, size=int(rng.integers(1, 4)), replace=False)
                 lam = rng.uniform(0.1, 3.0, size=len(rows))
@@ -326,12 +340,39 @@ def test_bound_substitute_matches_reference_loop():
                 for name in ("a", "u", "int_shift", "zbar"):
                     assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
                 assert (got.b, got.sbar, got.int_vars) == (ref.b, ref.sbar, ref.int_vars)
-                assert len(got.slack_terms) == len(ref.slack_terms)
-                for t, r in zip(got.slack_terms, ref.slack_terms):
-                    assert (t.var, t.mult, t.const, t.kind) == (r.var, r.mult, r.const, r.kind)
-                    assert list(t.coefs.items()) == list(r.coefs.items())
-                    kinds[t.kind] += 1
+                for name in ("slack_vars", "slack_mult"):
+                    assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
+                sub = got.substitution
+                for j, (kind, const, terms) in zip(got.slack_vars.tolist(), ref.slack_forms):
+                    form = [(j, sub.slack_sign[j])]
+                    if sub.int_var[j] >= 0:
+                        form.insert(0, (int(sub.int_var[j]), sub.int_coef[j]))
+                    assert (substitution_kind(sub, j), sub.slack_const[j], form) == (
+                        kind, const, terms)
+                    kinds[kind] += 1
+                cut = _first_cut(got)
+                if cut is not None:
+                    coefs, rhs = reference_map_back(cut, ref)
+                    assert list(cut.coefficients) == sorted(coefs)
+                    assert (np.array(list(cut.coefficients.values())).tobytes()
+                            == np.array([coefs[j] for j in sorted(coefs)]).tobytes())
+                    assert cut.rhs == rhs
+                    mapped += 1
     assert min(kinds.values()) > 0, kinds
+    assert mapped > 0
+
+
+def _first_cut(k):
+    """The proximity-partition cut of the first non-degenerate delta, or None."""
+    if k.q == 0:
+        return None
+    T, U = proximity_partition(k)
+    for delta in delta_candidates(k):
+        try:
+            return cmir_inequality(k, T, U, delta)
+        except DegenerateCutError:
+            continue
+    return None
 
 
 def test_validate_oracle_rejects_corrupted_cut():

@@ -14,9 +14,9 @@ from aggsep.instance import (
     Variable,
     detect_variable_bounds,
 )
-from aggsep.mpsio import parse_mps
+from aggsep.mpsio import parse_mps, parse_mps_file
 
-from helpers import row_slack
+from helpers import corpus_paths, reference_variable_bounds, row_slack
 
 
 def _one_row(sense, coefs, rhs):
@@ -78,9 +78,8 @@ def test_detect_bounds_two_nonzero_pattern():
         [Row("b", {"v0": 1.0, "v1": -3.0}, 0.0)], [CONTINUOUS, INTEGER]
     )
     table = detect_variable_bounds(inst)
-    (e,) = table.entries(0)
-    assert e.int_var == 1 and e.const == 0.0 and e.coef == 3.0
-    assert table.bound_rows == {0}
+    assert (table.rows.tolist(), table.var.tolist(), table.int_var.tolist()) == ([0], [0], [1])
+    assert table.const.tolist() == [0.0] and table.coef.tolist() == [3.0]
     assert inst.rows[0].coefficients == {"v0": 1.0, "v1": -3.0}  # not rewritten
 
 
@@ -89,8 +88,7 @@ def test_detect_bounds_needs_integer_partner():
         [Row("b", {"v0": 1.0, "v1": -3.0}, 0.0)], [CONTINUOUS, CONTINUOUS]
     )
     table = detect_variable_bounds(inst)
-    assert not table.entries(0)
-    assert not table.bound_rows
+    assert len(table.rows) == len(table.var) == 0
 
 
 def test_detect_bounds_needs_exactly_two_nonzeros():
@@ -98,7 +96,7 @@ def test_detect_bounds_needs_exactly_two_nonzeros():
         [Row("b", {"v0": 1.0, "v1": 1.0, "v2": -1.0}, 1.0)],
         [CONTINUOUS, INTEGER, INTEGER],
     )
-    assert not detect_variable_bounds(inst).entries(0)
+    assert len(detect_variable_bounds(inst).rows) == 0
 
 
 def test_detect_bounds_idempotent():
@@ -108,9 +106,31 @@ def test_detect_bounds_idempotent():
     t1 = detect_variable_bounds(inst)
     t2 = detect_variable_bounds(inst)
     assert t2 is t1  # found once per instance
-    assert [(e.var, e.int_var, e.const, e.coef) for e in t1.entries(0)] == [
-        (e.var, e.int_var, e.const, e.coef) for e in t2.entries(0)
-    ]
+    assert (t1.var.tolist(), t1.int_var.tolist(), t1.const.tolist(), t1.coef.tolist()) == (
+        [0], [1], [2.0], [0.5])
+
+
+def test_detect_bounds_matches_row_loop():
+    """Two-entry rows in every mix of kinds, signs and entry order."""
+    rng = np.random.default_rng(3)
+    cases = [parse_mps_file(mps) for mps, _ in corpus_paths()]
+    for _ in range(20):
+        kinds = [CONTINUOUS if rng.random() < 0.5 else INTEGER for _ in range(6)]
+        rows = []
+        for i in range(30):
+            cols = rng.choice(6, size=int(rng.integers(1, 4)), replace=False)
+            rows.append(Row("r%d" % i, {"v%d" % j: float(rng.choice([-2.0, -0.5, 1.0, 3.0]))
+                                        for j in cols}, float(rng.uniform(-2, 2))))
+        cases.append(_inst(rows, kinds))
+    found = 0
+    for inst in cases:
+        t = detect_variable_bounds(inst)
+        got = list(zip(t.rows.tolist(), t.var.tolist(), t.int_var.tolist(),
+                       t.const.tolist(), t.coef.tolist()))
+        assert got == reference_variable_bounds(inst)
+        assert t.rows.dtype == t.var.dtype == t.int_var.dtype == np.int64
+        found += len(got)
+    assert found > 20
 
 
 def test_row_slack_examples():

@@ -232,3 +232,80 @@ def test_dependent_equality_rows(A, row_type, rhs, obj, want_x, want_obj):
     warm = solve_lp(prob, warm=sol.warm_start())
     assert warm.status == OPTIMAL
     assert warm.objective == pytest.approx(want_obj, abs=1e-9)
+
+
+def _highs(prob):
+    """(status, objective) of ``prob`` from scipy's HiGHS."""
+    from scipy.optimize import linprog
+
+    eq = np.array([t == "E" for t in prob.row_type], dtype=bool)
+    res = linprog(
+        prob.obj, A_ub=prob.A[~eq], b_ub=prob.rhs[~eq], A_eq=prob.A[eq], b_eq=prob.rhs[eq],
+        bounds=[(lo if np.isfinite(lo) else None, hi if np.isfinite(hi) else None)
+                for lo, hi in zip(prob.col_lb, prob.col_ub)],
+        method="highs",
+    )
+    return {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}.get(res.status, res.message), res.fun
+
+
+def _lp(obj, A, row_type, rhs, lb, ub):
+    return LpProblem(obj=obj, A=A, row_type=row_type, rhs=rhs, col_lb=lb, col_ub=ub)
+
+
+def _cross_check_cases():
+    """(name, problem, sibling): the sibling has the problem's shape, and
+    its optimal basis is the warm start offered to the problem."""
+    inf = np.inf
+    rng = np.random.default_rng(31)
+    cases = []
+    for i in range(30):
+        prob = random_lp(rng)
+        sib = _lp(rng.integers(-4, 5, size=prob.n_cols).astype(float), prob.A,
+                  prob.row_type, prob.rhs, prob.col_lb, prob.col_ub)
+        sib.obj[~np.isfinite(sib.col_ub)] = np.abs(sib.obj[~np.isfinite(sib.col_ub)])
+        cases.append(("random-%d" % i, prob, sib))
+    # four rows meet at the optimum (1, 1) of a 2-column LP
+    A = [[1.0, 1.0], [1.0, 0.0], [0.0, 1.0], [1.0, -1.0]]
+    degenerate = _lp([-1.0, -1.0], A, ["L"] * 4, [2.0, 1.0, 1.0, 0.0], [0.0, 0.0], [inf, inf])
+    cases.append(("degenerate", degenerate,
+                  _lp([1.0, -1.0], A, ["L"] * 4, [2.0, 1.0, 1.0, 0.0], [0.0, 0.0], [inf, inf])))
+    A = [[1.0, 1.0], [2.0, 2.0], [1.0, 0.0]]
+    dependent = _lp([-1.0, -2.0], A, ["E", "E", "L"], [2.0, 4.0, 1.5], [0.0, 0.0], [inf, inf])
+    cases.append(("dependent-equalities", dependent,
+                  _lp([1.0, 0.0], A, ["E", "E", "L"], [2.0, 4.0, 1.5], [0.0, 0.0], [inf, inf])))
+    # x0 + x1 <= 1 and x0 + x1 = 3; the sibling's right-hand side is feasible
+    A = [[1.0, 1.0], [1.0, 1.0]]
+    cases.append(("infeasible",
+                  _lp([1.0, 1.0], A, ["L", "E"], [1.0, 3.0], [0.0, 0.0], [inf, inf]),
+                  _lp([1.0, 1.0], A, ["L", "E"], [3.0, 1.0], [0.0, 0.0], [inf, inf])))
+    # x1 may grow without bound along x0 - x1 <= 1
+    A = [[1.0, -1.0]]
+    cases.append(("unbounded",
+                  _lp([0.0, -1.0], A, ["L"], [1.0], [0.0, 0.0], [2.0, inf]),
+                  _lp([0.0, 1.0], A, ["L"], [1.0], [0.0, 0.0], [2.0, inf])))
+    return cases
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_solve_lp_matches_highs(warm):
+    pytest.importorskip("scipy")
+    statuses = set()
+    for name, prob, sib in _cross_check_cases():
+        start = None
+        if warm:
+            first = solve_lp(sib)
+            assert first.status == OPTIMAL, name
+            start = first.warm_start()
+        sol = solve_lp(prob, warm=start)
+        status, objective = _highs(prob)
+        assert sol.status == status, name
+        statuses.add(status)
+        if status != OPTIMAL:
+            continue
+        assert abs(sol.objective - objective) <= 1e-6 * (1.0 + abs(objective)), name
+        x = sol.x
+        assert np.all(x >= prob.col_lb - 1e-7) and np.all(x <= prob.col_ub + 1e-7), name
+        res = prob.A @ x - prob.rhs
+        eq = np.array([t == "E" for t in prob.row_type], dtype=bool)
+        assert np.all(np.abs(res[eq]) <= 1e-6) and np.all(res[~eq] <= 1e-6), name
+    assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}

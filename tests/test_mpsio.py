@@ -162,6 +162,32 @@ def test_parse_nonfinite_values_carry_line(body, line, bad):
     assert exc.value.line == line
 
 
+@pytest.mark.parametrize("body, line", [
+    (" x c1 1e308\n x c1 1e308\n", 6),
+    (" x obj -1e308 c1 1.0\n x obj -1e308\n", 6),
+], ids=["constraint", "objective"])
+def test_parse_overflowing_coefficient_sum_carries_line(body, line):
+    with pytest.raises(MpsParseError) as exc:
+        parse_mps(io.StringIO(_VALUE_HEAD + body))
+    assert exc.value.line == line
+
+
+@pytest.mark.parametrize("rows, ranges, line", [
+    (" E r\n L r_neg\n", "", 3),
+    (" L r_neg\n E r\n", "", 3),
+    (" G r\n L r_lo\n", "RANGES\n rng r 2.0\n", 9),
+    (" L r_lo\n G r\n", "RANGES\n rng r 2.0\n", 9),
+], ids=["equality-first", "equality-second", "ranged-first", "ranged-second"])
+def test_parse_side_named_like_a_row_carries_line(rows, ranges, line):
+    text = "ROWS\n%sCOLUMNS\n x r 1.0 %s 1.0\nRHS\n rhs r 1.0\n%s" % (
+        rows, "r_neg" if "r_neg" in rows else "r_lo", ranges)
+    with pytest.raises(MpsParseError, match="side of row r") as exc:
+        parse_mps(io.StringIO(text))
+    assert exc.value.line == line
+    # a free row of that name is not a <= row, so nothing clashes
+    parse_mps(io.StringIO(text.replace(" L r_", " N r_")))
+
+
 # Models of up to 4 columns x0.. and 4 rows r0.., rendered as MPS text.  A
 # row is (sense, rhs, range or None, one coefficient or None per column);
 # coefficients include explicit zeros, and ranges have both signs.

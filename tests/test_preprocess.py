@@ -19,7 +19,13 @@ from aggsep.mpsio import parse_mps_file, parse_solution_file
 from aggsep.mw import mw_aggregate
 from aggsep.preprocess import preprocess
 
-from helpers import bound_distance, corpus_paths, reference_preprocess, row_score
+from helpers import (
+    bound_distance,
+    corpus_paths,
+    reference_preprocess,
+    row_score,
+    substitution_kind,
+)
 
 # the package's ``preprocess`` attribute is the function, not this module
 PREPROCESS = importlib.import_module("aggsep.preprocess")
@@ -109,6 +115,44 @@ def test_preprocess_no_bad_vars():
     assert ctx.nothing_to_do
     assert len(ctx.useful_rows) == 0
     assert preprocess(_inst([], [Row("r", {}, 1.0)]), np.zeros(0)).nothing_to_do
+
+
+@pytest.mark.parametrize("point, duals", [
+    ([0.5], None),  # too short
+    ([0.5, 1.0, 2.0], None),  # too long
+    ([math.nan, 1.0], None),
+    ([math.inf, 1.0], None),
+    ([0.5, 1.0], [1.0, 2.0]),  # too long
+    ([0.5, 1.0], [[1.0]]),  # wrong shape
+    ([0.5, 1.0], [math.nan]),
+], ids=["short-point", "long-point", "nan-point", "inf-point", "long-duals",
+        "2d-duals", "nan-duals"])
+def test_preprocess_checks_point_and_duals(point, duals):
+    inst = _inst(
+        [Variable("x", CONTINUOUS, 0.0, 5.0), Variable("z", INTEGER, 0.0, 3.0)],
+        [Row("r", {"x": 1.0, "z": 1.0}, 4.0)],
+    )
+    with pytest.raises(ContractViolation):
+        preprocess(inst, np.array(point), duals)
+
+
+def test_equal_implied_candidates_first_row_wins():
+    # x <= z1, x <= z2 and x <= 2 z3 - 3, all 2 at the point; then z2 drops
+    variables = [Variable("x", CONTINUOUS, 0.0, 10.0)]
+    variables += [Variable("z%d" % k, INTEGER, 0.0, 5.0) for k in (1, 2, 3)]
+    rows = [Row("b1", {"x": 1.0, "z1": -1.0}, 0.0),
+            Row("b2", {"z2": -1.0, "x": 1.0}, 0.0),
+            Row("b3", {"x": 2.0, "z3": -4.0}, -6.0)]
+    for order, z2, want, upper in [
+        ([0, 1, 2], 2.0, 1, 2.0),
+        ([1, 0, 2], 2.0, 2, 2.0),
+        ([2, 1, 0], 2.0, 3, 2.0),
+        ([0, 1, 2], 1.0, 2, 1.0),
+    ]:
+        inst = _inst(variables, [rows[i] for i in order])
+        sub = preprocess(inst, np.array([1.5, 2.0, z2, 2.5])).substitution
+        assert (substitution_kind(sub, 0), sub.int_var[0], sub.upper[0]) == (
+            "implied", want, upper)
 
 
 def test_preprocess_truncates_to_largest_distances(monkeypatch):
@@ -248,7 +292,7 @@ def test_implied_bound_partner_is_not_clipped():
     point = np.array([4.5, 5.0])
     ctx = preprocess(inst, point)
     assert ctx.substitution.upper[0] == 5.0
-    assert ctx.substitution.kind[0] == "implied"
+    assert substitution_kind(ctx.substitution, 0) == "implied"
     assert ctx.bad_weights.tolist() == [0.5]
     # the scalar reference clipped z into [0, 3] first, so x was not bad
     assert bound_distance(0, point, detect_variable_bounds(inst), inst) == 0.0
