@@ -24,7 +24,7 @@ from .instance import (
     detect_variable_bounds,
 )
 from .lasso import build_lasso_lp, build_reweighted_lp, lasso_aggregate, reweight
-from .lp import LpProblem, LpSolution, WarmStart, build_abs_value_lp, solve_lp
+from .lp import LpProblem, LpSolution, build_abs_value_lp, solve_lp
 from .mpsio import CutRecord, parse_mps, parse_solution, write_cuts
 from .mw import elimination_factor, mw_aggregate
 from .preprocess import SeparationContext, preprocess

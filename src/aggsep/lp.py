@@ -4,9 +4,13 @@ Sized for the small aggregation subproblems (tens of rows, up to a few
 thousand columns).  Two-phase, big-M free; Dantzig pricing with a Bland
 fallback after a run of degenerate pivots.  Every solve works on one
 standard form, the structural columns then one slack per 'L' row; a cold
-solve appends one artificial column per row.  The status vector over the
-standard-form columns of an optimal solve can warm-start a problem that
-differs only in objective and/or variable bounds.
+solve appends one artificial column per row.  The simplex loop solves
+each basis it visits once and returns the point and duals of the last
+one; the solution is certified and packed from those, with no further
+solve.  A warm start is the status vector over the standard-form columns
+of an optimal solve; it can restart a problem that differs only in
+objective and/or variable bounds.  A solve that ends other than optimal
+carries no point and no status vector.
 """
 
 from dataclasses import dataclass
@@ -80,12 +84,8 @@ class LpSolution:
     iterations: int = 0
 
     def warm_start(self):
-        return WarmStart(self.col_status.copy())
-
-
-@dataclass
-class WarmStart:
-    col_status: np.ndarray  # per standard-form column, see _standard_form
+        """The status vector that warm-starts ``solve_lp``; a copy."""
+        return self.col_status.copy()
 
 
 def _standard_form(problem):
@@ -162,10 +162,12 @@ def ratio_test(w, xb, lb, ub, sdir, tcap):
 
 
 def _simplex_loop(A, b, c, lb, ub, basis, status, enterable, max_iter):
-    """Primal iterations from a feasible basis; returns (code, iterations).
+    """Primal iterations from a feasible basis; returns (code, iterations, x, y).
 
-    code is OPTIMAL / UNBOUNDED / ITERATION_LIMIT.  basis and status are
-    updated in place.
+    code is OPTIMAL / UNBOUNDED / ITERATION_LIMIT.  For OPTIMAL and
+    UNBOUNDED, x and y are the point and duals of the final basis, which is
+    the one last solved; for ITERATION_LIMIT both are None.  basis and
+    status are updated in place.
     """
     degen = 0
     bland = False
@@ -173,28 +175,25 @@ def _simplex_loop(A, b, c, lb, ub, basis, status, enterable, max_iter):
     while True:
         B = A[:, basis]
         try:
-            xb = _basic_solve(A, B, b, lb, ub, basis, status)[basis]
+            x = _basic_solve(A, B, b, lb, ub, basis, status)
             y = np.linalg.solve(B.T, c[basis])
         except np.linalg.LinAlgError:
             raise LpFailure("singular basis matrix")
         d = c - y @ A
-        viol = np.zeros(len(c))
-        lowish = (status == AT_LOWER) | (status == FREE)
-        viol[lowish & enterable] = -d[lowish & enterable]
-        upish = status == AT_UPPER
-        viol[upish & enterable] = d[upish & enterable]
-        free_dn = (status == FREE) & enterable & (d > 0)
-        viol[free_dn] = d[free_dn]
+        # objective decrease per unit step: down from an upper bound, up
+        # from a lower bound, the better way for a free column
+        viol = np.where(status == AT_UPPER, d, np.where(status == FREE, np.abs(d), -d))
+        viol[~enterable] = 0.0
         viol[basis] = 0.0
         if bland:
             cand = np.flatnonzero(viol > OPT_TOL)
             if len(cand) == 0:
-                return OPTIMAL, it
+                return OPTIMAL, it, x, y
             j = int(cand[0])
         else:
             j = int(np.argmax(viol))
             if viol[j] <= OPT_TOL:
-                return OPTIMAL, it
+                return OPTIMAL, it, x, y
         if status[j] == AT_UPPER or (status[j] == FREE and d[j] > 0):
             sdir = -1.0
         else:
@@ -202,10 +201,10 @@ def _simplex_loop(A, b, c, lb, ub, basis, status, enterable, max_iter):
         w = np.linalg.solve(B, A[:, j])
         tcap = ub[j] - lb[j] if status[j] != FREE else np.inf
         t, leave, to_upper = ratio_test(
-            w, xb, lb[basis], ub[basis], sdir, float(tcap)
+            w, x[basis], lb[basis], ub[basis], sdir, float(tcap)
         )
         if not np.isfinite(t):
-            return UNBOUNDED, it
+            return UNBOUNDED, it, x, y
         if leave < 0:
             # entering variable flips to its opposite bound
             status[j] = AT_UPPER if status[j] == AT_LOWER else AT_LOWER
@@ -222,36 +221,11 @@ def _simplex_loop(A, b, c, lb, ub, basis, status, enterable, max_iter):
             degen = 0
         it += 1
         if it >= max_iter:
-            return ITERATION_LIMIT, it
+            return ITERATION_LIMIT, it, None, None
 
 
 def _feas_scale(b):
     return 1.0 + np.abs(b).max(initial=0.0)
-
-
-def _finish(problem, A, b, c, lb, ub, basis, status, width, iterations, lp_status):
-    """Solution at the final basis; ``width`` standard-form columns are kept."""
-    B = A[:, basis]
-    try:
-        x = _basic_solve(A, B, b, lb, ub, basis, status)
-        y = np.linalg.solve(B.T, c[basis])
-    except np.linalg.LinAlgError:
-        raise LpFailure("singular basis at termination")
-    if lp_status == OPTIMAL:
-        tol = FEAS_TOL * _feas_scale(b) * 10
-        resid = np.abs(A @ x - b).max(initial=0.0)
-        bound_viol = max(np.max(lb - x, initial=0.0), np.max(x - ub, initial=0.0))
-        if resid > tol or bound_viol > tol:
-            raise LpFailure("feasibility could not be certified", status=lp_status)
-    xs = x[: problem.n_cols]
-    return LpSolution(
-        status=lp_status,
-        x=xs,
-        duals=np.asarray(y, dtype=float),
-        objective=float(problem.obj @ xs),
-        col_status=status[:width].copy(),
-        iterations=iterations,
-    )
 
 
 def _try_warm(A, b, lb, ub, warm):
@@ -261,9 +235,9 @@ def _try_warm(A, b, lb, ub, warm):
     singular basis, or a basis that is not primal feasible for ``b``.
     """
     m, width = A.shape
-    if warm.col_status.shape != (width,):
+    if warm.shape != (width,):
         return None
-    status = warm.col_status.astype(np.int64)
+    status = warm.astype(np.int64)
     basis = np.flatnonzero(status == BASIC)
     if len(basis) != m:
         return None
@@ -284,10 +258,11 @@ def _try_warm(A, b, lb, ub, warm):
 
 
 def solve_lp(problem, warm=None):
-    """Solve an LpProblem, optionally warm-started from a prior basis.
+    """Solve an LpProblem, optionally warm-started from a prior status vector.
 
     The warm start is used only if its basis is primal feasible for the new
     data; otherwise the solve silently falls back to a cold two-phase run.
+    Only an optimal solution carries a point, duals and a status vector.
     """
     A, b, c, lb, ub = _standard_form(problem)
     m, width = A.shape
@@ -297,7 +272,7 @@ def solve_lp(problem, warm=None):
     if start is not None:
         basis, status = start
         enterable = np.ones(width, dtype=bool)
-        code, it = _simplex_loop(A, b, c, lb, ub, basis, status, enterable, max_iter)
+        code, it, x, y = _simplex_loop(A, b, c, lb, ub, basis, status, enterable, max_iter)
     else:
         # phase 1: artificial columns form the starting basis
         status = _default_status(lb, ub)
@@ -309,43 +284,57 @@ def solve_lp(problem, warm=None):
         status = np.concatenate([status, np.full(m, BASIC, dtype=np.int64)])
         basis = np.arange(width, width + m, dtype=np.int64)
         enterable = np.arange(width + m) < width
-        code, it1 = _simplex_loop(A, b, c1, lb, ub, basis, status, enterable, max_iter)
+        code, it, x, _ = _simplex_loop(A, b, c1, lb, ub, basis, status, enterable, max_iter)
         if code == ITERATION_LIMIT:
-            return LpSolution(status=ITERATION_LIMIT, iterations=it1)
-        x = _basic_solve(A, A[:, basis], b, lb, ub, basis, status)
+            return LpSolution(status=ITERATION_LIMIT, iterations=it)
         if np.sum(np.abs(x[basis[basis >= width]])) > FEAS_TOL * _feas_scale(b) * 10:
-            return LpSolution(status=INFEASIBLE, iterations=it1)
+            return LpSolution(status=INFEASIBLE, iterations=it)
 
         # phase 2: pin the artificials at zero (some may stay basic on
         # dependent rows), restore real costs
         lb[width:] = 0.0
         ub[width:] = 0.0
         c = np.concatenate([c, np.zeros(m)])
-        code, it2 = _simplex_loop(A, b, c, lb, ub, basis, status, enterable, max_iter)
-        it = it1 + it2
-        if code != OPTIMAL:
-            return LpSolution(status=code, iterations=it)
-    return _finish(problem, A, b, c, lb, ub, basis, status, width, it, code)
+        code, it2, x, y = _simplex_loop(A, b, c, lb, ub, basis, status, enterable, max_iter)
+        it += it2
+    if code != OPTIMAL:
+        return LpSolution(status=code, iterations=it)
+    tol = FEAS_TOL * _feas_scale(b) * 10
+    resid = np.abs(A @ x - b).max(initial=0.0)
+    bound_viol = max(np.max(lb - x, initial=0.0), np.max(x - ub, initial=0.0))
+    if resid > tol or bound_viol > tol:
+        raise LpFailure("feasibility could not be certified", status=OPTIMAL)
+    xs = x[: problem.n_cols]
+    return LpSolution(
+        status=OPTIMAL,
+        x=xs,
+        duals=y,
+        objective=float(problem.obj @ xs),
+        col_status=status[:width].copy(),
+        iterations=it,
+    )
 
 
 def build_abs_value_lp(terms, extra_cost, lam_lb, lam_ub):
     """LP for  min  sum_t w_t |expr_t(lam)| + extra_cost . lam.
 
-    Each term is ``(weight, coef_vector)`` describing the linear
+    Each term is a pair ``(weight, coef_vector)`` describing the linear
     expression ``coef_vector . lam`` with weight >= 0; the absolute value
     is split into mu+ - mu- with an equality row
     ``expr_t(lam) - mu+ + mu- = 0`` and cost ``w_t (mu+ + mu-)``.
     """
+    if any(not isinstance(term, (tuple, list)) or len(term) != 2 for term in terms):
+        raise ContractViolation("each absolute-value term must be a (weight, coef_vector) pair")
     lam_lb = np.asarray(lam_lb, dtype=float)
     lam_ub = np.asarray(lam_ub, dtype=float)
     k = len(lam_lb)
     nt = len(terms)
-    w = np.array([term[0] for term in terms], dtype=float)
+    w = np.array([weight for weight, _ in terms], dtype=float)
     if np.any(w < 0):
         raise ContractViolation("absolute-value weight must be nonnegative")
     t = np.arange(nt)
     A = np.zeros((nt, k + 2 * nt))
-    A[:, :k] = np.array([term[1] for term in terms], dtype=float).reshape(nt, k)
+    A[:, :k] = np.array([coef for _, coef in terms], dtype=float).reshape(nt, k)
     A[t, k + 2 * t] = -1.0
     A[t, k + 2 * t + 1] = 1.0
     obj = np.zeros(k + 2 * nt)

@@ -148,6 +148,14 @@ def test_abs_lp_negative_weight_rejected():
         build_abs_value_lp([(-1.0, [1.0])], [0.0], [0.0], [1.0])
 
 
+@pytest.mark.parametrize(
+    "term", [(1.0, [1.0, -1.0], 0.5), (1.0,), 1.0], ids=["triple", "single", "scalar"]
+)
+def test_abs_lp_term_must_be_a_pair(term):
+    with pytest.raises(ContractViolation):
+        build_abs_value_lp([term], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0])
+
+
 def test_abs_lp_two_term_shape_and_zero_optimum():
     # weighted |lam1 - lam2/3 - lam3/3| and |-2 lam1/3 - 4 lam2/3 + lam3|
     # with lam >= 0 and lam_1 >= 1; (1, 1, 2) reaches objective 0
@@ -173,8 +181,7 @@ def test_abs_lp_split_complementarity():
         k = int(rng.integers(1, 4))
         nt = int(rng.integers(1, 4))
         terms = [
-            (float(rng.uniform(0.1, 3.0)), rng.integers(-3, 4, size=k).astype(float),
-             float(rng.uniform(-2, 2)))
+            (float(rng.uniform(0.1, 3.0)), rng.integers(-3, 4, size=k).astype(float))
             for _ in range(nt)
         ]
         cost = rng.uniform(0.0, 1.0, size=k)
@@ -286,9 +293,9 @@ def _cross_check_cases():
     return cases
 
 
-@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
-def test_solve_lp_matches_highs(warm):
-    pytest.importorskip("scipy")
+def _check_against_highs(warm):
+    """Every cross-check case, cold or warm-started from its sibling's
+    optimal basis, ends like HiGHS: same status, same optimum, feasible."""
     statuses = set()
     for name, prob, sib in _cross_check_cases():
         start = None
@@ -309,3 +316,51 @@ def test_solve_lp_matches_highs(warm):
         eq = np.array([t == "E" for t in prob.row_type], dtype=bool)
         assert np.all(np.abs(res[eq]) <= 1e-6) and np.all(res[~eq] <= 1e-6), name
     assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_solve_lp_matches_highs(warm):
+    pytest.importorskip("scipy")
+    _check_against_highs(warm)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_bland_fallback_matches_highs(warm, monkeypatch):
+    # the first degenerate pivot switches every later pick to Bland's rule
+    pytest.importorskip("scipy")
+    monkeypatch.setattr(lp, "DEGEN_PIVOT_LIMIT", 0)
+    _check_against_highs(warm)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_non_optimal_solve_carries_no_point(warm):
+    cases = {name: (prob, sib) for name, prob, sib in _cross_check_cases()}
+    prob, sib = cases["unbounded"]
+    sol = solve_lp(prob, warm=solve_lp(sib).warm_start() if warm else None)
+    assert sol.status == UNBOUNDED
+    assert sol.x is None and sol.duals is None and sol.objective is None
+    assert sol.col_status is None
+
+
+def _rejected_start(kind):
+    """A problem and a status vector that cannot warm-start it."""
+    if kind == "singular-basis":
+        # columns 0 and 1 of the rows [1, 2, 0] and [2, 4, 1] are parallel
+        prob = _lp([1.0, 1.0, 1.0], [[1.0, 2.0, 0.0], [2.0, 4.0, 1.0]], ["E", "E"],
+                   [2.0, 5.0], [0.0] * 3, [np.inf] * 3)
+        return prob, np.array([lp.BASIC, lp.BASIC, lp.AT_LOWER])
+    prob = _lp([-1.0, -1.0], [[1.0, 2.0], [3.0, 1.0]], ["L", "L"], [4.0, 6.0],
+               [0.0, 0.0], [np.inf, np.inf])
+    status = solve_lp(prob).warm_start()
+    return prob, status[:-1] if kind == "short" else np.append(status, lp.AT_LOWER)
+
+
+@pytest.mark.parametrize("kind", ["short", "long", "singular-basis"])
+def test_rejected_warm_start_falls_back_to_cold(kind):
+    prob, start = _rejected_start(kind)
+    cold = solve_lp(prob)
+    warm = solve_lp(prob, warm=start)
+    assert cold.status == OPTIMAL
+    assert (warm.status, warm.objective, warm.iterations) == (
+        cold.status, cold.objective, cold.iterations
+    )
