@@ -19,7 +19,6 @@ class AggregationResult:
     residual_bad: tuple  # bad-variable indices still present in alpha
     algorithm: str  # 'mw' | 'lasso'
     starting_row: int
-    step: int = 0  # 0 = first emission for this starting row
 
     def recompute(self, instance):
         """Re-derive (alpha, beta) from the stored factors."""
@@ -33,7 +32,9 @@ class AggregationResult:
         return alpha, beta
 
 
-def make_result(ctx, factors, algorithm, starting_row, step, eliminated=()):
+def make_result(ctx, factors, algorithm, starting_row, eliminated=()):
+    """The aggregation of ``factors``: the starting row, and every other row
+    with a factor above ZERO_TOL."""
     A = ctx.instance.matrix
     b = ctx.instance.rhs
     alpha = np.zeros(ctx.instance.n_vars)
@@ -55,5 +56,4 @@ def make_result(ctx, factors, algorithm, starting_row, step, eliminated=()):
         residual_bad=tuple(ctx.bad_vars[np.abs(alpha[ctx.bad_vars]) > ZERO_TOL].tolist()),
         algorithm=algorithm,
         starting_row=int(starting_row),
-        step=step,
     )

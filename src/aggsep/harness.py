@@ -39,7 +39,10 @@ class SparsityMetrics:
     ratio: float = None  # bad_cols / total_bad_cols, None if undefined
     used_rows: float = 0.0  # mean active-factor count
     n_aggregations: int = 0
-    empty: bool = True
+
+    @property
+    def empty(self):  # derived, so it cannot disagree with n_aggregations
+        return self.n_aggregations == 0
 
 
 @dataclass
@@ -48,7 +51,6 @@ class RunResult:
     metrics: dict = field(default_factory=dict)  # algorithm -> SparsityMetrics
     aggregations: dict = field(default_factory=dict)  # algorithm -> [AggregationResult]
     diagnostics: list = field(default_factory=list)
-    nothing_to_do: bool = False
 
 
 def sparsity_metrics(aggregations, ctx):
@@ -72,7 +74,6 @@ def sparsity_metrics(aggregations, ctx):
         ratio=(mean_bad / mean_tot) if mean_tot > 0 else None,
         used_rows=float(np.mean(used_counts)),
         n_aggregations=len(aggregations),
-        empty=False,
     )
 
 
@@ -146,9 +147,6 @@ def run_separation(instance, point, config=None, duals=None):
                     result.cuts.append(cut)
         result.aggregations[algo] = aggs
         result.metrics[algo] = sparsity_metrics(aggs, ctx)
-
-    if all(m.empty for m in result.metrics.values()):
-        result.nothing_to_do = True
     return result
 
 

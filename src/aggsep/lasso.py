@@ -3,8 +3,9 @@
 First solve: an L1 surrogate that trades weighted bad-column mass against
 the slack of the aggregated base inequality.  While a bad column
 survives, iterative reweighting re-solves a slack-free variant restricted
-to the active rows, warm-started from the previous basis, until none is
-left or the round limit is hit.
+to the rows the first solve used, warm-started from the previous basis,
+until none is left or the round limit is hit.  All solves run through one
+loop with one ``solve_lp`` call and one failure path.
 """
 
 import numpy as np
@@ -67,36 +68,23 @@ def lasso_aggregate(ctx, i0, maxaggr=6):
     without emitting anything.
     """
     i0 = int(i0)
-    rows = ctx.useful_rows.tolist()
-    sol = solve_lp(build_lasso_lp(ctx, i0))
-    if sol.status != OPTIMAL:
-        raise LpFailure(
-            "lasso LP for starting row %d ended with status %s" % (i0, sol.status),
-            status=sol.status,
-        )
-
-    def current_factors():  # the LP's first columns are the factors of ``rows``
-        return {i: float(v) for i, v in zip(rows, sol.x) if v > ZERO_TOL or i == i0}
-
-    factors = current_factors()
-    active = sorted(factors)
+    rows = ctx.useful_rows.tolist()  # the LP's first columns are their factors
+    prob = build_lasso_lp(ctx, i0)
     w = _capped_weights(ctx)
+    warm = None
     results = []
-    c = 0
     while True:
-        res = make_result(ctx, factors, "lasso", i0, c)
+        sol = solve_lp(prob, warm=warm)
+        if sol.status != OPTIMAL:
+            raise LpFailure(
+                "lasso LP solve %d for starting row %d ended with status %s"
+                % (len(results) + 1, i0, sol.status),
+                status=sol.status,
+            )
+        res = make_result(ctx, dict(zip(rows, sol.x.tolist())), "lasso", i0)
         results.append(res)
-        if res.residual_bad and c < maxaggr:
-            w = reweight(w, res.alpha[ctx.bad_vars])
-            prob = build_reweighted_lp(ctx, active, i0, w)
-            sol = solve_lp(prob, warm=sol.warm_start())
-            if sol.status != OPTIMAL:
-                raise LpFailure(
-                    "reweighted LP for starting row %d ended with status %s"
-                    % (i0, sol.status),
-                    status=sol.status,
-                )
-            factors = current_factors()
-            c += 1
-        else:
+        if not res.residual_bad or len(results) > maxaggr:
             return results
+        w = reweight(w, res.alpha[ctx.bad_vars])
+        prob = build_reweighted_lp(ctx, results[0].used_rows, i0, w)
+        warm = sol.warm_start()

@@ -4,13 +4,16 @@ Sized for the small aggregation subproblems (tens of rows, up to a few
 thousand columns).  Two-phase, big-M free; Dantzig pricing with a Bland
 fallback after a run of degenerate pivots.  Every solve works on one
 standard form, the structural columns then one slack per 'L' row; a cold
-solve appends one artificial column per row.  The simplex loop solves
-each basis it visits once and returns the point and duals of the last
-one; the solution is certified and packed from those, with no further
-solve.  A warm start is the status vector over the standard-form columns
-of an optimal solve; it can restart a problem that differs only in
-objective and/or variable bounds.  A solve that ends other than optimal
-carries no point and no status vector.
+solve appends one artificial column per row.  The point travels with its
+basis: the simplex loop starts from the point of its starting basis,
+solves each new basis once, right after its pivot, and returns the point
+and duals of the last one; the solution is certified and packed from
+those, with no further solve.  A solve first finds a feasible start (an
+accepted warm basis, or phase 1's final basis with the artificials pinned
+at zero) and then makes one phase-2 run.  A warm start is the status
+vector over the standard-form columns of an optimal solve; it can restart
+a problem that differs only in objective and/or variable bounds.  A solve
+that ends other than optimal carries no point and no status vector.
 """
 
 from dataclasses import dataclass
@@ -118,8 +121,7 @@ def _basic_solve(A, B, b, lb, ub, basis, status):
 
     ``B`` is ``A[:, basis]``; raises ``np.linalg.LinAlgError`` if singular.
     """
-    x = _nonbasic_values(status, lb, ub)
-    x[basis] = 0.0
+    x = _nonbasic_values(status, lb, ub)  # basic columns read 0 here
     x[basis] = np.linalg.solve(B, b - A @ x)
     return x
 
@@ -143,85 +145,82 @@ def ratio_test(w, xb, lb, ub, sdir, tcap):
     """
     eps = 1e-10
     d = sdir * w
-    t = tcap
-    leave = -1
-    to_upper = False
-    with np.errstate(divide="ignore", invalid="ignore"):
-        down = np.where(d > eps, (xb - lb) / d, np.inf)
-        upr = np.where(d < -eps, (ub - xb) / (-d), np.inf)
-    down = np.where(np.isfinite(lb), down, np.inf)
-    upr = np.where(np.isfinite(ub), upr, np.inf)
-    ratios = np.minimum(down, upr)
+    pos = d > eps
+    neg = d < -eps
+    # an infinite bound gives an infinite ratio
+    ratios = np.full(len(d), np.inf)
+    ratios[pos] = (xb[pos] - lb[pos]) / d[pos]
+    ratios[neg] = (ub[neg] - xb[neg]) / -d[neg]
     if ratios.size:
         k = int(np.argmin(ratios))
-        if ratios[k] < t:
-            t = float(max(ratios[k], 0.0))
-            leave = k
-            to_upper = bool(upr[k] < down[k])
-    return t, leave, to_upper
+        if ratios[k] < tcap:
+            return float(max(ratios[k], 0.0)), k, bool(neg[k])
+    return tcap, -1, False
 
 
-def _simplex_loop(A, b, c, lb, ub, basis, status, enterable, max_iter):
+def _simplex_loop(A, b, c, lb, ub, basis, status, x, enterable, max_iter):
     """Primal iterations from a feasible basis; returns (code, iterations, x, y).
 
-    code is OPTIMAL / UNBOUNDED / ITERATION_LIMIT.  For OPTIMAL and
-    UNBOUNDED, x and y are the point and duals of the final basis, which is
-    the one last solved; for ITERATION_LIMIT both are None.  basis and
-    status are updated in place.
+    The x passed in is the point of the starting basis.  code is OPTIMAL /
+    UNBOUNDED / ITERATION_LIMIT.  For OPTIMAL and UNBOUNDED, x and y are
+    the point and duals of the final basis; for ITERATION_LIMIT both are
+    None.  Each new basis is solved once, right after its pivot.  basis
+    and status are updated in place.
     """
     degen = 0
     bland = False
     it = 0
-    while True:
-        B = A[:, basis]
-        try:
-            x = _basic_solve(A, B, b, lb, ub, basis, status)
+    B = A[:, basis]
+    try:
+        while True:
             y = np.linalg.solve(B.T, c[basis])
-        except np.linalg.LinAlgError:
-            raise LpFailure("singular basis matrix")
-        d = c - y @ A
-        # objective decrease per unit step: down from an upper bound, up
-        # from a lower bound, the better way for a free column
-        viol = np.where(status == AT_UPPER, d, np.where(status == FREE, np.abs(d), -d))
-        viol[~enterable] = 0.0
-        viol[basis] = 0.0
-        if bland:
-            cand = np.flatnonzero(viol > OPT_TOL)
-            if len(cand) == 0:
-                return OPTIMAL, it, x, y
-            j = int(cand[0])
-        else:
-            j = int(np.argmax(viol))
-            if viol[j] <= OPT_TOL:
-                return OPTIMAL, it, x, y
-        if status[j] == AT_UPPER or (status[j] == FREE and d[j] > 0):
-            sdir = -1.0
-        else:
-            sdir = 1.0
-        w = np.linalg.solve(B, A[:, j])
-        tcap = ub[j] - lb[j] if status[j] != FREE else np.inf
-        t, leave, to_upper = ratio_test(
-            w, x[basis], lb[basis], ub[basis], sdir, float(tcap)
-        )
-        if not np.isfinite(t):
-            return UNBOUNDED, it, x, y
-        if leave < 0:
-            # entering variable flips to its opposite bound
-            status[j] = AT_UPPER if status[j] == AT_LOWER else AT_LOWER
-        else:
-            out = basis[leave]
-            status[out] = AT_UPPER if to_upper else AT_LOWER
-            basis[leave] = j
-            status[j] = BASIC
-        if t <= 1e-10:
-            degen += 1
-            if degen > DEGEN_PIVOT_LIMIT:
-                bland = True
-        else:
-            degen = 0
-        it += 1
-        if it >= max_iter:
-            return ITERATION_LIMIT, it, None, None
+            d = c - y @ A
+            # objective decrease per unit step: down from an upper bound, up
+            # from a lower bound, the better way for a free column
+            viol = np.where(status == AT_UPPER, d, np.where(status == FREE, np.abs(d), -d))
+            viol[~enterable] = 0.0
+            viol[basis] = 0.0
+            if bland:
+                cand = np.flatnonzero(viol > OPT_TOL)
+                if len(cand) == 0:
+                    return OPTIMAL, it, x, y
+                j = int(cand[0])
+            else:
+                j = int(np.argmax(viol))
+                if viol[j] <= OPT_TOL:
+                    return OPTIMAL, it, x, y
+            if status[j] == AT_UPPER or (status[j] == FREE and d[j] > 0):
+                sdir = -1.0
+            else:
+                sdir = 1.0
+            w = np.linalg.solve(B, A[:, j])
+            tcap = ub[j] - lb[j] if status[j] != FREE else np.inf
+            t, leave, to_upper = ratio_test(
+                w, x[basis], lb[basis], ub[basis], sdir, float(tcap)
+            )
+            if not np.isfinite(t):
+                return UNBOUNDED, it, x, y
+            if leave < 0:
+                # entering variable flips to its opposite bound
+                status[j] = AT_UPPER if status[j] == AT_LOWER else AT_LOWER
+            else:
+                out = basis[leave]
+                status[out] = AT_UPPER if to_upper else AT_LOWER
+                basis[leave] = j
+                status[j] = BASIC
+            if t <= 1e-10:
+                degen += 1
+                if degen > DEGEN_PIVOT_LIMIT:
+                    bland = True
+            else:
+                degen = 0
+            it += 1
+            if it >= max_iter:
+                return ITERATION_LIMIT, it, None, None
+            B = A[:, basis]
+            x = _basic_solve(A, B, b, lb, ub, basis, status)
+    except np.linalg.LinAlgError:
+        raise LpFailure("singular basis matrix")
 
 
 def _feas_scale(b):
@@ -229,7 +228,7 @@ def _feas_scale(b):
 
 
 def _try_warm(A, b, lb, ub, warm):
-    """(basis, status) from a prior status vector, or None if it does not fit.
+    """(basis, status, x) from a prior status vector, or None if it does not fit.
 
     Rejects a vector of the wrong length, the wrong number of basics, a
     singular basis, or a basis that is not primal feasible for ``b``.
@@ -246,15 +245,16 @@ def _try_warm(A, b, lb, ub, warm):
     lost_ub = (status == AT_UPPER) & ~np.isfinite(ub)
     status[lost_ub] = np.where(np.isfinite(lb[lost_ub]), AT_LOWER, FREE)
     try:
-        xb = _basic_solve(A, A[:, basis], b, lb, ub, basis, status)[basis]
+        x = _basic_solve(A, A[:, basis], b, lb, ub, basis, status)
     except np.linalg.LinAlgError:
         return None
+    xb = x[basis]
     tol = FEAS_TOL * _feas_scale(b)
     if np.max(lb[basis] - xb, initial=0.0) > tol or np.max(
         xb - ub[basis], initial=0.0
     ) > tol:
         return None
-    return basis, status
+    return basis, status, x
 
 
 def solve_lp(problem, warm=None):
@@ -270,9 +270,9 @@ def solve_lp(problem, warm=None):
 
     start = None if warm is None else _try_warm(A, b, lb, ub, warm)
     if start is not None:
-        basis, status = start
+        basis, status, x = start
         enterable = np.ones(width, dtype=bool)
-        code, it, x, y = _simplex_loop(A, b, c, lb, ub, basis, status, enterable, max_iter)
+        it = 0
     else:
         # phase 1: artificial columns form the starting basis
         status = _default_status(lb, ub)
@@ -284,19 +284,21 @@ def solve_lp(problem, warm=None):
         status = np.concatenate([status, np.full(m, BASIC, dtype=np.int64)])
         basis = np.arange(width, width + m, dtype=np.int64)
         enterable = np.arange(width + m) < width
-        code, it, x, _ = _simplex_loop(A, b, c1, lb, ub, basis, status, enterable, max_iter)
+        x = _basic_solve(A, A[:, basis], b, lb, ub, basis, status)
+        code, it, x, _ = _simplex_loop(A, b, c1, lb, ub, basis, status, x, enterable, max_iter)
         if code == ITERATION_LIMIT:
             return LpSolution(status=ITERATION_LIMIT, iterations=it)
         if np.sum(np.abs(x[basis[basis >= width]])) > FEAS_TOL * _feas_scale(b) * 10:
             return LpSolution(status=INFEASIBLE, iterations=it)
-
-        # phase 2: pin the artificials at zero (some may stay basic on
-        # dependent rows), restore real costs
+        # pin the artificials at zero (some may stay basic on dependent
+        # rows); the basis keeps its point, so phase 2 starts from phase 1's
         lb[width:] = 0.0
         ub[width:] = 0.0
         c = np.concatenate([c, np.zeros(m)])
-        code, it2, x, y = _simplex_loop(A, b, c, lb, ub, basis, status, enterable, max_iter)
-        it += it2
+
+    # phase 2 from the feasible start
+    code, it2, x, y = _simplex_loop(A, b, c, lb, ub, basis, status, x, enterable, max_iter)
+    it += it2
     if code != OPTIMAL:
         return LpSolution(status=code, iterations=it)
     tol = FEAS_TOL * _feas_scale(b) * 10

@@ -41,7 +41,7 @@ def mw_aggregate(ctx, i0, maxaggr=6):
     used = ctx.bound_row.copy()  # implied-bound rows count as used from the start
     used[p0] = True
     eliminated = []  # bad-column positions, in elimination order
-    results = [make_result(ctx, factors, "mw", i0, 0)]
+    results = [make_result(ctx, factors, "mw", i0)]
 
     for q in range(block.shape[1]):
         if len(eliminated) >= maxaggr:
@@ -60,7 +60,7 @@ def mw_aggregate(ctx, i0, maxaggr=6):
             factors[int(rows[p])] = lam
             used[p] = True
             eliminated.append(q)
-            results.append(make_result(ctx, factors, "mw", i0, len(eliminated),
+            results.append(make_result(ctx, factors, "mw", i0,
                                        ctx.bad_vars[eliminated].tolist()))
             break
     return results

@@ -73,7 +73,7 @@ def test_run_separation_example1(example1, example1_point):
     )
     assert res.metrics["lasso"].bad_cols == pytest.approx(0.0)
     assert res.metrics["mw"].bad_cols >= 1.0
-    assert not res.nothing_to_do
+    assert not any(m.empty for m in res.metrics.values())
 
 
 def test_run_separation_nothing_to_do():
@@ -81,7 +81,9 @@ def test_run_separation_nothing_to_do():
         "t", [Variable("x", CONTINUOUS, 0.0, 5.0)], [Row("r", {"x": 1.0}, 9.0)]
     )
     res = run_separation(inst, np.array([5.0]))
-    assert res.nothing_to_do
+    assert res.diagnostics == [
+        "%s: nothing to do (no bad variables)" % algo for algo in ("mw", "lasso")
+    ]
     assert res.cuts == []
     assert all(m.empty for m in res.metrics.values())
 

@@ -62,3 +62,42 @@ def test_ratio_test_bound_flip_cap():
     assert t == pytest.approx(4.0)
     assert leave == -1
 
+
+
+def _ratio_test_reference(w, xb, lb, ub, sdir, tcap):
+    """Scalar ratio test: the first smallest ratio blocks if it beats tcap."""
+    best, leave, to_upper = np.inf, -1, False
+    for k in range(len(w)):
+        d = sdir * w[k]
+        if d > 1e-10 and np.isfinite(lb[k]):
+            r, up = (xb[k] - lb[k]) / d, False
+        elif d < -1e-10 and np.isfinite(ub[k]):
+            r, up = (ub[k] - xb[k]) / -d, True
+        else:
+            continue
+        if r < best:
+            best, leave, to_upper = r, k, up
+    if best < tcap:
+        return max(best, 0.0), leave, to_upper
+    return tcap, -1, False
+
+
+def test_ratio_test_matches_scalar_loop():
+    rng = np.random.default_rng(3)
+    seen = set()
+    for _ in range(400):
+        m = int(rng.integers(1, 8))
+        w = rng.normal(size=m) * rng.choice([0.0, 1e-12, 1.0], size=m, p=[0.15, 0.1, 0.75])
+        lb = np.where(rng.random(m) < 0.3, -np.inf, rng.uniform(-3, 0, size=m))
+        ub = np.where(rng.random(m) < 0.3, np.inf, rng.uniform(0, 3, size=m))
+        # basic values inside their bounds, now and then a little outside
+        xb = np.clip(rng.uniform(-4, 4, size=m), lb, ub) + rng.choice(
+            [0.0, -1e-9, 1e-9], size=m, p=[0.8, 0.1, 0.1])
+        sdir = float(rng.choice([-1.0, 1.0]))
+        tcap = float(rng.choice([np.inf, rng.uniform(0, 4)]))
+        got = ratio_test(w, xb, lb, ub, sdir, tcap)
+        assert got == _ratio_test_reference(w, xb, lb, ub, sdir, tcap)
+        t, leave, to_upper = got
+        seen.add("upper" if to_upper else "lower" if leave >= 0 else
+                 "unbounded" if t == np.inf else "flip")
+    assert seen == {"upper", "lower", "flip", "unbounded"}

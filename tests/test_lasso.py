@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from aggsep.errors import ContractViolation
+from aggsep import lasso
+from aggsep.errors import ContractViolation, LpFailure
+from aggsep.harness import POLICY_ALL, RunConfig, run_separation
 from aggsep.instance import CONTINUOUS, INTEGER, MilpInstance, Row, Variable
 from aggsep.lasso import (
     build_lasso_lp,
@@ -9,7 +11,7 @@ from aggsep.lasso import (
     lasso_aggregate,
     reweight,
 )
-from aggsep.lp import OPTIMAL, solve_lp
+from aggsep.lp import ITERATION_LIMIT, OPTIMAL, LpSolution, solve_lp
 from aggsep.mw import mw_aggregate
 from aggsep.preprocess import preprocess
 
@@ -117,6 +119,33 @@ def test_lasso_stuck_instance_runs_maxaggr_rounds():
     assert len(results) == 4
     for res in results:
         assert res.residual_bad == (0,)
+
+
+@pytest.mark.parametrize("failing", [0, 1], ids=["first-solve", "first-re-solve"])
+def test_lasso_lp_failure_emits_nothing(monkeypatch, failing):
+    inst = _stuck_instance()
+    point = np.array([2.0, 1.5])
+    warms = []
+
+    def solve(prob, warm=None):
+        warms.append(warm)
+        if len(warms) == failing + 1:
+            return LpSolution(status=ITERATION_LIMIT, iterations=7)
+        return solve_lp(prob, warm=warm)
+
+    monkeypatch.setattr(lasso, "solve_lp", solve)
+    with pytest.raises(LpFailure) as exc:
+        lasso_aggregate(preprocess(inst, point), 0, maxaggr=3)
+    assert exc.value.status == ITERATION_LIMIT
+    assert "solve %d " % (failing + 1) in str(exc.value)
+    assert len(warms) == failing + 1
+    assert (warms[-1] is None) == (failing == 0)  # re-solves are warm-started
+
+    warms.clear()
+    res = run_separation(inst, point, RunConfig(algorithm="lasso", start_policy=POLICY_ALL))
+    assert res.aggregations["lasso"] == [] and res.cuts == []
+    assert res.metrics["lasso"].empty
+    assert len(res.diagnostics) == 1 and ITERATION_LIMIT in res.diagnostics[0]
 
 
 def test_lasso_invariants_support_and_bounds(example1, example1_ctx):

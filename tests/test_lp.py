@@ -364,3 +364,24 @@ def test_rejected_warm_start_falls_back_to_cold(kind):
     assert (warm.status, warm.objective, warm.iterations) == (
         cold.status, cold.objective, cold.iterations
     )
+
+
+def test_accepted_warm_basis_is_solved_once(monkeypatch):
+    # max x + y  s.t.  x + 2y <= 4, 3x + y <= 6: restarting from its own
+    # optimum takes 0 pivots, so the only solves are the warm basis's point
+    # (in the warm-start feasibility test) and its duals
+    prob = _lp([-1.0, -1.0], [[1.0, 2.0], [3.0, 1.0]], ["L", "L"], [4.0, 6.0],
+               [0.0, 0.0], [np.inf, np.inf])
+    start = solve_lp(prob).warm_start()
+    calls = []
+    real_solve = np.linalg.solve
+
+    def counting_solve(*args, **kwargs):
+        calls.append(1)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    sol = solve_lp(prob, warm=start)
+    assert (sol.status, sol.iterations) == (OPTIMAL, 0)
+    assert sol.objective == pytest.approx(-2.8)
+    assert len(calls) == 2
