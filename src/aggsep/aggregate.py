@@ -22,33 +22,29 @@ class AggregationResult:
 
     def recompute(self, instance):
         """Re-derive (alpha, beta) from the stored factors."""
-        A = instance.matrix
-        b = instance.rhs
-        alpha = np.zeros(instance.n_vars)
-        beta = 0.0
-        for i, lam in self.factors.items():
-            alpha += lam * A[i]
-            beta += lam * b[i]
-        return alpha, beta
+        return _combine(instance, self.factors)
+
+
+def _combine(instance, factors):
+    """lambda^T (A, b): the rows of ``factors`` added in its order."""
+    A = instance.matrix
+    b = instance.rhs
+    alpha = np.zeros(instance.n_vars)
+    beta = 0.0
+    for i, lam in factors.items():
+        alpha += lam * A[i]
+        beta += lam * b[i]
+    return alpha, beta
 
 
 def make_result(ctx, factors, algorithm, starting_row, eliminated=()):
     """The aggregation of ``factors``: the starting row, and every other row
-    with a factor above ZERO_TOL."""
-    A = ctx.instance.matrix
-    b = ctx.instance.rhs
-    alpha = np.zeros(ctx.instance.n_vars)
-    beta = 0.0
-    used = []
-    for i in sorted(factors):
-        lam = factors[i]
-        if lam <= ZERO_TOL and i != starting_row:
-            continue
-        alpha += lam * A[i]
-        beta += lam * b[i]
-        used.append(i)
+    with a factor above ZERO_TOL, added in row order."""
+    used = {i: float(lam) for i, lam in sorted(factors.items())
+            if not (lam <= ZERO_TOL and i != starting_row)}
+    alpha, beta = _combine(ctx.instance, used)
     return AggregationResult(
-        factors={i: float(factors[i]) for i in used},
+        factors=used,
         alpha=alpha,
         beta=float(beta),
         used_rows=tuple(used),

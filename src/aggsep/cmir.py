@@ -44,6 +44,12 @@ class MixedKnapsackRow:
     def q(self):
         return len(self.a)
 
+    @property
+    def fractional(self):
+        """Mask of the positions whose point value is fractional."""
+        fz = self.zbar - np.floor(self.zbar)
+        return np.minimum(fz, 1.0 - fz) > FRACTIONAL_TOL
+
 
 @dataclass
 class CmirCut:
@@ -130,9 +136,38 @@ def bound_substitute(aggregation, ctx):
 
 
 def _running_sum(start, terms):
-    """``start`` plus ``terms``, added left to right: the bytes of b, sbar
-    and the cut's right-hand sides depend on this summation order."""
+    """``start`` plus ``terms``, added left to right: the bytes of b, sbar,
+    beta and the mapped-back right-hand side depend on this summation order."""
     return float(np.cumsum(np.concatenate(([start], terms)))[-1])
+
+
+def _score(k, U, deltas):
+    """The cut of partition (T, U) at each scaling in ``deltas``, T being
+    the positions not in U.
+
+    Returns (beta, f, live, z, rhs, s_coef, violation), one entry (for z,
+    one row of knapsack coefficients) per delta; ``live`` is False where f
+    is within DEGENERATE_F_TOL of an integer, and those rows are not cuts.
+    Each delta's entries are computed in one fixed order, whichever deltas
+    come with it: rhs adds floor(beta), then -g_j u_j over U in U's order,
+    and the violation in knapsack space is one dot product of the row with
+    zbar (a matrix-vector product would sum in another order), less rhs,
+    less s_coef * sbar.
+    """
+    U = np.asarray(U, dtype=np.intp)
+    beta = (k.b - _running_sum(0.0, k.a[U] * k.u[U])) / deltas
+    floor_beta = np.floor(beta)
+    f = beta - floor_beta
+    live = ~(np.minimum(f, 1.0 - f) < DEGENERATE_F_TOL)
+    sign = np.ones(k.q)
+    sign[U] = -1.0
+    with np.errstate(divide="ignore", invalid="ignore"):  # f == 1 is not live
+        z = sign * g_values(sign * k.a / deltas[:, None], f[:, None])
+        s_coef = 1.0 / (deltas * (1.0 - f))
+    # one column per delta: floor(beta), then one row per U position
+    rhs = np.cumsum(np.concatenate((floor_beta[None], (z[:, U] * k.u[U]).T)), axis=0)[-1]
+    violation = np.array([row @ k.zbar for row in z]) - rhs - s_coef * k.sbar
+    return beta, f, live, z, rhs, s_coef, violation
 
 
 def cmir_inequality(k, T, U, delta):
@@ -147,26 +182,19 @@ def cmir_inequality(k, T, U, delta):
     U = tuple(int(j) for j in U)
     if not np.array_equal(np.sort(np.array(T + U, dtype=np.int64)), np.arange(k.q)):
         raise ContractViolation("(T, U) must partition the knapsack positions")
-    beta = (k.b - sum(k.a[j] * k.u[j] for j in U)) / delta
-    f = beta - math.floor(beta)
-    if min(f, 1.0 - f) < DEGENERATE_F_TOL:
-        raise DegenerateCutError("fraction %r is numerically integral" % f)
-    t_pos, u_pos = list(T), list(U)
-    z_coefs = np.zeros(k.q)
-    z_coefs[t_pos] = g_values(k.a[t_pos] / delta, f)
-    g_u = g_values(-k.a[u_pos] / delta, f)
-    z_coefs[u_pos] = -g_u
-    rhs = _running_sum(math.floor(beta), -(g_u * k.u[u_pos]))  # in U order
-    s_coef = 1.0 / (delta * (1.0 - f))
+    beta, f, live, z, rhs, s_coef, violation = _score(k, U, np.array([delta], dtype=float))
+    if not live[0]:
+        raise DegenerateCutError("fraction %r is numerically integral" % float(f[0]))
     cut = CmirCut(
         partition_t=T,
         partition_u=U,
         delta=float(delta),
-        beta=float(beta),
-        f=float(f),
-        z_coefs=z_coefs,
-        rhs_knapsack=float(rhs),
-        s_coef=float(s_coef),
+        beta=float(beta[0]),
+        f=float(f[0]),
+        z_coefs=z[0],
+        rhs_knapsack=float(rhs[0]),
+        s_coef=float(s_coef[0]),
+        violation=float(violation[0]),
     )
     _map_back(cut, k)
     return cut
@@ -199,10 +227,6 @@ def _map_back(cut, k):
     keep = np.abs(acc) > ZERO_TOL
     cut.coefficients = dict(zip(keys[keep].tolist(), acc[keep].tolist()))
     cut.rhs = _running_sum(cut.rhs_knapsack, np.concatenate(rhs_terms))
-    # violation in knapsack space; the affine map back preserves it
-    cut.violation = float(
-        cut.z_coefs @ k.zbar - cut.rhs_knapsack - cut.s_coef * k.sbar
-    )
 
 
 def proximity_partition(k):
@@ -217,8 +241,7 @@ def delta_candidates(k):
 
     A float array in that order, each value at its first occurrence.
     """
-    fz = k.zbar - np.floor(k.zbar)
-    base = np.concatenate(([1.0], np.abs(k.a[np.minimum(fz, 1.0 - fz) > FRACTIONAL_TOL])))
+    base = np.concatenate(([1.0], np.abs(k.a[k.fractional])))
     cands = (base[:, None] / np.array([1.0, 2.0, 4.0])).ravel()
     cands = cands[cands > 0]
     _, first = np.unique(cands, return_index=True)
@@ -229,56 +252,25 @@ def select_partition_and_delta(k):
     """Most violated cut over the candidate deltas, or None below
     ``VIOLATION_THRESHOLD``.
 
-    Every non-degenerate delta is scored at once on an (n_delta x q)
-    array.  The array's summation order differs from ``cmir_inequality``'s,
-    so it only filters: each candidate it cannot tell from the maximum,
-    within a bound on the rounding error of both evaluations, is built
-    exactly, and the first strict maximum of those exact violations wins.
+    ``_score`` rates every delta at once; the first maximum of the
+    violation over the live deltas wins, and only that cut is built.
     """
     if k.q == 0:
         return None
     T, U = proximity_partition(k)
     deltas = delta_candidates(k)
-    # the same sum, in the same order, as in cmir_inequality
-    beta = (k.b - sum(k.a[j] * k.u[j] for j in U)) / deltas
-    f = beta - np.floor(beta)
-    live = ~(np.minimum(f, 1.0 - f) < DEGENERATE_F_TOL)
+    _, _, live, _, _, _, violation = _score(k, U, deltas)
     if not live.any():
         return None
-    deltas, beta, f = deltas[live], beta[live], f[live]
-    in_u = np.zeros(k.q, dtype=bool)
-    in_u[list(U)] = True
-    sign = np.where(in_u, -1.0, 1.0)
-    g = g_values(sign * k.a / deltas[:, None], f[:, None])
-    z = sign * g
-    gu = g[:, in_u] * k.u[in_u]
-    floor_beta = np.floor(beta)
-    s_term = 1.0 / (deltas * (1.0 - f)) * k.sbar
-    viol = z @ k.zbar - (floor_beta - gu.sum(axis=1)) - s_term
-    # summing n terms in any order is off by at most about n * eps/2 times
-    # the sum of their magnitudes, so the array and the exact violation of
-    # one candidate differ by less than err
-    scale = np.abs(z) @ np.abs(k.zbar) + np.abs(floor_beta) + np.abs(gu).sum(axis=1) + np.abs(s_term)
-    err = (k.q + 3) * np.finfo(np.float64).eps * scale
-    top = int(np.argmax(viol))
-    keep = viol + err >= viol[top] - err[top] - 1e-9 * (1.0 + abs(viol[top]))
-    best = None
-    for delta in deltas[keep]:
-        cut = cmir_inequality(k, T, U, delta)
-        if best is None or cut.violation > best.violation:
-            best = cut
-    if best is not None and best.violation > VIOLATION_THRESHOLD:
-        return best
-    return None
+    best = np.flatnonzero(live)[np.argmax(violation[live])]
+    cut = cmir_inequality(k, T, U, deltas[best])
+    return cut if cut.violation > VIOLATION_THRESHOLD else None
 
 
 def separate_on_aggregation(aggregation, ctx, cut_name):
     """bound substitution -> (T, U, delta) search -> CutRecord, or None."""
     k = bound_substitute(aggregation, ctx)
-    if k is None or k.q == 0:
-        return None
-    fz = k.zbar - np.floor(k.zbar)
-    if np.all(np.minimum(fz, 1.0 - fz) <= FRACTIONAL_TOL):
+    if k is None or not k.fractional.any():
         return None
     cut = select_partition_and_delta(k)
     if cut is None:

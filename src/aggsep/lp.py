@@ -65,7 +65,12 @@ class LpProblem:
             raise ContractViolation("inconsistent LP column dimensions")
         if len(self.row_type) != m:
             raise ContractViolation("inconsistent LP row dimensions")
-        if np.any(self.col_lb > self.col_ub):
+        if not all(np.isfinite(v).all() for v in (self.obj, self.A, self.rhs)):
+            raise ContractViolation("LP has a non-finite cost, coefficient or right-hand side")
+        lb, ub = self.col_lb, self.col_ub
+        if not (np.all(lb < np.inf) and np.all(ub > -np.inf)):  # False on a NaN too
+            raise ContractViolation("LP has a NaN bound, a +inf lower or a -inf upper bound")
+        if np.any(lb > ub):
             raise ContractViolation("LP has a column with lower > upper")
 
     @property
@@ -304,7 +309,7 @@ def solve_lp(problem, warm=None):
     tol = FEAS_TOL * _feas_scale(b) * 10
     resid = np.abs(A @ x - b).max(initial=0.0)
     bound_viol = max(np.max(lb - x, initial=0.0), np.max(x - ub, initial=0.0))
-    if resid > tol or bound_viol > tol:
+    if not (resid <= tol and bound_viol <= tol):  # a NaN fails too
         raise LpFailure("feasibility could not be certified", status=OPTIMAL)
     xs = x[: problem.n_cols]
     return LpSolution(

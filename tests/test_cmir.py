@@ -164,6 +164,19 @@ def test_select_no_fractionality_no_cut():
     assert select_partition_and_delta(k) is None
 
 
+def test_select_tie_keeps_the_earlier_delta():
+    # the candidates are 1, 1/2, 1/4, 4, 2; delta = 4 and delta = 2 give
+    # different cuts with the same violation, and the earlier one wins
+    k = _knap([4.0, 2.0], [2, 3], 7.5, zbar=[1.25, 0.75])
+    assert delta_candidates(k).tolist() == [1.0, 0.5, 0.25, 4.0, 2.0]
+    tied = [cmir_inequality(k, (1,), (0,), delta) for delta in (4.0, 2.0)]
+    assert tied[0].violation == tied[1].violation == 0.25
+    assert tied[0].z_coefs.tolist() != tied[1].z_coefs.tolist()
+    cut = select_partition_and_delta(k)
+    assert cut.delta == reference_select(k).delta == 4.0
+    assert cut.z_coefs.tobytes() == tied[0].z_coefs.tobytes()
+
+
 def _equivalence_row(rng, case):
     """A random row; cases 1-3 give integral points, all-degenerate and near-zero f."""
     k = random_knapsack_row(rng, max_q=120, max_u=5)

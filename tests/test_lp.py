@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from aggsep import lp
-from aggsep.errors import ContractViolation
+from aggsep.errors import ContractViolation, LpFailure
 from aggsep.lp import (
     INFEASIBLE,
     ITERATION_LIMIT,
@@ -208,6 +208,39 @@ def test_matrix_shape_must_match_rows_and_columns():
         )
 
 
+def _one_column(**change):
+    """min -x  s.t.  x <= 1,  0 <= x <= 2, with ``change`` applied."""
+    data = dict(obj=[-1.0], A=[[1.0]], row_type=["L"], rhs=[1.0], col_lb=[0.0], col_ub=[2.0])
+    data.update(change)
+    return LpProblem(**data)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"rhs": [np.nan]},
+        {"obj": [np.nan]},
+        {"A": [[np.nan]]},
+        {"col_ub": [np.nan]},
+        {"col_lb": [np.inf], "col_ub": [np.inf]},
+        {"col_lb": [-np.inf], "col_ub": [-np.inf]},
+    ],
+    ids=["nan-rhs", "nan-obj", "nan-A", "nan-upper", "fixed-at-+inf", "fixed-at--inf"],
+)
+def test_non_finite_data_rejected(change):
+    with pytest.raises(ContractViolation):
+        _one_column(**change)
+
+
+def test_nan_point_is_not_certified():
+    # a NaN written past the contract check makes every residual NaN,
+    # which the feasibility certificate must refuse
+    prob = _one_column()
+    prob.rhs[0] = np.nan
+    with pytest.raises(LpFailure):
+        solve_lp(prob)
+
+
 @pytest.mark.parametrize(
     "A, row_type, rhs, obj, want_x, want_obj",
     [
@@ -385,3 +418,28 @@ def test_accepted_warm_basis_is_solved_once(monkeypatch):
     assert (sol.status, sol.iterations) == (OPTIMAL, 0)
     assert sol.objective == pytest.approx(-2.8)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("bland", [False, True], ids=["dantzig", "bland"])
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_duals_price_the_final_basis(warm, bland, monkeypatch):
+    # reduced costs d = c - A^T y over the standard-form columns, the
+    # structurals and then the slack e_i of each 'L' row, agree with the
+    # status of each column at the optimum
+    if bland:
+        monkeypatch.setattr(lp, "DEGEN_PIVOT_LIMIT", 0)
+    checked = 0
+    for name, prob, sib in _cross_check_cases():
+        sol = solve_lp(prob, warm=solve_lp(sib).warm_start() if warm else None)
+        if sol.status != OPTIMAL:
+            continue
+        slack_rows = [i for i, t in enumerate(prob.row_type) if t == "L"]
+        d = np.concatenate([prob.obj - prob.A.T @ sol.duals, -sol.duals[slack_rows]])
+        st = sol.col_status
+        assert len(d) == len(st), name
+        tol = lp.OPT_TOL
+        assert np.all(np.abs(d[(st == lp.BASIC) | (st == lp.FREE)]) <= tol), name
+        assert np.all(d[st == lp.AT_LOWER] >= -tol), name
+        assert np.all(d[st == lp.AT_UPPER] <= tol), name
+        checked += 1
+    assert checked >= 30
