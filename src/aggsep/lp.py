@@ -4,16 +4,21 @@ Sized for the small aggregation subproblems (tens of rows, up to a few
 thousand columns).  Two-phase, big-M free; Dantzig pricing with a Bland
 fallback after a run of degenerate pivots.  Every solve works on one
 standard form, the structural columns then one slack per 'L' row; a cold
-solve appends one artificial column per row.  The point travels with its
+solve appends one artificial column per row.  A cold solve starts from a
+crash basis (Bixby 1992): a row takes the first column whose only nonzero
+lies in it and whose value solving the row is within bounds, and only
+the remaining rows start with a basic artificial; a crashed row's
+artificial is nonbasic and fixed at zero.  The point travels with its
 basis: the simplex loop starts from the point of its starting basis,
 solves each new basis once, right after its pivot, and returns the point
 and duals of the last one; the solution is certified and packed from
 those, with no further solve.  A solve first finds a feasible start (an
-accepted warm basis, or phase 1's final basis with the artificials pinned
-at zero) and then makes one phase-2 run.  A warm start is the status
-vector over the standard-form columns of an optimal solve; it can restart
-a problem that differs only in objective and/or variable bounds.  A solve
-that ends other than optimal carries no point and no status vector.
+accepted warm basis, the crash basis when no artificial is basic, or
+else phase 1's final basis with the artificials pinned at zero) and then
+makes one phase-2 run.  A warm start is the status vector over the
+standard-form columns of an optimal solve; it can restart a problem that
+differs only in objective and/or variable bounds.  A solve that ends
+other than optimal carries no point and no status vector.
 """
 
 from dataclasses import dataclass
@@ -262,43 +267,68 @@ def _try_warm(A, b, lb, ub, warm):
     return basis, status, x
 
 
+def _crash(A, r, x0, lb, ub):
+    """(rows, cols) of a crash basis (Bixby 1992): the columns that start basic.
+
+    ``x0`` holds every column at its default bound and ``r`` is
+    ``b - A x0``.  Row i takes the first column, in column order, whose
+    only nonzero lies in row i and whose solving value ``x0_j + r_i / a_ij``
+    lies within its bounds.  rows and cols are aligned, rows ascending.
+    """
+    nz = A != 0
+    cols = np.flatnonzero(np.count_nonzero(nz, axis=0) == 1)
+    rows = np.nonzero(nz[:, cols].T)[1]
+    value = x0[cols] + r[rows] / A[rows, cols]
+    ok = (value >= lb[cols]) & (value <= ub[cols])
+    rows, first = np.unique(rows[ok], return_index=True)
+    return rows, cols[ok][first]
+
+
 def solve_lp(problem, warm=None):
     """Solve an LpProblem, optionally warm-started from a prior status vector.
 
     The warm start is used only if its basis is primal feasible for the new
-    data; otherwise the solve silently falls back to a cold two-phase run.
+    data; otherwise the solve silently runs cold: from the crash basis,
+    with phase 1 only when that basis keeps an artificial basic.
     Only an optimal solution carries a point, duals and a status vector.
     """
     A, b, c, lb, ub = _standard_form(problem)
     m, width = A.shape
     max_iter = MAX_ITER_FACTOR * (problem.n_rows + problem.n_cols)
 
+    it = 0
     start = None if warm is None else _try_warm(A, b, lb, ub, warm)
     if start is not None:
         basis, status, x = start
         enterable = np.ones(width, dtype=bool)
-        it = 0
     else:
-        # phase 1: artificial columns form the starting basis
+        # crash basis: one-nonzero columns take their rows, artificials the rest
         status = _default_status(lb, ub)
-        r = b - A @ _nonbasic_values(status, lb, ub)
+        x0 = _nonbasic_values(status, lb, ub)
+        r = b - A @ x0
+        rows, cols = _crash(A, r, x0, lb, ub)
+        art = np.ones(m, dtype=bool)
+        art[rows] = False
         A = np.hstack([A, np.diag(np.where(r >= 0, 1.0, -1.0))])
         lb = np.concatenate([lb, np.zeros(m)])
-        ub = np.concatenate([ub, np.full(m, np.inf)])
-        c1 = np.concatenate([np.zeros(width), np.ones(m)])
-        status = np.concatenate([status, np.full(m, BASIC, dtype=np.int64)])
+        ub = np.concatenate([ub, np.where(art, np.inf, 0.0)])
+        status = np.concatenate([status, np.where(art, BASIC, AT_LOWER)])
+        status[cols] = BASIC
         basis = np.arange(width, width + m, dtype=np.int64)
+        basis[rows] = cols
         enterable = np.arange(width + m) < width
         x = _basic_solve(A, A[:, basis], b, lb, ub, basis, status)
-        code, it, x, _ = _simplex_loop(A, b, c1, lb, ub, basis, status, x, enterable, max_iter)
-        if code == ITERATION_LIMIT:
-            return LpSolution(status=ITERATION_LIMIT, iterations=it)
-        if np.sum(np.abs(x[basis[basis >= width]])) > FEAS_TOL * _feas_scale(b) * 10:
-            return LpSolution(status=INFEASIBLE, iterations=it)
-        # pin the artificials at zero (some may stay basic on dependent
-        # rows); the basis keeps its point, so phase 2 starts from phase 1's
-        lb[width:] = 0.0
-        ub[width:] = 0.0
+        if art.any():
+            # phase 1 drives the basic artificials to zero
+            c1 = np.concatenate([np.zeros(width), np.ones(m)])
+            code, it, x, _ = _simplex_loop(A, b, c1, lb, ub, basis, status, x, enterable, max_iter)
+            if code == ITERATION_LIMIT:
+                return LpSolution(status=ITERATION_LIMIT, iterations=it)
+            if np.sum(np.abs(x[basis[basis >= width]])) > FEAS_TOL * _feas_scale(b) * 10:
+                return LpSolution(status=INFEASIBLE, iterations=it)
+            # pin the artificials at zero (some may stay basic on dependent
+            # rows); the basis keeps its point, so phase 2 starts from phase 1's
+            ub[width:] = 0.0
         c = np.concatenate([c, np.zeros(m)])
 
     # phase 2 from the feasible start

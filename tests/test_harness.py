@@ -260,7 +260,7 @@ def test_separates_exactly_the_recorded_aggregations(monkeypatch):
 
 # sha256[:16] of the corpus's write_cuts + format_metrics texts, and its cut
 # count.  A change that alters these bytes on purpose updates both and says why.
-CORPUS_DIGEST = ("b89a676d73747692", 26)
+CORPUS_DIGEST = ("8423fb07350bc6fa", 26)
 
 
 def test_corpus_output_bytes_pinned():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from aggsep import lasso
+from aggsep import lasso, lp
 from aggsep.errors import ContractViolation, LpFailure
 from aggsep.harness import POLICY_ALL, RunConfig, run_separation
 from aggsep.instance import CONTINUOUS, INTEGER, MilpInstance, Row, Variable
@@ -12,8 +12,11 @@ from aggsep.lasso import (
     reweight,
 )
 from aggsep.lp import ITERATION_LIMIT, OPTIMAL, LpSolution, solve_lp
+from aggsep.mpsio import parse_mps_file, parse_solution_file
 from aggsep.mw import mw_aggregate
 from aggsep.preprocess import preprocess
+
+from helpers import corpus_paths
 
 
 def test_reweight_formula():
@@ -184,3 +187,29 @@ def test_lasso_objective_beats_trivial_and_mw(example1, example1_ctx):
         assert sol.objective <= objective({i0: 1.0}) + 1e-7
         for res in mw_aggregate(example1_ctx, i0):
             assert sol.objective <= objective(res.factors) + 1e-7
+
+
+def test_cold_lasso_solves_on_corpus_skip_phase_1(monkeypatch):
+    # every lasso LP row is crashed, so a cold solve runs only phase 2
+    loops = []
+    cold = []
+    real_loop = lp._simplex_loop
+
+    def counting_loop(*args):
+        loops.append(1)
+        return real_loop(*args)
+
+    def solve(prob, warm=None):
+        before = len(loops)
+        sol = solve_lp(prob, warm=warm)
+        if warm is None:
+            cold.append(len(loops) - before)
+        return sol
+
+    monkeypatch.setattr(lp, "_simplex_loop", counting_loop)
+    monkeypatch.setattr(lasso, "solve_lp", solve)
+    for mps, sol in corpus_paths():
+        inst = parse_mps_file(mps)
+        run_separation(inst, parse_solution_file(sol, inst),
+                       RunConfig(algorithm="lasso", start_policy=POLICY_ALL))
+    assert cold and cold == [1] * len(cold)

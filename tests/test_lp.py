@@ -3,6 +3,7 @@ import pytest
 
 from aggsep import lp
 from aggsep.errors import ContractViolation, LpFailure
+from aggsep.lasso import reweight
 from aggsep.lp import (
     INFEASIBLE,
     ITERATION_LIMIT,
@@ -443,3 +444,81 @@ def test_duals_price_the_final_basis(warm, bland, monkeypatch):
         assert np.all(d[st == lp.AT_UPPER] <= tol), name
         checked += 1
     assert checked >= 30
+
+
+def test_crash_takes_first_feasible_one_nonzero_column():
+    inf = np.inf
+    # row 0: columns 0 and 1 both solve it within their bounds, column 0 wins;
+    # row 1: column 2 would have to reach 3 > its upper bound 1, so the row
+    # keeps its artificial; row 2: the free column 4 solves it at -2;
+    # column 3 has two nonzeros and is never taken
+    A = np.array([
+        [1.0, 2.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 1.0, 1.0, 0.0],
+        [0.0, 0.0, 0.0, 1.0, 1.0],
+    ])
+    lb = np.array([0.0, 0.0, 0.0, -inf, -inf])
+    ub = np.array([5.0, 5.0, 1.0, inf, inf])
+    x0 = np.zeros(5)  # every column at its default bound
+    r = np.array([4.0, 3.0, -2.0]) - A @ x0
+    rows, cols = lp._crash(A, r, x0, lb, ub)
+    assert rows.tolist() == [0, 2]
+    assert cols.tolist() == [0, 4]
+
+
+def test_crash_of_zero_row_matrix_is_empty():
+    rows, cols = lp._crash(np.zeros((0, 3)), np.zeros(0), np.zeros(3),
+                           np.zeros(3), np.full(3, np.inf))
+    assert len(rows) == 0 and len(cols) == 0
+
+
+def _lasso_draw(rng):
+    """An abs-value LP shaped like the lasso LP, and its reweighted sibling
+    built from the first LP's optimum as ``lasso_aggregate`` builds it."""
+    k = int(rng.integers(2, 9))
+    nt = int(rng.integers(1, 7))
+    B = rng.integers(-3, 4, size=(nt, k)).astype(float) * (rng.random((nt, k)) < 0.6)
+    w = rng.uniform(0.0, 3.0, size=nt)
+    i0 = int(rng.integers(k))
+    lb = np.zeros(k)
+    lb[i0] = 1.0
+    ub = np.where(rng.random(k) < 0.3, 0.0, 1e6)
+    ub[i0] = 1e6
+    cost = rng.uniform(0.0, 1.0, size=k) * (rng.random(k) < 0.8)
+    prob = build_abs_value_lp(list(zip(w, B)), cost, lb, ub)
+
+    def reweighted(x):
+        lam = x[:k]
+        ub2 = np.where(lam > 1e-9, 1e6, 0.0)
+        ub2[i0] = 1e6
+        return build_abs_value_lp(list(zip(reweight(w, B @ lam), B)), np.zeros(k), lb, ub2)
+
+    return prob, reweighted
+
+
+def test_lasso_shaped_lps_match_highs_and_skip_phase_1(monkeypatch):
+    # every row of B lam - mu+ + mu- = 0 is crashed by a one-nonzero column,
+    # so a cold solve makes the phase-2 loop only
+    pytest.importorskip("scipy")
+    calls = []
+    real_loop = lp._simplex_loop
+
+    def counting_loop(*args):
+        calls.append(1)
+        return real_loop(*args)
+
+    monkeypatch.setattr(lp, "_simplex_loop", counting_loop)
+    rng = np.random.default_rng(17)
+    for i in range(40):
+        prob, reweighted = _lasso_draw(rng)
+        calls.clear()
+        first = solve_lp(prob)
+        assert len(calls) == 1, i
+        sib = reweighted(first.x)
+        second = solve_lp(sib, warm=first.warm_start())
+        for sol, p in ((first, prob), (second, sib)):
+            status, objective = _highs(p)
+            assert sol.status == status == OPTIMAL, i
+            assert abs(sol.objective - objective) <= 1e-6 * (1.0 + abs(objective)), i
+            assert np.all(sol.x >= p.col_lb - 1e-7) and np.all(sol.x <= p.col_ub + 1e-7), i
+            assert np.all(np.abs(p.A @ sol.x - p.rhs) <= 1e-6), i
