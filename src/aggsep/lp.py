@@ -319,7 +319,6 @@ def solve_lp(problem, warm=None):
         enterable = np.arange(width + m) < width
         x = _basic_solve(A, A[:, basis], b, lb, ub, basis, status)
         if art.any():
-            # phase 1 drives the basic artificials to zero
             c1 = np.concatenate([np.zeros(width), np.ones(m)])
             code, it, x, _ = _simplex_loop(A, b, c1, lb, ub, basis, status, x, enterable, max_iter)
             if code == ITERATION_LIMIT:
