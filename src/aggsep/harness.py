@@ -100,7 +100,8 @@ def _starting_rows(ctx, config, algo, diagnostics):
             else:
                 why = ("an implied-bound row, which mw never aggregates"
                        if i in ctx.bounds.rows and algo == "mw"
-                       else "not a useful row (no kept bad column, or past max_useful_rows)")
+                       else "not a useful row "
+                            "(no kept bad column, or past preprocess.MAX_USEFUL_ROWS)")
                 diagnostics.append("%s: starting row %s dropped: %s" % (algo, name, why))
         return out
     raise ContractViolation("unknown starting-row policy %r" % config.start_policy)

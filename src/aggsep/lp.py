@@ -2,19 +2,20 @@
 
 Sized for the small aggregation subproblems (tens of rows, up to a few
 thousand columns).  Two-phase, big-M free; Dantzig pricing with a Bland
-fallback after a run of degenerate pivots.  Every solve works on one
-standard form, the structural columns then one slack per 'L' row; a cold
-solve appends one artificial column per row.  A cold solve starts from a
-crash basis (Bixby 1992): a row takes the first column whose only nonzero
-lies in it and whose value solving the row is within bounds, and only
-the remaining rows start with a basic artificial; a crashed row's
-artificial is nonbasic and fixed at zero.  The point travels with its
-basis: the simplex loop starts from the point of its starting basis,
-solves each new basis once, right after its pivot, and returns the point
-and duals of the last one; the solution is certified and packed from
-those, with no further solve.  A solve first finds a feasible start (an
-accepted warm basis, the crash basis when no artificial is basic, or
-else phase 1's final basis with the artificials pinned at zero) and then
+fallback after a run of degenerate pivots; a fixed column (lb == ub)
+is never priced, since it cannot move.  Every solve works on one
+standard form, the structural columns then one slack per 'L' row.  A
+cold solve starts from a crash basis (Bixby 1992): a row takes the first
+column whose only nonzero lies in it and whose value solving the row is
+within bounds, and an artificial column, signed by the row's residual,
+is appended only for each row left uncovered.  Phase 1 runs only when
+there is one; it ends with the artificials pinned at zero, which keeps
+them out of phase 2.  The point travels with its basis: the simplex loop
+starts from the point of its starting basis, solves each new basis once,
+right after its pivot, and returns the point and duals of the last one;
+the solution is certified and packed from those, with no further solve.
+A solve first finds a feasible start (an accepted warm basis, the crash
+basis when it covers every row, or else phase 1's final basis) and then
 makes one phase-2 run.  A warm start is the status vector over the
 standard-form columns of an optimal solve; it can restart a problem that
 differs only in objective and/or variable bounds.  A solve that ends
@@ -70,6 +71,8 @@ class LpProblem:
             raise ContractViolation("inconsistent LP column dimensions")
         if len(self.row_type) != m:
             raise ContractViolation("inconsistent LP row dimensions")
+        if any(t not in ("E", "L") for t in self.row_type):
+            raise ContractViolation("LP row type must be 'E' or 'L'")
         if not all(np.isfinite(v).all() for v in (self.obj, self.A, self.rhs)):
             raise ContractViolation("LP has a non-finite cost, coefficient or right-hand side")
         lb, ub = self.col_lb, self.col_ub
@@ -168,15 +171,17 @@ def ratio_test(w, xb, lb, ub, sdir, tcap):
     return tcap, -1, False
 
 
-def _simplex_loop(A, b, c, lb, ub, basis, status, x, enterable, max_iter):
+def _simplex_loop(A, b, c, lb, ub, basis, status, x, max_iter):
     """Primal iterations from a feasible basis; returns (code, iterations, x, y).
 
     The x passed in is the point of the starting basis.  code is OPTIMAL /
     UNBOUNDED / ITERATION_LIMIT.  For OPTIMAL and UNBOUNDED, x and y are
     the point and duals of the final basis; for ITERATION_LIMIT both are
-    None.  Each new basis is solved once, right after its pivot.  basis
-    and status are updated in place.
+    None.  Each new basis is solved once, right after its pivot.  A fixed
+    column (lb == ub) is never priced: it cannot move.  basis and status
+    are updated in place.
     """
+    fixed = lb == ub
     degen = 0
     bland = False
     it = 0
@@ -188,7 +193,7 @@ def _simplex_loop(A, b, c, lb, ub, basis, status, x, enterable, max_iter):
             # objective decrease per unit step: down from an upper bound, up
             # from a lower bound, the better way for a free column
             viol = np.where(status == AT_UPPER, d, np.where(status == FREE, np.abs(d), -d))
-            viol[~enterable] = 0.0
+            viol[fixed] = 0.0
             viol[basis] = 0.0
             if bland:
                 cand = np.flatnonzero(viol > OPT_TOL)
@@ -289,7 +294,8 @@ def solve_lp(problem, warm=None):
 
     The warm start is used only if its basis is primal feasible for the new
     data; otherwise the solve silently runs cold: from the crash basis,
-    with phase 1 only when that basis keeps an artificial basic.
+    with one artificial column per row the crash leaves uncovered, and
+    phase 1 only when there is one.
     Only an optimal solution carries a point, duals and a status vector.
     """
     A, b, c, lb, ub = _standard_form(problem)
@@ -300,38 +306,39 @@ def solve_lp(problem, warm=None):
     start = None if warm is None else _try_warm(A, b, lb, ub, warm)
     if start is not None:
         basis, status, x = start
-        enterable = np.ones(width, dtype=bool)
     else:
-        # crash basis: one-nonzero columns take their rows, artificials the rest
+        # crash basis: one-nonzero columns take their rows, an artificial
+        # signed by the row's residual takes each row left uncovered
         status = _default_status(lb, ub)
         x0 = _nonbasic_values(status, lb, ub)
         r = b - A @ x0
         rows, cols = _crash(A, r, x0, lb, ub)
-        art = np.ones(m, dtype=bool)
-        art[rows] = False
-        A = np.hstack([A, np.diag(np.where(r >= 0, 1.0, -1.0))])
-        lb = np.concatenate([lb, np.zeros(m)])
-        ub = np.concatenate([ub, np.where(art, np.inf, 0.0)])
-        status = np.concatenate([status, np.where(art, BASIC, AT_LOWER)])
+        art_rows = np.setdiff1d(np.arange(m), rows)
+        na = len(art_rows)
+        A = np.hstack([A, np.diag(np.where(r >= 0, 1.0, -1.0))[:, art_rows]])
+        lb = np.concatenate([lb, np.zeros(na)])
+        ub = np.concatenate([ub, np.full(na, np.inf)])
+        status = np.concatenate([status, np.full(na, BASIC)])
         status[cols] = BASIC
-        basis = np.arange(width, width + m, dtype=np.int64)
+        basis = np.empty(m, dtype=np.int64)
         basis[rows] = cols
-        enterable = np.arange(width + m) < width
+        basis[art_rows] = width + np.arange(na)
         x = _basic_solve(A, A[:, basis], b, lb, ub, basis, status)
-        if art.any():
-            c1 = np.concatenate([np.zeros(width), np.ones(m)])
-            code, it, x, _ = _simplex_loop(A, b, c1, lb, ub, basis, status, x, enterable, max_iter)
+        if na:
+            c1 = np.concatenate([np.zeros(width), np.ones(na)])
+            code, it, x, _ = _simplex_loop(A, b, c1, lb, ub, basis, status, x, max_iter)
             if code == ITERATION_LIMIT:
                 return LpSolution(status=ITERATION_LIMIT, iterations=it)
             if np.sum(np.abs(x[basis[basis >= width]])) > FEAS_TOL * _feas_scale(b) * 10:
                 return LpSolution(status=INFEASIBLE, iterations=it)
             # pin the artificials at zero (some may stay basic on dependent
-            # rows); the basis keeps its point, so phase 2 starts from phase 1's
+            # rows), which keeps them out of phase 2's pricing; the basis
+            # keeps its point, so phase 2 starts from phase 1's
             ub[width:] = 0.0
-        c = np.concatenate([c, np.zeros(m)])
+            c = np.concatenate([c, np.zeros(na)])
 
     # phase 2 from the feasible start
-    code, it2, x, y = _simplex_loop(A, b, c, lb, ub, basis, status, x, enterable, max_iter)
+    code, it2, x, y = _simplex_loop(A, b, c, lb, ub, basis, status, x, max_iter)
     it += it2
     if code != OPTIMAL:
         return LpSolution(status=code, iterations=it)

@@ -149,7 +149,7 @@ def test_named_row_without_bad_column_is_reported_per_algorithm():
     assert {a.starting_row for a in res.aggregations["lasso"]} == {1}
     assert [d for d in res.diagnostics if "dropped" in d] == [
         "%s: starting row i dropped: not a useful row "
-        "(no kept bad column, or past max_useful_rows)" % algo
+        "(no kept bad column, or past preprocess.MAX_USEFUL_ROWS)" % algo
         for algo in ("mw", "lasso")
     ]
 

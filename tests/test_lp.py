@@ -225,8 +225,10 @@ def _one_column(**change):
         {"col_ub": [np.nan]},
         {"col_lb": [np.inf], "col_ub": [np.inf]},
         {"col_lb": [-np.inf], "col_ub": [-np.inf]},
+        {"row_type": ["G"]},
     ],
-    ids=["nan-rhs", "nan-obj", "nan-A", "nan-upper", "fixed-at-+inf", "fixed-at--inf"],
+    ids=["nan-rhs", "nan-obj", "nan-A", "nan-upper", "fixed-at-+inf", "fixed-at--inf",
+         "unknown-row-type"],
 )
 def test_non_finite_data_rejected(change):
     with pytest.raises(ContractViolation):
@@ -496,29 +498,74 @@ def _lasso_draw(rng):
     return prob, reweighted
 
 
-def test_lasso_shaped_lps_match_highs_and_skip_phase_1(monkeypatch):
-    # every row of B lam - mu+ + mu- = 0 is crashed by a one-nonzero column,
-    # so a cold solve makes the phase-2 loop only
-    pytest.importorskip("scipy")
-    calls = []
+def _loop_widths(monkeypatch):
+    """The column count of each ``_simplex_loop`` call, appended as it runs."""
+    widths = []
     real_loop = lp._simplex_loop
 
-    def counting_loop(*args):
-        calls.append(1)
-        return real_loop(*args)
+    def recording_loop(A, *args):
+        widths.append(A.shape[1])
+        return real_loop(A, *args)
 
-    monkeypatch.setattr(lp, "_simplex_loop", counting_loop)
+    monkeypatch.setattr(lp, "_simplex_loop", recording_loop)
+    return widths
+
+
+def test_lasso_shaped_lps_match_highs_and_skip_phase_1(monkeypatch):
+    # every row of B lam - mu+ + mu- = 0 is crashed by a one-nonzero column,
+    # so a cold solve appends no artificial and makes the phase-2 loop only;
+    # some lam are pinned at [0, 0], and a priced fixed column would cost a
+    # zero-length bound flip, a ratio test with tcap 0
+    pytest.importorskip("scipy")
+    widths = _loop_widths(monkeypatch)
+    tcaps = []
+    real_ratio_test = lp.ratio_test
+
+    def recording_ratio_test(w, xb, lb, ub, sdir, tcap):
+        tcaps.append(tcap)
+        return real_ratio_test(w, xb, lb, ub, sdir, tcap)
+
+    monkeypatch.setattr(lp, "ratio_test", recording_ratio_test)
     rng = np.random.default_rng(17)
+    pinned = 0
     for i in range(40):
         prob, reweighted = _lasso_draw(rng)
-        calls.clear()
+        widths.clear()
         first = solve_lp(prob)
-        assert len(calls) == 1, i
+        assert widths == [prob.n_cols], i
         sib = reweighted(first.x)
+        pinned += int(np.sum(sib.col_lb == sib.col_ub))
+        tcaps.clear()
         second = solve_lp(sib, warm=first.warm_start())
+        assert 0.0 not in tcaps, i
         for sol, p in ((first, prob), (second, sib)):
             status, objective = _highs(p)
             assert sol.status == status == OPTIMAL, i
             assert abs(sol.objective - objective) <= 1e-6 * (1.0 + abs(objective)), i
             assert np.all(sol.x >= p.col_lb - 1e-7) and np.all(sol.x <= p.col_ub + 1e-7), i
             assert np.all(np.abs(p.A @ sol.x - p.rhs) <= 1e-6), i
+    assert pinned > 0
+
+
+def test_fixed_column_never_enters():
+    # max x0 + 10 x1  s.t.  x0 + x1 <= 4, x1 fixed at 0: the crash basis
+    # (x0 basic at 4) is optimal, and x1 keeps its lower bound
+    prob = _lp([-1.0, -10.0], [[1.0, 1.0]], ["L"], [4.0], [0.0, 0.0], [np.inf, 0.0])
+    sol = solve_lp(prob)
+    assert (sol.status, sol.iterations) == (OPTIMAL, 0)
+    assert sol.x == pytest.approx([4.0, 0.0])
+    assert sol.col_status[1] == lp.AT_LOWER
+
+
+def test_artificials_only_for_uncovered_rows(monkeypatch):
+    # min x0 + x1  s.t.  -x0 - x1 <= -1, x0 - x1 <= 0, x >= 0: row 1's slack
+    # covers it at 0, row 0's slack would be -1, so only row 0 gets an
+    # artificial, and both phases see 2 structurals, 2 slacks, 1 artificial
+    widths = _loop_widths(monkeypatch)
+    prob = _lp([1.0, 1.0], [[-1.0, -1.0], [1.0, -1.0]], ["L", "L"], [-1.0, 0.0],
+               [0.0, 0.0], [np.inf, np.inf])
+    sol = solve_lp(prob)
+    assert widths == [4 + 1, 4 + 1]
+    assert sol.status == OPTIMAL
+    assert sol.x == pytest.approx([0.5, 0.5])
+    assert len(sol.col_status) == 4

@@ -181,7 +181,7 @@ def test_useful_rows_cap_keeps_the_highest_scores(monkeypatch):
     assert run.aggregations["lasso"] == []
     assert run.diagnostics == [
         "lasso: starting row %s dropped: not a useful row "
-        "(no kept bad column, or past max_useful_rows)" % cut_off]
+        "(no kept bad column, or past preprocess.MAX_USEFUL_ROWS)" % cut_off]
 
 
 @pytest.mark.parametrize("n_x", [1.0, -1.0])
