@@ -10,13 +10,18 @@ column whose only nonzero lies in it and whose value solving the row is
 within bounds, and an artificial column, signed by the row's residual,
 is appended only for each row left uncovered.  Phase 1 runs only when
 there is one; it ends with the artificials pinned at zero, which keeps
-them out of phase 2.  The point travels with its basis: the simplex loop
-starts from the point of its starting basis, solves each new basis once,
-right after its pivot, and returns the point and duals of the last one;
-the solution is certified and packed from those, with no further solve.
-A solve first finds a feasible start (an accepted warm basis, the crash
-basis when it covers every row, or else phase 1's final basis) and then
-makes one phase-2 run.  A warm start is the status vector over the
+them out of phase 2.  The point and the basis inverse travel with the
+basis (the product form of the inverse, Dantzig & Orchard-Hays 1954):
+the starting basis is factored once, and each pivot prices and computes
+its entering column with products against the kept inverse, moves the
+point by the step and updates the inverse by one rank-one eta step.
+The inverse and the point are factored afresh every REFACTOR_EVERY
+pivots and once more before OPTIMAL is returned, so the point and duals
+the solution is certified and packed from come from a fresh
+factorization of the final basis.  A solve first finds a feasible start
+(an accepted warm basis, the crash basis when it covers every row, or
+else phase 1's final basis, whose inverse phase 2 keeps) and then makes
+one phase-2 run.  A warm start is the status vector over the
 standard-form columns of an optimal solve; it can restart a problem that
 differs only in objective and/or variable bounds.  A solve that ends
 other than optimal carries no point and no status vector.
@@ -37,6 +42,7 @@ FEAS_TOL = 1e-7
 OPT_TOL = 1e-7
 DEGEN_PIVOT_LIMIT = 1000
 MAX_ITER_FACTOR = 50  # a phase stops after MAX_ITER_FACTOR * (rows + cols) pivots
+REFACTOR_EVERY = 64  # the basis inverse is factored afresh after this many pivots
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -129,14 +135,16 @@ def _nonbasic_values(status, lb, ub):
     return x
 
 
-def _basic_solve(A, B, b, lb, ub, basis, status):
-    """Point with nonbasics at their bounds and B x_B = b - A x_N.
+def _factor(A, b, lb, ub, basis, status):
+    """(Binv, x): the inverse of ``A[:, basis]`` and the basis's point.
 
-    ``B`` is ``A[:, basis]``; raises ``np.linalg.LinAlgError`` if singular.
+    The point has its nonbasics at their bounds and ``x_B = Binv (b - A x_N)``.
+    Raises ``np.linalg.LinAlgError`` if the basis matrix is singular.
     """
+    Binv = np.linalg.inv(A[:, basis])
     x = _nonbasic_values(status, lb, ub)  # basic columns read 0 here
-    x[basis] = np.linalg.solve(B, b - A @ x)
-    return x
+    x[basis] = Binv @ (b - A @ x)
+    return Binv, x
 
 
 def _default_status(lb, ub):
@@ -171,58 +179,71 @@ def ratio_test(w, xb, lb, ub, sdir, tcap):
     return tcap, -1, False
 
 
-def _simplex_loop(A, b, c, lb, ub, basis, status, x, max_iter):
-    """Primal iterations from a feasible basis; returns (code, iterations, x, y).
+def _simplex_loop(A, b, c, lb, ub, basis, status, x, Binv, max_iter):
+    """Primal iterations from a feasible basis; returns (code, iterations, x, y, Binv).
 
-    The x passed in is the point of the starting basis.  code is OPTIMAL /
-    UNBOUNDED / ITERATION_LIMIT.  For OPTIMAL and UNBOUNDED, x and y are
-    the point and duals of the final basis; for ITERATION_LIMIT both are
-    None.  Each new basis is solved once, right after its pivot.  A fixed
-    column (lb == ub) is never priced: it cannot move.  basis and status
-    are updated in place.
+    x and Binv are the point and basis inverse of the starting basis, as
+    ``_factor`` gives them.  code is OPTIMAL / UNBOUNDED / ITERATION_LIMIT.
+    Each pivot prices with y = c_B Binv and w = Binv a_j, moves the point by
+    the step, sets the leaving column exactly to its bound, and updates
+    Binv by one eta step (the product form of the inverse).  Every
+    REFACTOR_EVERY pivots, and before OPTIMAL is returned after any pivot,
+    Binv and x are recomputed by ``_factor`` and the basis is priced again,
+    so for OPTIMAL x, y and Binv come from a fresh factorization of the
+    final basis.  For UNBOUNDED they are those of the last basis priced;
+    for ITERATION_LIMIT all three are None.  A fixed column (lb == ub) is
+    never priced: it cannot move.  basis and status are updated in place.
     """
     fixed = lb == ub
     degen = 0
     bland = False
     it = 0
-    B = A[:, basis]
+    since = 0  # pivots since Binv and x were last factored
     try:
         while True:
-            y = np.linalg.solve(B.T, c[basis])
+            y = c[basis] @ Binv
             d = c - y @ A
             # objective decrease per unit step: down from an upper bound, up
             # from a lower bound, the better way for a free column
             viol = np.where(status == AT_UPPER, d, np.where(status == FREE, np.abs(d), -d))
             viol[fixed] = 0.0
             viol[basis] = 0.0
-            if bland:
-                cand = np.flatnonzero(viol > OPT_TOL)
-                if len(cand) == 0:
-                    return OPTIMAL, it, x, y
-                j = int(cand[0])
-            else:
-                j = int(np.argmax(viol))
-                if viol[j] <= OPT_TOL:
-                    return OPTIMAL, it, x, y
+            # Bland takes the first violated column, Dantzig the most violated
+            j = int(np.argmax(viol > OPT_TOL) if bland else np.argmax(viol))
+            if viol[j] <= OPT_TOL:
+                if since == 0:
+                    return OPTIMAL, it, x, y, Binv
+                Binv, x = _factor(A, b, lb, ub, basis, status)
+                since = 0
+                continue
             if status[j] == AT_UPPER or (status[j] == FREE and d[j] > 0):
                 sdir = -1.0
             else:
                 sdir = 1.0
-            w = np.linalg.solve(B, A[:, j])
+            w = Binv @ A[:, j]
             tcap = ub[j] - lb[j] if status[j] != FREE else np.inf
             t, leave, to_upper = ratio_test(
                 w, x[basis], lb[basis], ub[basis], sdir, float(tcap)
             )
             if not np.isfinite(t):
-                return UNBOUNDED, it, x, y
+                return UNBOUNDED, it, x, y, Binv
+            x[basis] -= sdir * t * w
             if leave < 0:
                 # entering variable flips to its opposite bound
                 status[j] = AT_UPPER if status[j] == AT_LOWER else AT_LOWER
+                x[j] = ub[j] if status[j] == AT_UPPER else lb[j]
             else:
+                x[j] += sdir * t
                 out = basis[leave]
                 status[out] = AT_UPPER if to_upper else AT_LOWER
+                x[out] = ub[out] if to_upper else lb[out]
                 basis[leave] = j
                 status[j] = BASIC
+                # eta step: row ``leave`` is divided by the pivot, and w's
+                # multiple of it is taken off every other row
+                pivot_row = Binv[leave] / w[leave]
+                Binv -= np.outer(w, pivot_row)
+                Binv[leave] = pivot_row
             if t <= 1e-10:
                 degen += 1
                 if degen > DEGEN_PIVOT_LIMIT:
@@ -230,10 +251,12 @@ def _simplex_loop(A, b, c, lb, ub, basis, status, x, max_iter):
             else:
                 degen = 0
             it += 1
+            since += 1
             if it >= max_iter:
-                return ITERATION_LIMIT, it, None, None
-            B = A[:, basis]
-            x = _basic_solve(A, B, b, lb, ub, basis, status)
+                return ITERATION_LIMIT, it, None, None, None
+            if since >= REFACTOR_EVERY:
+                Binv, x = _factor(A, b, lb, ub, basis, status)
+                since = 0
     except np.linalg.LinAlgError:
         raise LpFailure("singular basis matrix")
 
@@ -243,7 +266,7 @@ def _feas_scale(b):
 
 
 def _try_warm(A, b, lb, ub, warm):
-    """(basis, status, x) from a prior status vector, or None if it does not fit.
+    """(basis, status, Binv, x) from a prior status vector, or None if it does not fit.
 
     Rejects a vector of the wrong length, the wrong number of basics, a
     singular basis, or a basis that is not primal feasible for ``b``.
@@ -260,7 +283,7 @@ def _try_warm(A, b, lb, ub, warm):
     lost_ub = (status == AT_UPPER) & ~np.isfinite(ub)
     status[lost_ub] = np.where(np.isfinite(lb[lost_ub]), AT_LOWER, FREE)
     try:
-        x = _basic_solve(A, A[:, basis], b, lb, ub, basis, status)
+        Binv, x = _factor(A, b, lb, ub, basis, status)
     except np.linalg.LinAlgError:
         return None
     xb = x[basis]
@@ -269,7 +292,7 @@ def _try_warm(A, b, lb, ub, warm):
         xb - ub[basis], initial=0.0
     ) > tol:
         return None
-    return basis, status, x
+    return basis, status, Binv, x
 
 
 def _crash(A, r, x0, lb, ub):
@@ -305,7 +328,7 @@ def solve_lp(problem, warm=None):
     it = 0
     start = None if warm is None else _try_warm(A, b, lb, ub, warm)
     if start is not None:
-        basis, status, x = start
+        basis, status, Binv, x = start
     else:
         # crash basis: one-nonzero columns take their rows, an artificial
         # signed by the row's residual takes each row left uncovered
@@ -323,22 +346,23 @@ def solve_lp(problem, warm=None):
         basis = np.empty(m, dtype=np.int64)
         basis[rows] = cols
         basis[art_rows] = width + np.arange(na)
-        x = _basic_solve(A, A[:, basis], b, lb, ub, basis, status)
+        Binv, x = _factor(A, b, lb, ub, basis, status)
         if na:
             c1 = np.concatenate([np.zeros(width), np.ones(na)])
-            code, it, x, _ = _simplex_loop(A, b, c1, lb, ub, basis, status, x, max_iter)
+            code, it, x, _, Binv = _simplex_loop(A, b, c1, lb, ub, basis, status, x, Binv,
+                                                 max_iter)
             if code == ITERATION_LIMIT:
                 return LpSolution(status=ITERATION_LIMIT, iterations=it)
             if np.sum(np.abs(x[basis[basis >= width]])) > FEAS_TOL * _feas_scale(b) * 10:
                 return LpSolution(status=INFEASIBLE, iterations=it)
             # pin the artificials at zero (some may stay basic on dependent
             # rows), which keeps them out of phase 2's pricing; the basis
-            # keeps its point, so phase 2 starts from phase 1's
+            # keeps its point and inverse, so phase 2 starts from phase 1's
             ub[width:] = 0.0
             c = np.concatenate([c, np.zeros(na)])
 
     # phase 2 from the feasible start
-    code, it2, x, y = _simplex_loop(A, b, c, lb, ub, basis, status, x, max_iter)
+    code, it2, x, y, _ = _simplex_loop(A, b, c, lb, ub, basis, status, x, Binv, max_iter)
     it += it2
     if code != OPTIMAL:
         return LpSolution(status=code, iterations=it)

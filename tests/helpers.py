@@ -122,6 +122,48 @@ def random_lp(rng, max_rows=6, max_cols=6):
     return LpProblem(obj=obj, A=A, row_type=row_type, rhs=rhs, col_lb=lb, col_ub=ub)
 
 
+def planted_lp(rng, k=20, n_loose=40, n_cont=70, n_int=80, n_chain=10):
+    """Dense LP relaxation of a planted instance, all rows <=, x in [0, ub].
+
+    The construction of ``tools/gen_corpus.py`` at ~60 x 150: every
+    continuous column has a and -lam_p a / lam_q in two of the k planted
+    rows, integer columns touch 1-3 planted rows, and each loose row has
+    2-4 nonzeros and some slack at the interior point xbar.  The last
+    ``n_chain`` loose rows are replaced by x_a - x_b <= 0, whose slacks
+    start basic at zero, so the simplex makes degenerate pivots.
+    """
+    n = n_cont + n_int
+    lam = rng.integers(1, 4, size=k).astype(float)
+    A = np.zeros((k + n_loose, n))
+    cont = np.arange(n_cont)
+    p = rng.integers(0, k, size=n_cont)
+    q = (p + rng.integers(1, k, size=n_cont)) % k
+    a = rng.integers(1, 4, size=n_cont) * rng.choice([-1.0, 1.0], size=n_cont)
+    A[p, cont] = a
+    A[q, cont] = -lam[p] * a / lam[q]
+    for j in range(n_cont, n):
+        nz = rng.choice(k, size=int(rng.integers(1, 4)), replace=False)
+        A[nz, j] = rng.integers(-3, 4, size=len(nz))
+    for i in range(k, k + n_loose):
+        nz = rng.choice(n, size=int(rng.integers(2, 5)), replace=False)
+        A[i, nz] = rng.integers(-3, 4, size=len(nz))
+        if not A[i].any():
+            A[i, nz[0]] = 1.0
+    ub = np.concatenate([rng.integers(4, 13, size=n_cont),
+                         rng.integers(2, 6, size=n_int)]).astype(float)
+    xbar = rng.uniform(0.2, 0.6, size=n) * ub
+    rhs = A @ xbar
+    rhs[k:] += rng.uniform(0.5, 2.0, size=n_loose)  # planted rows stay tight
+    for i in range(k + n_loose - n_chain, k + n_loose):
+        a, b = rng.choice(n, size=2, replace=False)
+        A[i] = 0.0
+        A[i, a], A[i, b] = 1.0, -1.0
+        rhs[i] = 0.0
+    obj = rng.integers(-5, 6, size=n).astype(float)
+    return LpProblem(obj=obj, A=A, row_type=["L"] * (k + n_loose), rhs=rhs,
+                     col_lb=np.zeros(n), col_ub=ub)
+
+
 def random_knapsack_row(rng, max_q=6, max_u=5):
     """Random mixed knapsack row with a point inside the box."""
     q = int(rng.integers(1, max_q + 1))

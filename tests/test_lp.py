@@ -14,7 +14,7 @@ from aggsep.lp import (
     solve_lp,
 )
 
-from helpers import enumerate_bfs_optimum, random_lp
+from helpers import enumerate_bfs_optimum, planted_lp, random_lp
 
 
 def test_single_bound_active():
@@ -326,6 +326,14 @@ def _cross_check_cases():
     cases.append(("unbounded",
                   _lp([0.0, -1.0], A, ["L"], [1.0], [0.0, 0.0], [2.0, inf]),
                   _lp([0.0, 1.0], A, ["L"], [1.0], [0.0, 0.0], [2.0, inf])))
+    # 60 x 150: every solve, cold or warm, Dantzig or Bland, takes more than
+    # 2 * REFACTOR_EVERY pivots, so the basis inverse is updated and factored
+    # afresh more than once within a run
+    rng = np.random.default_rng(0)
+    prob = planted_lp(rng)
+    cases.append(("planted-60x150", prob,
+                  _lp(rng.integers(-5, 6, size=prob.n_cols).astype(float), prob.A,
+                      prob.row_type, prob.rhs, prob.col_lb, prob.col_ub)))
     return cases
 
 
@@ -404,23 +412,26 @@ def test_rejected_warm_start_falls_back_to_cold(kind):
 
 def test_accepted_warm_basis_is_solved_once(monkeypatch):
     # max x + y  s.t.  x + 2y <= 4, 3x + y <= 6: restarting from its own
-    # optimum takes 0 pivots, so the only solves are the warm basis's point
-    # (in the warm-start feasibility test) and its duals
+    # optimum takes 0 pivots, so the warm basis is factored once (in the
+    # warm-start feasibility test), its point and duals come from that
+    # inverse, and nothing is solved
     prob = _lp([-1.0, -1.0], [[1.0, 2.0], [3.0, 1.0]], ["L", "L"], [4.0, 6.0],
                [0.0, 0.0], [np.inf, np.inf])
     start = solve_lp(prob).warm_start()
     calls = []
-    real_solve = np.linalg.solve
 
-    def counting_solve(*args, **kwargs):
-        calls.append(1)
-        return real_solve(*args, **kwargs)
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    monkeypatch.setattr(np.linalg, "inv", counting("inv", np.linalg.inv))
+    monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
     sol = solve_lp(prob, warm=start)
     assert (sol.status, sol.iterations) == (OPTIMAL, 0)
     assert sol.objective == pytest.approx(-2.8)
-    assert len(calls) == 2
+    assert calls == ["inv"]
 
 
 @pytest.mark.parametrize("bland", [False, True], ids=["dantzig", "bland"])
@@ -446,6 +457,85 @@ def test_duals_price_the_final_basis(warm, bland, monkeypatch):
         assert np.all(d[st == lp.AT_UPPER] <= tol), name
         checked += 1
     assert checked >= 30
+
+
+@pytest.mark.parametrize("bland", [False, True], ids=["dantzig", "bland"])
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_refactor_interval_does_not_change_the_answer(warm, bland, monkeypatch):
+    # REFACTOR_EVERY = 1 factors every new basis; 10**9 carries one inverse
+    # through the whole run by eta updates and factors it again only before
+    # returning OPTIMAL; both end with the same status and optimum
+    if bland:
+        monkeypatch.setattr(lp, "DEGEN_PIVOT_LIMIT", 0)
+    every = lp.REFACTOR_EVERY
+    for name, prob, sib in _cross_check_cases():
+        sols = []
+        for refactor in (every, 1, 10 ** 9):
+            monkeypatch.setattr(lp, "REFACTOR_EVERY", refactor)
+            sols.append(solve_lp(prob, warm=solve_lp(sib).warm_start() if warm else None))
+        if name == "planted-60x150":
+            assert sols[0].iterations > 2 * every
+        default, each, never = sols
+        assert each.status == never.status == default.status, name
+        if each.status == OPTIMAL:
+            tol = 1e-6 * (1.0 + abs(each.objective))
+            assert abs(each.objective - never.objective) <= tol, name
+
+
+@pytest.mark.parametrize("refactor", [1, 10 ** 9], ids=["every-pivot", "before-optimal"])
+def test_optimum_comes_from_a_fresh_factorization(refactor, monkeypatch):
+    # REFACTOR_EVERY = 1 factors every new basis; with 10**9 the inverse is
+    # only updated pivot by pivot, yet either way the point returned is the
+    # one _factor computed for the final basis
+    monkeypatch.setattr(lp, "REFACTOR_EVERY", refactor)
+    points = []
+    real_factor = lp._factor
+
+    def recording_factor(*args):
+        Binv, x = real_factor(*args)
+        points.append(x.copy())
+        return Binv, x
+
+    monkeypatch.setattr(lp, "_factor", recording_factor)
+    prob = {name: p for name, p, _ in _cross_check_cases()}["planted-60x150"]
+    sol = solve_lp(prob)
+    assert sol.status == OPTIMAL and sol.iterations > 0
+    assert np.array_equal(sol.x, points[-1][: prob.n_cols])
+    if refactor == 1:
+        assert len(points) > sol.iterations
+
+
+def test_singular_warm_basis_falls_back_to_cold():
+    # columns 0 and 1 are identical and both marked basic: the warm basis
+    # cannot be factored, so it is rejected and the solve runs cold
+    prob = _lp([1.0, 2.0, 1.0], [[1.0, 1.0, 0.0], [2.0, 2.0, 1.0]], ["E", "E"],
+               [2.0, 5.0], [0.0] * 3, [np.inf] * 3)
+    start = np.array([lp.BASIC, lp.BASIC, lp.AT_LOWER])
+    A, b, _, lb, ub = lp._standard_form(prob)
+    assert lp._try_warm(A, b, lb, ub, start) is None
+    cold = solve_lp(prob)
+    warm = solve_lp(prob, warm=start)
+    assert (cold.status, cold.objective) == (OPTIMAL, pytest.approx(3.0))
+    assert (warm.status, warm.objective, warm.iterations) == (
+        cold.status, cold.objective, cold.iterations
+    )
+
+
+@pytest.mark.parametrize("refactor", [1, 10 ** 9], ids=["interval", "before-optimal"])
+def test_singular_refactor_raises_lp_failure(refactor, monkeypatch):
+    # columns 0 and 1 are both e_0 and both basic, and the loop is handed
+    # the identity as their inverse: column 3 enters and column 2 leaves,
+    # and the next factorization, at the refactor interval or before
+    # OPTIMAL is returned, finds the basis singular
+    monkeypatch.setattr(lp, "REFACTOR_EVERY", refactor)
+    A = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
+    basis = np.array([0, 1, 2])
+    status = np.array([lp.BASIC, lp.BASIC, lp.BASIC, lp.AT_LOWER])
+    with pytest.raises(LpFailure, match="singular basis matrix"):
+        lp._simplex_loop(A, np.array([1.0, 0.0, 1.0]), np.array([0.0, 0.0, 0.0, -1.0]),
+                         np.zeros(4), np.full(4, np.inf), basis, status,
+                         np.array([1.0, 0.0, 1.0, 0.0]), np.eye(3), 100)
+    assert basis.tolist() == [0, 1, 3]
 
 
 def test_crash_takes_first_feasible_one_nonzero_column():
