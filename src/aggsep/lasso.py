@@ -6,13 +6,20 @@ survives, iterative reweighting re-solves a slack-free variant restricted
 to the rows the first solve used, warm-started from the previous basis,
 until none is left or the round limit is hit.  All solves run through one
 loop with one ``solve_lp`` call and one failure path.
+
+Every lasso LP of a context shares one matrix, ``ctx.lasso_matrix``; the
+LPs differ only in costs and factor bounds.  A start row's first LP has
+the same costs as the previous start row's and moves two factor lower
+bounds, so it warm-starts from that row's first-solve basis, which the
+context keeps (``ctx.lasso_start``), and ``solve_lp`` restores its
+feasibility by the dual simplex.
 """
 
 import numpy as np
 
 from .aggregate import ZERO_TOL, make_result
 from .errors import ContractViolation, LpFailure
-from .lp import OPTIMAL, build_abs_value_lp, solve_lp
+from .lp import OPTIMAL, abs_value_lp, solve_lp
 
 WEIGHT_CAP = 1e6  # stands in for infinite bound distances
 LAM_CAP = 1e6  # upper bound on every aggregation factor
@@ -23,18 +30,14 @@ def _capped_weights(ctx):
     return np.minimum(ctx.bad_weights, WEIGHT_CAP)
 
 
-def _abs_value_lp(ctx, weights, slack_cost, lb, ub):
-    """The abs-value LP over the bad-column block: one term per bad column."""
-    return build_abs_value_lp(list(zip(weights, ctx.bad_block.T)), slack_cost, lb, ub)
-
-
 def build_lasso_lp(ctx, i0):
     """Factor-search LP: weighted |bad columns| plus aggregated slack."""
     n = len(ctx.useful_rows)
     lb = np.zeros(n)
     lb[ctx.block_rows([i0])] = 1.0
     ub = np.full(n, LAM_CAP)
-    return _abs_value_lp(ctx, _capped_weights(ctx), ctx.slacks[ctx.useful_rows], lb, ub)
+    return abs_value_lp(ctx.lasso_matrix, _capped_weights(ctx), ctx.slacks[ctx.useful_rows],
+                        lb, ub)
 
 
 def build_reweighted_lp(ctx, active_rows, i0, w):
@@ -48,8 +51,9 @@ def build_reweighted_lp(ctx, active_rows, i0, w):
     n = len(ctx.useful_rows)
     lb = np.zeros(n)
     lb[ctx.block_rows([i0])] = 1.0
-    ub = np.where(np.isin(ctx.useful_rows, active_rows), LAM_CAP, 0.0)
-    return _abs_value_lp(ctx, w, np.zeros(n), lb, ub)
+    ub = np.zeros(n)
+    ub[ctx.block_rows(active_rows)] = LAM_CAP
+    return abs_value_lp(ctx.lasso_matrix, w, np.zeros(n), lb, ub)
 
 
 def reweight(w, a):
@@ -64,14 +68,17 @@ def lasso_aggregate(ctx, i0, maxaggr=6):
 
     Reweighted re-solves continue while a bad column is left in the
     aggregated row, at most ``maxaggr`` of them, so at most maxaggr+1
-    aggregations are returned.  An LP failure aborts the starting row
-    without emitting anything.
+    aggregations are returned.  The first solve warm-starts from
+    ``ctx.lasso_start`` and each re-solve from the solve before it; a
+    starting row that returns leaves its first solve's warm start in
+    ``ctx.lasso_start``.  An LP failure aborts the starting row without
+    emitting anything and leaves ``ctx.lasso_start`` as it was.
     """
     i0 = int(i0)
     rows = ctx.useful_rows.tolist()  # the LP's first columns are their factors
     prob = build_lasso_lp(ctx, i0)
     w = _capped_weights(ctx)
-    warm = None
+    warm = ctx.lasso_start
     results = []
     while True:
         sol = solve_lp(prob, warm=warm)
@@ -81,10 +88,13 @@ def lasso_aggregate(ctx, i0, maxaggr=6):
                 % (len(results) + 1, i0, sol.status),
                 status=sol.status,
             )
+        warm = sol.warm_start()
+        if not results:
+            first = warm
         res = make_result(ctx, dict(zip(rows, sol.x.tolist())), "lasso", i0)
         results.append(res)
         if not res.residual_bad or len(results) > maxaggr:
+            ctx.lasso_start = first
             return results
         w = reweight(w, res.alpha[ctx.bad_vars])
         prob = build_reweighted_lp(ctx, results[0].used_rows, i0, w)
-        warm = sol.warm_start()

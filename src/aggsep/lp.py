@@ -19,15 +19,26 @@ The inverse and the point are factored afresh every REFACTOR_EVERY
 pivots and once more before OPTIMAL is returned, so the point and duals
 the solution is certified and packed from come from a fresh
 factorization of the final basis.  A solve first finds a feasible start
-(an accepted warm basis, the crash basis when it covers every row, or
-else phase 1's final basis, whose inverse phase 2 keeps) and then makes
-one phase-2 run.  A warm start is the status vector over the
-standard-form columns of an optimal solve; it can restart a problem that
-differs only in objective and/or variable bounds.  A solve that ends
-other than optimal carries no point and no status vector.
+(a warm basis, the crash basis when it covers every row, or else phase
+1's final basis, whose inverse phase 2 keeps) and then makes one
+phase-2 run.
+
+A warm start is what an optimal solve leaves behind: its standard-form
+matrix, basis, status vector and basis inverse.  It restarts a problem
+on the same matrix (the same array, or an equal one) that differs in
+objective, right-hand side and/or variable bounds, with no
+factorization: the kept inverse gives the basic values.  A start that
+is not primal feasible but prices dual feasible, such as the optimum of
+a problem that differs only in bounds, is first restored to feasibility
+by a bounded dual simplex loop (Koberstein 2005).  A warm start on
+another matrix, or one the dual loop cannot restore (the start is not
+dual feasible, no column can enter, the basis turns out singular, or
+the pivot cap is reached), is dropped and the problem is solved cold.
+A solve that ends other than optimal carries no point and no warm start.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,6 +54,7 @@ OPT_TOL = 1e-7
 DEGEN_PIVOT_LIMIT = 1000
 MAX_ITER_FACTOR = 50  # a phase stops after MAX_ITER_FACTOR * (rows + cols) pivots
 REFACTOR_EVERY = 64  # the basis inverse is factored afresh after this many pivots
+PIVOT_TOL = 1e-10  # smaller entries of a pivot column or row are not pivoted on
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -96,6 +108,15 @@ class LpProblem:
         return self.A.shape[0]
 
 
+class WarmStart(NamedTuple):
+    """An optimal basis, as ``solve_lp`` leaves it; read-only once made."""
+
+    A: np.ndarray  # the standard-form matrix the basis belongs to
+    basis: np.ndarray  # the column of each basis position
+    status: np.ndarray  # per standard-form column
+    Binv: np.ndarray  # inverse of A[:, basis], from a fresh factorization
+
+
 @dataclass
 class LpSolution:
     status: str
@@ -104,14 +125,24 @@ class LpSolution:
     objective: float = None
     col_status: np.ndarray = None  # per standard-form column, see _standard_form
     iterations: int = 0
+    _warm: WarmStart = field(default=None, repr=False)
 
     def warm_start(self):
-        """The status vector that warm-starts ``solve_lp``; a copy."""
-        return self.col_status.copy()
+        """The WarmStart that restarts ``solve_lp`` from this optimum.
+
+        None, which solves cold, when the solve was not optimal or when its
+        final basis keeps an artificial column (dependent equality rows).
+        """
+        return self._warm
 
 
 def _standard_form(problem):
-    """(A, b, c, lb, ub): structural columns, then one slack per 'L' row."""
+    """(A, b, c, lb, ub): structural columns, then one slack per 'L' row.
+
+    Without 'L' rows these are the problem's own arrays, not copies.
+    """
+    if "L" not in problem.row_type:
+        return problem.A, problem.rhs, problem.obj, problem.col_lb, problem.col_ub
     m, n = problem.A.shape
     slack_rows = np.array(
         [i for i, t in enumerate(problem.row_type) if t == "L"], dtype=np.int64
@@ -164,10 +195,9 @@ def ratio_test(w, xb, lb, ub, sdir, tcap):
     basic position (-1 for a bound flip / unbounded step) and ``to_upper``
     tells which bound the leaving variable hits.
     """
-    eps = 1e-10
     d = sdir * w
-    pos = d > eps
-    neg = d < -eps
+    pos = d > PIVOT_TOL
+    neg = d < -PIVOT_TOL
     # an infinite bound gives an infinite ratio
     ratios = np.full(len(d), np.inf)
     ratios[pos] = (xb[pos] - lb[pos]) / d[pos]
@@ -177,6 +207,28 @@ def ratio_test(w, xb, lb, ub, sdir, tcap):
         if ratios[k] < tcap:
             return float(max(ratios[k], 0.0)), k, bool(neg[k])
     return tcap, -1, False
+
+
+def _price(A, c, basis, status, Binv, fixed):
+    """(y, d, viol): the duals, the reduced costs, and the objective decrease
+    per unit step of each column that can move (0 for basic and fixed ones)."""
+    y = c[basis] @ Binv
+    d = c - y @ A
+    # down from an upper bound, up from a lower bound, the better way for a
+    # free column
+    viol = np.where(status == AT_UPPER, d, np.where(status == FREE, np.abs(d), -d))
+    viol[fixed] = 0.0
+    viol[basis] = 0.0
+    return y, d, viol
+
+
+def _eta_update(Binv, w, r):
+    """Binv after the column whose ``Binv`` image is ``w`` takes basis
+    position ``r``, in place: row r is divided by the pivot, and w's
+    multiple of it is taken off every other row."""
+    pivot_row = Binv[r] / w[r]
+    Binv -= np.outer(w, pivot_row)
+    Binv[r] = pivot_row
 
 
 def _simplex_loop(A, b, c, lb, ub, basis, status, x, Binv, max_iter):
@@ -201,13 +253,7 @@ def _simplex_loop(A, b, c, lb, ub, basis, status, x, Binv, max_iter):
     since = 0  # pivots since Binv and x were last factored
     try:
         while True:
-            y = c[basis] @ Binv
-            d = c - y @ A
-            # objective decrease per unit step: down from an upper bound, up
-            # from a lower bound, the better way for a free column
-            viol = np.where(status == AT_UPPER, d, np.where(status == FREE, np.abs(d), -d))
-            viol[fixed] = 0.0
-            viol[basis] = 0.0
+            y, d, viol = _price(A, c, basis, status, Binv, fixed)
             # Bland takes the first violated column, Dantzig the most violated
             j = int(np.argmax(viol > OPT_TOL) if bland else np.argmax(viol))
             if viol[j] <= OPT_TOL:
@@ -239,11 +285,7 @@ def _simplex_loop(A, b, c, lb, ub, basis, status, x, Binv, max_iter):
                 x[out] = ub[out] if to_upper else lb[out]
                 basis[leave] = j
                 status[j] = BASIC
-                # eta step: row ``leave`` is divided by the pivot, and w's
-                # multiple of it is taken off every other row
-                pivot_row = Binv[leave] / w[leave]
-                Binv -= np.outer(w, pivot_row)
-                Binv[leave] = pivot_row
+                _eta_update(Binv, w, leave)
             if t <= 1e-10:
                 degen += 1
                 if degen > DEGEN_PIVOT_LIMIT:
@@ -265,34 +307,97 @@ def _feas_scale(b):
     return 1.0 + np.abs(b).max(initial=0.0)
 
 
-def _try_warm(A, b, lb, ub, warm):
-    """(basis, status, Binv, x) from a prior status vector, or None if it does not fit.
+def _dual_loop(A, b, c, lb, ub, basis, status, x, Binv, max_iter):
+    """Bounded dual simplex iterations to a primal feasible basis.
 
-    Rejects a vector of the wrong length, the wrong number of basics, a
-    singular basis, or a basis that is not primal feasible for ``b``.
+    Returns (x, Binv, pivots), or None when the basis cannot be restored
+    this way: it is not dual feasible, no column can enter (the problem is
+    then infeasible), a factorization finds it singular, or max_iter
+    pivots are reached.  x and Binv are the point and inverse of the
+    starting basis.  Each pivot takes the basic column farthest outside
+    its bounds out, to the bound it violates, and the entering column by
+    the dual ratio test: of the columns that can move the leaving one
+    toward that bound, the first whose reduced cost reaches zero.  The
+    point, the eta update, the tolerances, the refactor interval and the
+    fixed-column rule are those of ``_simplex_loop``; a basis that ends
+    feasible after pivots is factored afresh before it is returned.  basis
+    and status are updated in place.
     """
-    m, width = A.shape
-    if warm.shape != (width,):
+    fixed = lb == ub
+    tol = FEAS_TOL * _feas_scale(b)
+    it = 0
+    since = 0  # pivots since Binv and x were last factored
+    try:
+        while True:
+            xb = x[basis]
+            below = lb[basis] - xb
+            infeas = np.maximum(below, xb - ub[basis])
+            if infeas.max(initial=0.0) <= tol:
+                if since == 0:
+                    return x, Binv, it
+                Binv, x = _factor(A, b, lb, ub, basis, status)
+                since = 0
+                continue
+            _, d, viol = _price(A, c, basis, status, Binv, fixed)
+            if viol.max() > OPT_TOL:
+                return None
+            r = int(np.argmax(infeas))
+            rise = below[r] > 0  # the leaving column rises to its lower bound
+            alpha = Binv[r] @ A
+            # a column at its lower bound can rise, at its upper bound fall, a
+            # free one move either way; x_B[r] moves by -alpha_j per unit of x_j
+            sdir = np.where(status == AT_UPPER, -1.0, 1.0)
+            gain = np.where(status == FREE, np.abs(alpha), (-sdir if rise else sdir) * alpha)
+            cand = np.flatnonzero((gain > PIVOT_TOL) & (status != BASIC) & ~fixed)
+            if not len(cand):
+                return None
+            ratios = np.where(status[cand] == FREE, np.abs(d[cand]),
+                              np.maximum(sdir[cand] * d[cand], 0.0)) / gain[cand]
+            j = int(cand[np.argmin(ratios)])
+            w = Binv @ A[:, j]
+            out = basis[r]
+            target = lb[out] if rise else ub[out]
+            t = (x[out] - target) / w[r]
+            x[basis] -= t * w
+            x[j] += t
+            x[out] = target
+            status[out] = AT_LOWER if rise else AT_UPPER
+            basis[r] = j
+            status[j] = BASIC
+            _eta_update(Binv, w, r)
+            it += 1
+            since += 1
+            if it >= max_iter:
+                return None
+            if since >= REFACTOR_EVERY:
+                Binv, x = _factor(A, b, lb, ub, basis, status)
+                since = 0
+    except np.linalg.LinAlgError:
         return None
-    status = warm.astype(np.int64)
-    basis = np.flatnonzero(status == BASIC)
-    if len(basis) != m:
+
+
+def _restart(warm, A, b, c, lb, ub, max_iter):
+    """(basis, status, x, Binv, pivots): a feasible start from ``warm``, or None.
+
+    None when ``warm`` was left on another matrix or ``_dual_loop`` cannot
+    make its basis feasible.  The basic values come from the kept inverse;
+    nothing is factored unless the dual loop pivots.
+    """
+    if not (warm.A is A or (warm.A.shape == A.shape and np.array_equal(warm.A, A))):
         return None
+    basis = warm.basis.copy()
+    status = warm.status.copy()
     # nonbasic columns whose recorded bound no longer exists fall back to 0
     status[(status == AT_LOWER) & ~np.isfinite(lb)] = FREE
     lost_ub = (status == AT_UPPER) & ~np.isfinite(ub)
     status[lost_ub] = np.where(np.isfinite(lb[lost_ub]), AT_LOWER, FREE)
-    try:
-        Binv, x = _factor(A, b, lb, ub, basis, status)
-    except np.linalg.LinAlgError:
+    x = _nonbasic_values(status, lb, ub)
+    x[basis] = warm.Binv @ (b - A @ x)
+    restored = _dual_loop(A, b, c, lb, ub, basis, status, x, warm.Binv.copy(), max_iter)
+    if restored is None:
         return None
-    xb = x[basis]
-    tol = FEAS_TOL * _feas_scale(b)
-    if np.max(lb[basis] - xb, initial=0.0) > tol or np.max(
-        xb - ub[basis], initial=0.0
-    ) > tol:
-        return None
-    return basis, status, Binv, x
+    x, Binv, it = restored
+    return basis, status, x, Binv, it
 
 
 def _crash(A, r, x0, lb, ub):
@@ -313,22 +418,26 @@ def _crash(A, r, x0, lb, ub):
 
 
 def solve_lp(problem, warm=None):
-    """Solve an LpProblem, optionally warm-started from a prior status vector.
+    """Solve an LpProblem, optionally warm-started from ``LpSolution.warm_start()``.
 
-    The warm start is used only if its basis is primal feasible for the new
-    data; otherwise the solve silently runs cold: from the crash basis,
-    with one artificial column per row the crash leaves uncovered, and
-    phase 1 only when there is one.
-    Only an optimal solution carries a point, duals and a status vector.
+    A warm start on the same matrix restarts from its basis and kept
+    inverse: the primal loop runs at once if that basis is feasible for the
+    new data, after ``_dual_loop`` has restored feasibility if it is not.
+    A warm start that does not fit (another matrix or width, or a basis the
+    dual loop cannot restore) is dropped, and the solve runs cold, exactly
+    as with ``warm=None``: from the crash basis, with one artificial column
+    per row the crash leaves uncovered, and phase 1 only when there is one.
+    Only an optimal solution carries a point, duals and a warm start.
     """
     A, b, c, lb, ub = _standard_form(problem)
+    std = A  # the matrix a warm start refers to: no artificial columns
     m, width = A.shape
     max_iter = MAX_ITER_FACTOR * (problem.n_rows + problem.n_cols)
 
     it = 0
-    start = None if warm is None else _try_warm(A, b, lb, ub, warm)
+    start = None if warm is None else _restart(warm, A, b, c, lb, ub, max_iter)
     if start is not None:
-        basis, status, Binv, x = start
+        basis, status, x, Binv, it = start
     else:
         # crash basis: one-nonzero columns take their rows, an artificial
         # signed by the row's residual takes each row left uncovered
@@ -362,7 +471,7 @@ def solve_lp(problem, warm=None):
             c = np.concatenate([c, np.zeros(na)])
 
     # phase 2 from the feasible start
-    code, it2, x, y, _ = _simplex_loop(A, b, c, lb, ub, basis, status, x, Binv, max_iter)
+    code, it2, x, y, Binv = _simplex_loop(A, b, c, lb, ub, basis, status, x, Binv, max_iter)
     it += it2
     if code != OPTIMAL:
         return LpSolution(status=code, iterations=it)
@@ -372,13 +481,55 @@ def solve_lp(problem, warm=None):
     if not (resid <= tol and bound_viol <= tol):  # a NaN fails too
         raise LpFailure("feasibility could not be certified", status=OPTIMAL)
     xs = x[: problem.n_cols]
+    col_status = status[:width].copy()
     return LpSolution(
         status=OPTIMAL,
         x=xs,
         duals=y,
         objective=float(problem.obj @ xs),
-        col_status=status[:width].copy(),
+        col_status=col_status,
         iterations=it,
+        # a basis that keeps an artificial column restarts nothing
+        _warm=WarmStart(std, basis, col_status, Binv) if np.all(basis < width) else None,
+    )
+
+
+def abs_value_matrix(coefs):
+    """The rows ``coefs[t] . lam - mu+_t + mu-_t = 0`` of an absolute-value LP.
+
+    Columns are lam, then mu+_t and mu-_t side by side for each row t.
+    """
+    coefs = np.asarray(coefs, dtype=float)
+    nt, k = coefs.shape
+    t = np.arange(nt)
+    A = np.zeros((nt, k + 2 * nt))
+    A[:, :k] = coefs
+    A[t, k + 2 * t] = -1.0
+    A[t, k + 2 * t + 1] = 1.0
+    return A
+
+
+def abs_value_lp(A, weights, extra_cost, lam_lb, lam_ub):
+    """LP for  min  sum_t w_t |coefs[t] . lam| + extra_cost . lam  on
+    ``A = abs_value_matrix(coefs)``, which the LP shares, not copies.
+
+    Row t's absolute value is mu+_t + mu-_t, each with cost w_t >= 0.
+    """
+    w = np.asarray(weights, dtype=float)
+    if np.any(w < 0):
+        raise ContractViolation("absolute-value weight must be nonnegative")
+    nt = len(w)
+    k = len(lam_lb)
+    obj = np.zeros(k + 2 * nt)
+    obj[:k] = extra_cost
+    obj[k:] = np.repeat(w, 2)
+    return LpProblem(
+        obj=obj,
+        A=A,
+        row_type=["E"] * nt,
+        rhs=np.zeros(nt),
+        col_lb=np.concatenate([lam_lb, np.zeros(2 * nt)]),
+        col_ub=np.concatenate([lam_ub, np.full(2 * nt, np.inf)]),
     )
 
 
@@ -392,28 +543,6 @@ def build_abs_value_lp(terms, extra_cost, lam_lb, lam_ub):
     """
     if any(not isinstance(term, (tuple, list)) or len(term) != 2 for term in terms):
         raise ContractViolation("each absolute-value term must be a (weight, coef_vector) pair")
-    lam_lb = np.asarray(lam_lb, dtype=float)
-    lam_ub = np.asarray(lam_ub, dtype=float)
-    k = len(lam_lb)
-    nt = len(terms)
-    w = np.array([weight for weight, _ in terms], dtype=float)
-    if np.any(w < 0):
-        raise ContractViolation("absolute-value weight must be nonnegative")
-    t = np.arange(nt)
-    A = np.zeros((nt, k + 2 * nt))
-    A[:, :k] = np.array([coef for _, coef in terms], dtype=float).reshape(nt, k)
-    A[t, k + 2 * t] = -1.0
-    A[t, k + 2 * t + 1] = 1.0
-    obj = np.zeros(k + 2 * nt)
-    obj[:k] = extra_cost
-    obj[k:] = np.repeat(w, 2)
-    lb = np.concatenate([lam_lb, np.zeros(2 * nt)])
-    ub = np.concatenate([lam_ub, np.full(2 * nt, np.inf)])
-    return LpProblem(
-        obj=obj,
-        A=A,
-        row_type=["E"] * nt,
-        rhs=np.zeros(nt),
-        col_lb=lb,
-        col_ub=ub,
-    )
+    coefs = np.array([coef for _, coef in terms], dtype=float).reshape(len(terms), len(lam_lb))
+    return abs_value_lp(abs_value_matrix(coefs), [weight for weight, _ in terms],
+                        extra_cost, lam_lb, lam_ub)

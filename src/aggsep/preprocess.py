@@ -2,7 +2,8 @@
 
 Freezes everything the aggregators need into one SeparationContext per
 point: mw, lasso, bound substitution and the sparsity metrics all read the
-same snapshot.  Each continuous variable's bound at the point is decided
+same snapshot.  The one thing a context carries from one starting row to
+the next is the lasso's last first-solve basis (``lasso_start``).  Each continuous variable's bound at the point is decided
 here once (``substitution_bounds``); the bad variables and the bound
 substitution both read that table.
 """
@@ -15,6 +16,7 @@ import numpy as np
 
 from .errors import ContractViolation
 from .instance import detect_variable_bounds, make_point
+from .lp import abs_value_matrix
 
 MAX_BAD_VARS = 50  # bad variables kept, largest bound distance first
 MAX_USEFUL_ROWS = 5000  # useful rows kept, highest score first
@@ -52,6 +54,7 @@ class SeparationContext:
     scores: np.ndarray  # aligned with useful_rows
     bound_row: np.ndarray  # bool, aligned with useful_rows: implied-bound rows
     slacks: np.ndarray  # clipped nonnegative slack per instance row
+    lasso_start: object = None  # WarmStart of the last lasso start row's first solve
 
     @property
     def nothing_to_do(self):
@@ -61,6 +64,11 @@ class SeparationContext:
     def bad_block(self):
         """A[useful_rows, bad_vars]: every column an aggregator decides on."""
         return self.instance.matrix[np.ix_(self.useful_rows, self.bad_vars)]
+
+    @cached_property
+    def lasso_matrix(self):
+        """The matrix every lasso LP of this context shares: one row per bad column."""
+        return abs_value_matrix(self.bad_block.T)
 
     @cached_property
     def _block_pos(self):

@@ -190,26 +190,95 @@ def test_lasso_objective_beats_trivial_and_mw(example1, example1_ctx):
 
 
 def test_cold_lasso_solves_on_corpus_skip_phase_1(monkeypatch):
-    # every lasso LP row is crashed, so a cold solve runs only phase 2
+    # each context solves at most one lasso LP cold, its first, and that
+    # solve runs only phase 2 (every lasso LP row is crashed); every later
+    # one, a re-solve or the next start row's first solve, restarts from a
+    # kept basis
+    crashes = []
     loops = []
     cold = []
+    solves = []
+    real_crash = lp._crash
     real_loop = lp._simplex_loop
+
+    def counting_crash(*args):
+        crashes.append(1)
+        return real_crash(*args)
 
     def counting_loop(*args):
         loops.append(1)
         return real_loop(*args)
 
     def solve(prob, warm=None):
-        before = len(loops)
+        before = (len(crashes), len(loops))
         sol = solve_lp(prob, warm=warm)
-        if warm is None:
-            cold.append(len(loops) - before)
+        if len(crashes) > before[0]:
+            cold.append((len(solves[-1]), len(loops) - before[1]))
+        solves[-1].append(warm)
         return sol
 
+    monkeypatch.setattr(lp, "_crash", counting_crash)
     monkeypatch.setattr(lp, "_simplex_loop", counting_loop)
     monkeypatch.setattr(lasso, "solve_lp", solve)
+    per_context = []
     for mps, sol in corpus_paths():
         inst = parse_mps_file(mps)
+        cold.clear()
+        solves.append([])
         run_separation(inst, parse_solution_file(sol, inst),
                        RunConfig(algorithm="lasso", start_policy=POLICY_ALL))
-    assert cold and cold == [1] * len(cold)
+        per_context.append(list(cold))
+    assert all(c == [(0, 1)] for c in per_context)  # the first solve, one loop
+    assert sum(len(s) for s in solves) > 2 * len(solves)
+
+
+def test_first_solve_starts_from_the_previous_start_row(example1_ctx, monkeypatch):
+    ctx = example1_ctx
+    assert ctx.lasso_start is None
+    pending = []
+    offered = []  # the warm start offered to each first solve
+    real_build = lasso.build_lasso_lp
+
+    def build(ctx, i0):
+        pending.append(i0)
+        return real_build(ctx, i0)
+
+    def solve(prob, warm=None):
+        if pending:
+            pending.pop()
+            offered.append(warm)
+        return solve_lp(prob, warm=warm)
+
+    monkeypatch.setattr(lasso, "build_lasso_lp", build)
+    monkeypatch.setattr(lasso, "solve_lp", solve)
+    kept = []
+    for i0 in (0, 1, 2):
+        results = lasso_aggregate(ctx, i0)
+        kept.append(ctx.lasso_start)
+        lam = np.array([results[-1].factors.get(i, 0.0) for i in range(3)])
+        assert lam / lam[0] == pytest.approx([1.0, 1.0, 2.0], abs=1e-6)
+    assert offered[0] is None and all(a is b for a, b in zip(offered[1:], kept[:2]))
+    assert len(offered) == 3
+    assert all(isinstance(k, lp.WarmStart) and k.A is ctx.lasso_matrix for k in kept)
+
+
+@pytest.mark.parametrize("failing", [0, 1], ids=["first-solve", "first-re-solve"])
+def test_failed_start_row_keeps_the_hand_off(monkeypatch, failing):
+    inst = _stuck_instance()
+    ctx = preprocess(inst, np.array([2.0, 1.5]))
+    lasso_aggregate(ctx, 0, maxaggr=1)
+    kept = ctx.lasso_start
+    assert kept is not None
+    calls = []
+
+    def solve(prob, warm=None):
+        calls.append(warm)
+        if len(calls) == failing + 1:
+            return LpSolution(status=ITERATION_LIMIT, iterations=7)
+        return solve_lp(prob, warm=warm)
+
+    monkeypatch.setattr(lasso, "solve_lp", solve)
+    with pytest.raises(LpFailure):
+        lasso_aggregate(ctx, 0, maxaggr=3)
+    assert calls[0] is kept
+    assert ctx.lasso_start is kept

@@ -387,21 +387,30 @@ def test_non_optimal_solve_carries_no_point(warm):
 
 
 def _rejected_start(kind):
-    """A problem and a status vector that cannot warm-start it."""
+    """A problem and a warm start left on another matrix, which cannot restart it."""
     if kind == "singular-basis":
-        # columns 0 and 1 of the rows [1, 2, 0] and [2, 4, 1] are parallel
+        # columns 0 and 1 are parallel here, not in the sibling whose optimal
+        # basis holds both: the two matrices have the same shape
         prob = _lp([1.0, 1.0, 1.0], [[1.0, 2.0, 0.0], [2.0, 4.0, 1.0]], ["E", "E"],
                    [2.0, 5.0], [0.0] * 3, [np.inf] * 3)
-        return prob, np.array([lp.BASIC, lp.BASIC, lp.AT_LOWER])
-    prob = _lp([-1.0, -1.0], [[1.0, 2.0], [3.0, 1.0]], ["L", "L"], [4.0, 6.0],
-               [0.0, 0.0], [np.inf, np.inf])
-    status = solve_lp(prob).warm_start()
-    return prob, status[:-1] if kind == "short" else np.append(status, lp.AT_LOWER)
+        sib = _lp([1.0, 1.0, 10.0], [[1.0, 2.0, 0.0], [2.0, 1.0, 1.0]], ["E", "E"],
+                  [3.0, 3.0], [0.0] * 3, [np.inf] * 3)
+        start = solve_lp(sib).warm_start()
+        assert start.status.tolist() == [lp.BASIC, lp.BASIC, lp.AT_LOWER]
+        return prob, start
+    A = [[1.0, 2.0], [3.0, 1.0]]
+    prob = _lp([-1.0, -1.0], A, ["L", "L"], [4.0, 6.0], [0.0, 0.0], [np.inf, np.inf])
+    # the sibling has one structural column fewer or one more
+    width = 1 if kind == "short" else 3
+    sib = _lp([-1.0] * width, np.hstack([A, [[1.0], [1.0]]])[:, :width], ["L", "L"],
+              [4.0, 6.0], [0.0] * width, [np.inf] * width)
+    return prob, solve_lp(sib).warm_start()
 
 
 @pytest.mark.parametrize("kind", ["short", "long", "singular-basis"])
 def test_rejected_warm_start_falls_back_to_cold(kind):
     prob, start = _rejected_start(kind)
+    assert start is not None
     cold = solve_lp(prob)
     warm = solve_lp(prob, warm=start)
     assert cold.status == OPTIMAL
@@ -410,14 +419,8 @@ def test_rejected_warm_start_falls_back_to_cold(kind):
     )
 
 
-def test_accepted_warm_basis_is_solved_once(monkeypatch):
-    # max x + y  s.t.  x + 2y <= 4, 3x + y <= 6: restarting from its own
-    # optimum takes 0 pivots, so the warm basis is factored once (in the
-    # warm-start feasibility test), its point and duals come from that
-    # inverse, and nothing is solved
-    prob = _lp([-1.0, -1.0], [[1.0, 2.0], [3.0, 1.0]], ["L", "L"], [4.0, 6.0],
-               [0.0, 0.0], [np.inf, np.inf])
-    start = solve_lp(prob).warm_start()
+def _counting_linalg(monkeypatch):
+    """The np.linalg.inv and np.linalg.solve calls made, appended as they run."""
     calls = []
 
     def counting(name, real):
@@ -428,10 +431,21 @@ def test_accepted_warm_basis_is_solved_once(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "inv", counting("inv", np.linalg.inv))
     monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
+    return calls
+
+
+def test_accepted_warm_basis_is_solved_once(monkeypatch):
+    # max x + y  s.t.  x + 2y <= 4, 3x + y <= 6: restarting from its own
+    # optimum takes 0 pivots, so the point and duals come from the kept
+    # inverse, and nothing is factored or solved
+    prob = _lp([-1.0, -1.0], [[1.0, 2.0], [3.0, 1.0]], ["L", "L"], [4.0, 6.0],
+               [0.0, 0.0], [np.inf, np.inf])
+    start = solve_lp(prob).warm_start()
+    calls = _counting_linalg(monkeypatch)
     sol = solve_lp(prob, warm=start)
     assert (sol.status, sol.iterations) == (OPTIMAL, 0)
     assert sol.objective == pytest.approx(-2.8)
-    assert calls == ["inv"]
+    assert calls == []
 
 
 @pytest.mark.parametrize("bland", [False, True], ids=["dantzig", "bland"])
@@ -505,20 +519,168 @@ def test_optimum_comes_from_a_fresh_factorization(refactor, monkeypatch):
         assert len(points) > sol.iterations
 
 
-def test_singular_warm_basis_falls_back_to_cold():
-    # columns 0 and 1 are identical and both marked basic: the warm basis
-    # cannot be factored, so it is rejected and the solve runs cold
-    prob = _lp([1.0, 2.0, 1.0], [[1.0, 1.0, 0.0], [2.0, 2.0, 1.0]], ["E", "E"],
-               [2.0, 5.0], [0.0] * 3, [np.inf] * 3)
-    start = np.array([lp.BASIC, lp.BASIC, lp.AT_LOWER])
-    A, b, _, lb, ub = lp._standard_form(prob)
-    assert lp._try_warm(A, b, lb, ub, start) is None
-    cold = solve_lp(prob)
-    warm = solve_lp(prob, warm=start)
-    assert (cold.status, cold.objective) == (OPTIMAL, pytest.approx(3.0))
-    assert (warm.status, warm.objective, warm.iterations) == (
-        cold.status, cold.objective, cold.iterations
-    )
+def _hand_offs(seed, sequences=30):
+    """(problem, warm start) of each step of lasso-shaped LP sequences.
+
+    Every LP of a sequence shares one matrix, ``abs_value_matrix(B)``, and
+    its costs; a step moves the lam >= 1 bound to the next row, and its
+    warm start is the previous step's optimum (None for the first step).
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(sequences):
+        k = int(rng.integers(3, 10))
+        nt = int(rng.integers(2, 8))
+        B = rng.integers(-3, 4, size=(nt, k)).astype(float) * (rng.random((nt, k)) < 0.6)
+        A = lp.abs_value_matrix(B)
+        w = rng.uniform(0.1, 3.0, size=nt)
+        cost = rng.uniform(0.0, 1.0, size=k) * (rng.random(k) < 0.8)
+        warm = None
+        for i0 in rng.permutation(k):
+            lb = np.zeros(k)
+            lb[i0] = 1.0
+            prob = lp.abs_value_lp(A, w, cost, lb, np.full(k, 1e6))
+            yield prob, warm
+            warm = solve_lp(prob, warm=warm).warm_start()
+
+
+def _recording_dual_loop(monkeypatch, cap=None):
+    """The pivots of each ``_dual_loop`` run (None if it gave up), appended
+    as they end; ``cap[0]``, when set, replaces its pivot cap."""
+    runs = []
+    real_dual_loop = lp._dual_loop
+
+    def recording(*args):
+        if cap is not None and cap[0] is not None:
+            args = args[:-1] + (cap[0],)
+        out = real_dual_loop(*args)
+        runs.append(None if out is None else out[2])
+        return out
+
+    monkeypatch.setattr(lp, "_dual_loop", recording)
+    return runs
+
+
+def test_hand_off_across_start_rows_matches_cold_and_highs(monkeypatch):
+    # the previous step's optimal basis stays dual feasible, so a step that
+    # starts primal infeasible is restored by the dual loop and never falls
+    # back to a cold solve; a step whose basis does not change factors nothing
+    pytest.importorskip("scipy")
+    runs = _recording_dual_loop(monkeypatch)
+    calls = _counting_linalg(monkeypatch)
+    points = []
+    real_factor = lp._factor
+
+    def recording_factor(*args):
+        Binv, x = real_factor(*args)
+        points.append(x)
+        return Binv, x
+
+    monkeypatch.setattr(lp, "_factor", recording_factor)
+    restored = unchanged = 0
+    for i, (prob, warm) in enumerate(_hand_offs(23)):
+        assert lp._standard_form(prob)[0] is prob.A, i  # no copy of the shared matrix
+        runs.clear()
+        calls.clear()
+        sol = solve_lp(prob, warm=warm)
+        assert sol.status == OPTIMAL, i
+        if warm is not None:
+            assert runs and None not in runs, i
+            if runs[0] > 0:  # the optimum comes from a fresh factorization
+                assert np.array_equal(sol.x, points[-1][: prob.n_cols]), i
+                restored += 1
+            if sol.iterations == 0:
+                assert calls == [], i
+                unchanged += 1
+        cold = solve_lp(prob)
+        status, objective = _highs(prob)
+        assert cold.status == status == OPTIMAL, i
+        for value in (sol.objective, cold.objective):
+            assert abs(value - objective) <= 1e-6 * (1.0 + abs(objective)), i
+        assert np.all(sol.x >= prob.col_lb - 1e-7) and np.all(sol.x <= prob.col_ub + 1e-7), i
+        assert np.all(np.abs(prob.A @ sol.x - prob.rhs) <= 1e-6), i
+    assert restored > 0 and unchanged > 0
+
+
+def _same_answer(a, b):
+    return (a.status, a.objective, a.iterations) == (b.status, b.objective, b.iterations) and (
+        np.array_equal(a.x, b.x) and np.array_equal(a.col_status, b.col_status))
+
+
+def test_dual_loop_past_its_cap_solves_cold(monkeypatch):
+    # with the dual loop's cap at 1 pivot, every hand-off that needs one
+    # gives up and is solved exactly as without a warm start
+    cap = [None]
+    runs = _recording_dual_loop(monkeypatch, cap)
+    forced = 0
+    for i, (prob, warm) in enumerate(_hand_offs(29)):
+        if warm is None:
+            continue
+        runs.clear()
+        solve_lp(prob, warm=warm)
+        if not runs[0]:
+            continue  # feasible at once: the cap is never reached
+        cap[0] = 1
+        capped = solve_lp(prob, warm=warm)
+        cap[0] = None
+        assert runs[1:] == [None], i
+        assert _same_answer(capped, solve_lp(prob)), i
+        forced += 1
+    assert forced > 0
+
+
+def test_start_neither_primal_nor_dual_feasible_solves_cold(monkeypatch):
+    # a hand-off whose factor costs change too: where the kept basis then
+    # prices dual infeasible, the dual loop gives up before any pivot, and
+    # the solve is exactly the cold one
+    runs = _recording_dual_loop(monkeypatch)
+    rng = np.random.default_rng(37)
+    dropped = 0
+    for i, (prob, warm) in enumerate(_hand_offs(29)):
+        if warm is None:
+            continue
+        k = prob.n_cols - 2 * prob.n_rows
+        obj = prob.obj.copy()
+        obj[:k] = rng.uniform(0.0, 1.0, size=k)
+        changed = _lp(obj, prob.A, prob.row_type, prob.rhs, prob.col_lb, prob.col_ub)
+        runs.clear()
+        sol = solve_lp(changed, warm=warm)
+        if runs == [None]:
+            assert _same_answer(sol, solve_lp(changed)), i
+            dropped += 1
+    assert dropped > 0
+
+
+def test_singular_warm_basis_falls_back_to_cold(monkeypatch):
+    # a factorization in the dual loop that finds the basis singular (forced
+    # by REFACTOR_EVERY = 1 and a _factor that raises once) drops the warm
+    # start, and the solve is exactly the cold one
+    monkeypatch.setattr(lp, "REFACTOR_EVERY", 1)
+    runs = _recording_dual_loop(monkeypatch)
+    real_factor = lp._factor
+    checked = 0
+    for i, (prob, warm) in enumerate(_hand_offs(31)):
+        if warm is None:
+            continue
+        runs.clear()
+        if not solve_lp(prob, warm=warm).iterations or not runs[0]:
+            continue
+        cold = solve_lp(prob)
+        raised = []
+
+        def singular_once(*args):
+            if not raised:
+                raised.append(1)
+                raise np.linalg.LinAlgError("singular matrix")
+            return real_factor(*args)
+
+        monkeypatch.setattr(lp, "_factor", singular_once)
+        runs.clear()
+        sol = solve_lp(prob, warm=warm)
+        monkeypatch.setattr(lp, "_factor", real_factor)
+        assert raised and runs == [None], i
+        assert _same_answer(sol, cold), i
+        checked += 1
+    assert checked > 0
 
 
 @pytest.mark.parametrize("refactor", [1, 10 ** 9], ids=["interval", "before-optimal"])
