@@ -109,11 +109,9 @@ def bound_substitute(aggregation, ctx):
     # in the order the row's positions are visited
     hit = is_int | (sub.int_var[nz] >= 0)
     target = np.where(is_int, nz, sub.int_var[nz])[hit]
-    acc = np.zeros(inst.n_vars)
-    np.add.at(acc, target, np.where(is_int, alpha[nz], alpha[nz] * sub.int_coef[nz])[hit])
-    int_vars = np.unique(target)
-    int_vars = int_vars[np.abs(acc[int_vars]) > ZERO_TOL]
-    a = acc[int_vars]
+    acc = np.bincount(target, np.where(is_int, alpha[nz], alpha[nz] * sub.int_coef[nz])[hit])
+    int_vars = np.flatnonzero(np.abs(acc) > ZERO_TOL)
+    a = acc[int_vars].astype(float)  # bincount of nothing is an int array
     lo = inst.lower[int_vars]
     hi = inst.upper[int_vars]
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
@@ -138,7 +136,10 @@ def bound_substitute(aggregation, ctx):
 def _running_sum(start, terms):
     """``start`` plus ``terms``, added left to right: the bytes of b, sbar,
     beta and the mapped-back right-hand side depend on this summation order."""
-    return float(np.cumsum(np.concatenate(([start], terms)))[-1])
+    total = float(start)
+    for t in terms.tolist():
+        total += t
+    return total
 
 
 def _score(k, U, deltas):
@@ -220,12 +221,10 @@ def _map_back(cut, k):
         var += [sub.int_var[j][implied], j]
         coef += [-(scale * sub.int_coef[j])[implied], -(scale * sub.slack_sign[j])]
         rhs_terms.append(scale * sub.slack_const[j])
-    # np.add.at adds in visiting order: per variable, the order above
-    keys, pos = np.unique(np.concatenate(var), return_inverse=True)
-    acc = np.zeros(len(keys))
-    np.add.at(acc, pos, np.concatenate(coef))
-    keep = np.abs(acc) > ZERO_TOL
-    cut.coefficients = dict(zip(keys[keep].tolist(), acc[keep].tolist()))
+    # np.bincount adds in visiting order: per variable, the order above
+    acc = np.bincount(np.concatenate(var), np.concatenate(coef))
+    keys = np.flatnonzero(np.abs(acc) > ZERO_TOL)
+    cut.coefficients = dict(zip(keys.tolist(), acc[keys].tolist()))
     cut.rhs = _running_sum(cut.rhs_knapsack, np.concatenate(rhs_terms))
 
 
@@ -243,9 +242,7 @@ def delta_candidates(k):
     """
     base = np.concatenate(([1.0], np.abs(k.a[k.fractional])))
     cands = (base[:, None] / np.array([1.0, 2.0, 4.0])).ravel()
-    cands = cands[cands > 0]
-    _, first = np.unique(cands, return_index=True)
-    return cands[np.sort(first)]
+    return np.array(list(dict.fromkeys(cands[cands > 0].tolist())))
 
 
 def select_partition_and_delta(k):

@@ -144,6 +144,41 @@ def test_delta_candidates():
     cands = delta_candidates(k)
     assert cands[0] == 1.0
     assert set(cands) == {1.0, 0.5, 0.25, 2.5, 1.25, 0.625}
+    # |a| = 2, 1 and 0.5 repeat 1, 1/2 and 1/4; 3 sits at an integer
+    k = _knap([2.0, -1.0, 0.5, 3.0], [3, 3, 3, 3], 3.7, zbar=[0.5, 1.5, 0.25, 1.0])
+    assert delta_candidates(k).tolist() == [1.0, 0.5, 0.25, 2.0, 0.125]
+
+
+def test_delta_candidates_keep_first_occurrence_order():
+    rng = np.random.default_rng(3)
+    repeated = 0
+    for _ in range(200):
+        k = random_knapsack_row(rng, max_q=12)
+        k.a = np.round(k.a)  # small integers, so that many |a_j|/2^i coincide
+        k.a[k.a == 0] = 1.0
+        ref = []
+        for v in [1.0] + np.abs(k.a[k.fractional]).tolist():
+            for d in (v, v / 2.0, v / 4.0):
+                if d not in ref:
+                    ref.append(d)
+        got = delta_candidates(k)
+        assert got.dtype == np.float64 and got.tolist() == ref
+        repeated += 3 * (1 + int(k.fractional.sum())) - len(ref)
+    assert repeated > 200
+
+
+def test_running_sum_adds_left_to_right():
+    # 0 + 1e16 + 1 rounds back to 1e16, so the sum is 0, not the exact 1
+    terms = np.array([1e16, 1.0, -1e16])
+    assert cmir._running_sum(0.0, terms) == 0.0 != math.fsum(terms)
+    rng = np.random.default_rng(11)
+    for n in range(60):
+        start = float(rng.normal() * 10.0 ** rng.integers(-3, 17))
+        terms = rng.normal(size=n % 20) * 10.0 ** rng.integers(-3, 17, size=n % 20)
+        expected = start
+        for t in terms.tolist():
+            expected += t
+        assert cmir._running_sum(start, terms).hex() == expected.hex()
 
 
 def test_select_partition_and_delta_derived():
@@ -313,6 +348,36 @@ def test_bound_substitute_missing_bound_returns_none():
     assert bound_substitute(agg, ctx) is None
 
 
+def _assert_substitution_matches_reference(agg, ctx, kinds):
+    """bound_substitute and the map-back of the row's first cut equal the
+    reference loops bit for bit; returns the cut, or None."""
+    got = bound_substitute(agg, ctx)
+    ref = reference_bound_substitute(agg, ctx)
+    assert (got is None) == (ref is None)
+    if ref is None:
+        return None
+    for name in ("a", "u", "int_shift", "zbar"):
+        assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
+    assert (got.b, got.sbar, got.int_vars) == (ref.b, ref.sbar, ref.int_vars)
+    for name in ("slack_vars", "slack_mult"):
+        assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
+    sub = got.substitution
+    for j, (kind, const, terms) in zip(got.slack_vars.tolist(), ref.slack_forms):
+        form = [(j, sub.slack_sign[j])]
+        if sub.int_var[j] >= 0:
+            form.insert(0, (int(sub.int_var[j]), sub.int_coef[j]))
+        assert (substitution_kind(sub, j), sub.slack_const[j], form) == (kind, const, terms)
+        kinds[kind] += 1
+    cut = _first_cut(got)
+    if cut is not None:
+        coefs, rhs = reference_map_back(cut, ref)
+        assert list(cut.coefficients) == sorted(coefs)
+        assert (np.array(list(cut.coefficients.values())).tobytes()
+                == np.array([coefs[j] for j in sorted(coefs)]).tobytes())
+        assert cut.rhs == rhs
+    return cut
+
+
 def test_bound_substitute_matches_reference_loop():
     """Array bound substitution equals the per-variable loop, bit for bit,
     and so does the map-back of a cut built on its row.
@@ -345,34 +410,44 @@ def test_bound_substitute_matches_reference_loop():
                 lam = rng.uniform(0.1, 3.0, size=len(rows))
                 agg = SimpleNamespace(alpha=lam @ inst.matrix[rows],
                                       beta=float(lam @ inst.rhs[rows]))
-                got = bound_substitute(agg, ctx)
-                ref = reference_bound_substitute(agg, ctx)
-                assert (got is None) == (ref is None)
-                if ref is None:
-                    continue
-                for name in ("a", "u", "int_shift", "zbar"):
-                    assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
-                assert (got.b, got.sbar, got.int_vars) == (ref.b, ref.sbar, ref.int_vars)
-                for name in ("slack_vars", "slack_mult"):
-                    assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
-                sub = got.substitution
-                for j, (kind, const, terms) in zip(got.slack_vars.tolist(), ref.slack_forms):
-                    form = [(j, sub.slack_sign[j])]
-                    if sub.int_var[j] >= 0:
-                        form.insert(0, (int(sub.int_var[j]), sub.int_coef[j]))
-                    assert (substitution_kind(sub, j), sub.slack_const[j], form) == (
-                        kind, const, terms)
-                    kinds[kind] += 1
-                cut = _first_cut(got)
-                if cut is not None:
-                    coefs, rhs = reference_map_back(cut, ref)
-                    assert list(cut.coefficients) == sorted(coefs)
-                    assert (np.array(list(cut.coefficients.values())).tobytes()
-                            == np.array([coefs[j] for j in sorted(coefs)]).tobytes())
-                    assert cut.rhs == rhs
-                    mapped += 1
+                mapped += _assert_substitution_matches_reference(agg, ctx, kinds) is not None
     assert min(kinds.values()) > 0, kinds
     assert mapped > 0
+
+
+def test_implied_bound_migrations_summing_to_zero_match_reference_loop():
+    """Several implied-bound migrations onto one integer z that cancel.
+
+    x1 <= z, x2 <= -z and x3 <= z move alpha_x1, -alpha_x2 and
+    alpha_x3 onto z, after z's own entry.  Where they cancel, z leaves the
+    knapsack, and with positive alphas the map-back's z terms -s*alpha_x1,
+    +s*alpha_x2 and -s*alpha_x3 (s the cut's slack scale) cancel too.
+    With 1e16 entries only the row's own order gives 0: z's own 1 is
+    absorbed by 1e16 before -1e16 cancels it (adding the 1 last keeps 1).
+    """
+    from types import SimpleNamespace
+
+    inst = MilpInstance("migrate", [
+        Variable("z", INTEGER, 0.0, 3.0), Variable("w", INTEGER, 0.0, 3.0),
+        Variable("x1", CONTINUOUS, 0.0, 100.0), Variable("x2", CONTINUOUS, -100.0, 100.0),
+        Variable("x3", CONTINUOUS, 0.0, 100.0),
+    ], [
+        Row("b1", {"x1": 1.0, "z": -1.0}, 0.0),
+        Row("b2", {"x2": 1.0, "z": 1.0}, 0.0),
+        Row("b3", {"x3": 1.0, "z": -1.0}, 0.0),
+    ])
+    ctx = preprocess(inst, np.array([0.5, 1.5, 0.45, -0.55, 0.4]))
+    assert ctx.substitution.int_var[2:].tolist() == [0, 0, 0]  # all three implied
+    kinds = {"lower": 0, "upper": 0, "implied": 0}
+    for alpha in ([0.0, 1.0, 1.0, 1.0, 0.0],  # 1 - 1 = 0
+                  [0.0, 1.0, 1.0, 2.0, 1.0],  # 1 - 2 + 1 = 0
+                  [1.0, 1.0, 1e16, 1e16, 0.0],  # (1 + 1e16) - 1e16 = 0
+                  [1.0, 1.0, 1e16, 2e16, 1e16]):  # ((1 + 1e16) - 2e16) + 1e16 = 0
+        agg = SimpleNamespace(alpha=np.array(alpha), beta=3.5)
+        cut = _assert_substitution_matches_reference(agg, ctx, kinds)
+        assert bound_substitute(agg, ctx).int_vars == (1,)  # z cancelled, w left
+        assert cut is not None and 0 not in cut.coefficients
+    assert kinds["implied"] >= 10
 
 
 def _first_cut(k):

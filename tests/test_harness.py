@@ -258,6 +258,68 @@ def test_separates_exactly_the_recorded_aggregations(monkeypatch):
     assert separated[0] is recorded[0]
 
 
+def _repeating_instance():
+    """One row whose bad column x no other row can cancel: every reweighted
+    lasso re-solve returns the first solve's factors, and the row's cut
+    z + w - x <= 1 is violated by 0.5 at the point."""
+    inst = MilpInstance(
+        "repeat",
+        [Variable("x", CONTINUOUS, 0.0, 10.0), Variable("z", INTEGER, 0.0, 3.0),
+         Variable("w", INTEGER, 0.0, 3.0)],
+        [Row("r1", {"x": -1.0, "z": 2.0, "w": 2.0}, 3.0)],
+    )
+    return inst, np.array([0.0, 0.75, 0.75])
+
+
+def test_repeated_aggregation_is_separated_once(monkeypatch):
+    separate = aggsep.harness.separate_on_aggregation
+    separated = []
+
+    def counting(agg, *args, **kwargs):
+        cut = separate(agg, *args, **kwargs)
+        separated.append((agg, cut))
+        return cut
+
+    monkeypatch.setattr(aggsep.harness, "separate_on_aggregation", counting)
+    cases = []
+    for mps, sol in corpus_paths():
+        inst = parse_mps_file(mps)
+        cases.append((inst, parse_solution_file(sol, inst)))
+    cases.append(_repeating_instance())
+    repeats = reused_cuts = 0
+    for inst, point in cases:
+        separated.clear()
+        res = run_separation(inst, point, RunConfig(start_policy=POLICY_ALL))
+        # the first aggregation of each run of consecutive equal ones
+        # (same starting row, equal factors), per algorithm
+        firsts = []
+        for algo in ("mw", "lasso"):
+            prev = None
+            for agg in res.aggregations[algo]:
+                if (agg.starting_row, agg.factors) != prev:
+                    firsts.append(agg)
+                prev = (agg.starting_row, agg.factors)
+        assert len(separated) == len(firsts)
+        assert all(got is want for (got, _), want in zip(separated, firsts))
+        repeats += sum(map(len, res.aggregations.values())) - len(firsts)
+        # reference: separate every aggregation, in a fresh context
+        ctx = preprocess(inst, point)
+        ref = []
+        for algo in ("mw", "lasso"):
+            for n, agg in enumerate(res.aggregations[algo], 1):
+                cut = separate(agg, ctx, "%s_%d" % (algo, n))
+                if cut is not None:
+                    ref.append(cut)
+        assert [vars(c) for c in res.cuts] == [vars(c) for c in ref]
+        got_text, ref_text = io.StringIO(), io.StringIO()
+        write_cuts(res.cuts, got_text)
+        write_cuts(ref, ref_text)
+        assert got_text.getvalue() == ref_text.getvalue()
+        reused_cuts += len(res.cuts) - sum(cut is not None for _, cut in separated)
+    assert repeats > 0
+    assert reused_cuts >= 6  # the repeating instance's six re-emitted lasso cuts
+
+
 # sha256[:16] of the corpus's write_cuts + format_metrics texts, and its cut
 # count.  A change that alters these bytes on purpose updates both and says why.
 CORPUS_DIGEST = ("8423fb07350bc6fa", 26)
