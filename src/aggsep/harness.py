@@ -1,6 +1,6 @@
 """Separation harness: runs the aggregators, collects cuts and metrics."""
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -112,9 +112,7 @@ def run_separation(instance, point, config=None, duals=None):
 
     Both aggregators run on one SeparationContext.  Deterministic for fixed
     inputs; per-starting-row LP failures become diagnostics and the run
-    continues.  An aggregation equal to the last one separated (same
-    starting row and factors) is not separated again: its predecessor's
-    cut, if any, is emitted again under the new cut name.
+    continues.
     """
     config = config or RunConfig()
     result = RunResult()
@@ -128,7 +126,6 @@ def run_separation(instance, point, config=None, duals=None):
             result.diagnostics.append("%s: nothing to do (no bad variables)" % algo)
             continue
         used_rows = set()
-        last_key = last_cut = None  # the last separated aggregation and its cut
         for i0 in _starting_rows(ctx, config, algo, result.diagnostics):
             if i0 in used_rows:
                 continue  # already used inside an earlier aggregation
@@ -146,13 +143,9 @@ def run_separation(instance, point, config=None, duals=None):
             for agg in emitted:
                 aggs.append(agg)
                 used_rows.update(agg.used_rows)
-                name = "%s_%d" % (algo, len(aggs))
-                # equal factors give byte-equal alpha, beta and provenance
-                key = (agg.starting_row, agg.factors)
-                if key != last_key:
-                    last_key, last_cut = key, separate_on_aggregation(agg, ctx, name)
-                if last_cut is not None:
-                    result.cuts.append(replace(last_cut, name=name))
+                cut = separate_on_aggregation(agg, ctx, "%s_%d" % (algo, len(aggs)))
+                if cut is not None:
+                    result.cuts.append(cut)
         result.aggregations[algo] = aggs
         result.metrics[algo] = sparsity_metrics(aggs, ctx)
     return result

@@ -4,8 +4,10 @@ First solve: an L1 surrogate that trades weighted bad-column mass against
 the slack of the aggregated base inequality.  While a bad column
 survives, iterative reweighting re-solves a slack-free variant restricted
 to the rows the first solve used, warm-started from the previous basis,
-until none is left or the round limit is hit.  All solves run through one
-loop with one ``solve_lp`` call and one failure path.
+until none is left, the factors repeat (reweighting has converged, as in
+Candes, Wakin & Boyd 2008; the repeat is dropped) or the round limit is
+hit.  All solves run through one loop with one ``solve_lp`` call and one
+failure path.
 
 Every lasso LP of a context shares one matrix, ``ctx.lasso_matrix``; the
 LPs differ only in costs and factor bounds.  A start row's first LP has
@@ -66,10 +68,11 @@ def reweight(w, a):
 def lasso_aggregate(ctx, i0, maxaggr=6):
     """Run the LP-based aggregation from starting row ``i0``.
 
-    Reweighted re-solves continue while a bad column is left in the
-    aggregated row, at most ``maxaggr`` of them, so at most maxaggr+1
-    aggregations are returned.  The first solve warm-starts from
-    ``ctx.lasso_start`` and each re-solve from the solve before it; a
+    Reweighted re-solves continue while a bad column is left in the aggregated
+    row, at most ``maxaggr`` of them; one that repeats the factors before it
+    ends the row and is not returned, so at most maxaggr+1 aggregations, no
+    two consecutive ones equal, are returned.  The first solve warm-starts
+    from ``ctx.lasso_start`` and each re-solve from the solve before it; a
     starting row that returns leaves its first solve's warm start in
     ``ctx.lasso_start``.  An LP failure aborts the starting row without
     emitting anything and leaves ``ctx.lasso_start`` as it was.
@@ -92,9 +95,12 @@ def lasso_aggregate(ctx, i0, maxaggr=6):
         if not results:
             first = warm
         res = make_result(ctx, dict(zip(rows, sol.x.tolist())), "lasso", i0)
+        if results and res.factors == results[-1].factors:
+            break  # a repeated vertex: the reweighting has converged
         results.append(res)
         if not res.residual_bad or len(results) > maxaggr:
-            ctx.lasso_start = first
-            return results
+            break
         w = reweight(w, res.alpha[ctx.bad_vars])
         prob = build_reweighted_lp(ctx, results[0].used_rows, i0, w)
+    ctx.lasso_start = first
+    return results

@@ -1,11 +1,11 @@
 """Separation preprocessing: bound choice, bad variables, useful rows, scores.
 
-Freezes everything the aggregators need into one SeparationContext per
-point: mw, lasso, bound substitution and the sparsity metrics all read the
-same snapshot.  The one thing a context carries from one starting row to
-the next is the lasso's last first-solve basis (``lasso_start``).  Each continuous variable's bound at the point is decided
-here once (``substitution_bounds``); the bad variables and the bound
-substitution both read that table.
+Freezes everything the aggregators need into one SeparationContext per point:
+mw, lasso, bound substitution and the sparsity metrics all read the same
+snapshot.  The one thing a context carries from one starting row to the next is
+the lasso's last first-solve basis (``lasso_start``).  Each continuous
+variable's bound at the point is decided here once (``substitution_bounds``);
+the bad variables and the bound substitution both read that table.
 """
 
 import math

@@ -1,5 +1,7 @@
+import collections
 import hashlib
 import io
+import json
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from aggsep.harness import (
 )
 from aggsep.instance import CONTINUOUS, INTEGER, MilpInstance, Row, Variable
 from aggsep.lp import ITERATION_LIMIT, LpSolution
-from aggsep.mpsio import parse_mps_file, parse_solution_file, write_cuts
+from aggsep.mpsio import cut_to_dict, parse_mps_file, parse_solution_file, write_cuts
 from aggsep.preprocess import preprocess
 
 from helpers import corpus_paths
@@ -259,7 +261,7 @@ def test_separates_exactly_the_recorded_aggregations(monkeypatch):
 
 
 def _repeating_instance():
-    """One row whose bad column x no other row can cancel: every reweighted
+    """One row whose bad column x no other row can cancel: the reweighted
     lasso re-solve returns the first solve's factors, and the row's cut
     z + w - x <= 1 is violated by 0.5 at the point."""
     inst = MilpInstance(
@@ -271,7 +273,15 @@ def _repeating_instance():
     return inst, np.array([0.0, 0.75, 0.75])
 
 
-def test_repeated_aggregation_is_separated_once(monkeypatch):
+def _corpus_cases():
+    cases = []
+    for mps, sol in corpus_paths():
+        inst = parse_mps_file(mps)
+        cases.append((inst, parse_solution_file(sol, inst)))
+    return cases
+
+
+def test_no_repeated_lasso_aggregation_and_each_is_separated_once(monkeypatch):
     separate = aggsep.harness.separate_on_aggregation
     separated = []
 
@@ -281,58 +291,66 @@ def test_repeated_aggregation_is_separated_once(monkeypatch):
         return cut
 
     monkeypatch.setattr(aggsep.harness, "separate_on_aggregation", counting)
-    cases = []
-    for mps, sol in corpus_paths():
-        inst = parse_mps_file(mps)
-        cases.append((inst, parse_solution_file(sol, inst)))
-    cases.append(_repeating_instance())
-    repeats = reused_cuts = 0
-    for inst, point in cases:
+
+    def lasso_aggregations(inst, point):
         separated.clear()
         res = run_separation(inst, point, RunConfig(start_policy=POLICY_ALL))
-        # the first aggregation of each run of consecutive equal ones
-        # (same starting row, equal factors), per algorithm
-        firsts = []
-        for algo in ("mw", "lasso"):
-            prev = None
-            for agg in res.aggregations[algo]:
-                if (agg.starting_row, agg.factors) != prev:
-                    firsts.append(agg)
-                prev = (agg.starting_row, agg.factors)
-        assert len(separated) == len(firsts)
-        assert all(got is want for (got, _), want in zip(separated, firsts))
-        repeats += sum(map(len, res.aggregations.values())) - len(firsts)
-        # reference: separate every aggregation, in a fresh context
-        ctx = preprocess(inst, point)
-        ref = []
-        for algo in ("mw", "lasso"):
-            for n, agg in enumerate(res.aggregations[algo], 1):
-                cut = separate(agg, ctx, "%s_%d" % (algo, n))
-                if cut is not None:
-                    ref.append(cut)
-        assert [vars(c) for c in res.cuts] == [vars(c) for c in ref]
-        got_text, ref_text = io.StringIO(), io.StringIO()
-        write_cuts(res.cuts, got_text)
-        write_cuts(ref, ref_text)
-        assert got_text.getvalue() == ref_text.getvalue()
-        reused_cuts += len(res.cuts) - sum(cut is not None for _, cut in separated)
-    assert repeats > 0
-    assert reused_cuts >= 6  # the repeating instance's six re-emitted lasso cuts
+        emitted = res.aggregations["mw"] + res.aggregations["lasso"]
+        assert len(separated) == len(emitted)
+        assert all(got is want for (got, _), want in zip(separated, emitted))
+        cuts = [cut for _, cut in separated if cut is not None]
+        assert len(res.cuts) == len(cuts)
+        assert all(got is want for got, want in zip(res.cuts, cuts))
+        lasso = res.aggregations["lasso"]
+        for prev, agg in zip(lasso, lasso[1:]):
+            assert (agg.starting_row, agg.factors) != (prev.starting_row, prev.factors)
+        return lasso
+
+    assert len(lasso_aggregations(*_repeating_instance())) == 1
+    longest = 0  # the most lasso aggregations of one corpus starting row
+    for case in _corpus_cases():
+        per_row = collections.Counter(agg.starting_row for agg in lasso_aggregations(*case))
+        longest = max([longest, *per_row.values()])
+    assert longest >= 2  # a rule that stopped after every first solve gives 1
+
+
+def _corpus_runs():
+    for inst, point in _corpus_cases():
+        yield run_separation(inst, point, RunConfig(algorithm="both", start_policy=POLICY_ALL))
 
 
 # sha256[:16] of the corpus's write_cuts + format_metrics texts, and its cut
 # count.  A change that alters these bytes on purpose updates both and says why.
-CORPUS_DIGEST = ("8423fb07350bc6fa", 26)
+CORPUS_DIGEST = ("732497ee28c3f912", 26)
 
 
 def test_corpus_output_bytes_pinned():
     text, n_cuts = "", 0
-    for mps, sol in corpus_paths():
-        inst = parse_mps_file(mps)
-        point = parse_solution_file(sol, inst)
-        res = run_separation(inst, point, RunConfig(algorithm="both", start_policy=POLICY_ALL))
+    for res in _corpus_runs():
         buf = io.StringIO()
         write_cuts(res.cuts, buf)
         text += buf.getvalue() + format_metrics(res.metrics)
         n_cuts += len(res.cuts)
     assert (hashlib.sha256(text.encode()).hexdigest()[:16], n_cuts) == CORPUS_DIGEST
+
+
+# The corpus's distinct cuts, as the corpus-distinct line of
+# tools/output_digest.py: per instance, the cut records without their names,
+# first occurrences only, one a line, and a blank line after the instance;
+# sha256[:16] and the count.  Dropping or renaming repeated cuts keeps it;
+# any other change to what is cut does not.
+CORPUS_DISTINCT_DIGEST = ("8a12adb0f7fbfb47", 26)
+
+
+def test_corpus_distinct_cuts_pinned():
+    text, n_cuts = "", 0
+    for res in _corpus_runs():
+        records = []
+        for cut in res.cuts:
+            record = cut_to_dict(cut)
+            del record["name"]
+            records.append(json.dumps(record))
+        distinct = list(dict.fromkeys(records))
+        text += "".join(r + "\n" for r in distinct) + "\n"
+        n_cuts += len(distinct)
+    assert (hashlib.sha256(text.encode()).hexdigest()[:16], n_cuts) == CORPUS_DISTINCT_DIGEST

@@ -115,13 +115,21 @@ def _stuck_instance():
     return MilpInstance("t", variables, rows)
 
 
-def test_lasso_stuck_instance_runs_maxaggr_rounds():
-    inst = _stuck_instance()
-    ctx = preprocess(inst, np.array([2.0, 1.5]))
+def test_lasso_stuck_instance_stops_at_the_repeated_vertex(monkeypatch):
+    # the re-solve returns the first solve's factors: it is dropped, and the
+    # starting row ends well before maxaggr
+    solves = []
+
+    def solve(prob, warm=None):
+        solves.append(warm)
+        return solve_lp(prob, warm=warm)
+
+    monkeypatch.setattr(lasso, "solve_lp", solve)
+    ctx = preprocess(_stuck_instance(), np.array([2.0, 1.5]))
     results = lasso_aggregate(ctx, 0, maxaggr=3)
-    assert len(results) == 4
-    for res in results:
-        assert res.residual_bad == (0,)
+    assert len(solves) == 2
+    assert len(results) == 1
+    assert results[0].residual_bad == (0,)
 
 
 @pytest.mark.parametrize("failing", [0, 1], ids=["first-solve", "first-re-solve"])

@@ -4,7 +4,10 @@ A refactor that must not change results can be checked by running this
 before and after it and comparing the lines.  Each line reads
 ``name digest cuts``: the first 16 hex digits of the sha256 of the
 concatenated ``write_cuts`` and ``format_metrics`` texts, and the number
-of cuts written.
+of cuts written.  Each set also has a ``<name>-distinct`` line over its
+distinct cuts: per round, the ``cut_to_dict`` records without their
+``name``, first occurrences only, in the order written, and their count.
+A change that only drops repeated cuts, or renames cuts, keeps it.
 
 * ``corpus``: every instance of ``tests/data/corpus`` at its bundled
   point, both algorithms, every useful row a starting row.
@@ -28,6 +31,7 @@ for _var in THREAD_VARS:
 
 import hashlib  # noqa: E402
 import io  # noqa: E402
+import json  # noqa: E402
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -47,8 +51,27 @@ def digest(text):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def corpus_line():
-    text, n_cuts = "", 0
+def distinct_records(cuts):
+    """A round's cut records without their names, first occurrences only."""
+    records = []
+    for cut in cuts:
+        record = mpsio.cut_to_dict(cut)
+        del record["name"]
+        records.append(json.dumps(record))
+    return list(dict.fromkeys(records))
+
+
+def set_lines(name, text, rounds):
+    """The set's output line and distinct-cut line; ``rounds`` holds each
+    round's cuts, and a blank line ends each round's distinct records."""
+    distinct = [distinct_records(cuts) for cuts in rounds]
+    distinct_text = "".join("".join(r + "\n" for r in d) + "\n" for d in distinct)
+    return [(name, digest(text), sum(map(len, rounds))),
+            (name + "-distinct", digest(distinct_text), sum(map(len, distinct)))]
+
+
+def corpus_lines():
+    text, rounds = "", []
     config = harness.RunConfig(algorithm="both", start_policy=harness.POLICY_ALL)
     for fn in sorted(os.listdir(CORPUS_DIR)):
         if not fn.endswith(".mps"):
@@ -59,31 +82,32 @@ def corpus_line():
         buf = io.StringIO()
         mpsio.write_cuts(res.cuts, buf)
         text += buf.getvalue() + harness.format_metrics(res.metrics)
-        n_cuts += len(res.cuts)
-    return "corpus", digest(text), n_cuts
+        rounds.append(res.cuts)
+    return set_lines("corpus", text, rounds)
 
 
-def workload_line(name):
+def workload_lines(name):
     wl = sepbench.WORKLOADS[name]
     config = harness.RunConfig(
         algorithm="both",
         start_policy=harness.POLICY_ALL if wl.start == "all" else harness.POLICY_TOP,
         start_k=20,
     )
-    text, n_cuts = "", 0
+    text, rounds = "", []
     for seed in SEEDS:
         pool = gen.pool(seed, gen.Shape(*wl.shape), PER_SEED, name[:2])
         rounder = sepbench.Rounder(mpsio, harness, config, wl.relax, pool)
         for p in pool:
             _, _, res, cut_text = rounder.round(p)
             text += cut_text + harness.format_metrics(res.metrics)
-            n_cuts += len(res.cuts)
-    return name, digest(text), n_cuts
+            rounds.append(res.cuts)
+    return set_lines(name, text, rounds)
 
 
 def main():
-    for line in [corpus_line()] + [workload_line(n) for n in sepbench.WORKLOADS]:
-        print("%s %s %d" % line)
+    for lines in [corpus_lines()] + [workload_lines(n) for n in sepbench.WORKLOADS]:
+        for line in lines:
+            print("%s %s %d" % line)
 
 
 if __name__ == "__main__":
