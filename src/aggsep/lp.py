@@ -1,40 +1,46 @@
-"""Dense bounded-variable primal simplex with warm starting.
+"""Dense bounded-variable simplex, dual then primal, with warm starting.
 
-Sized for the small aggregation subproblems (tens of rows, up to a few
-thousand columns).  Two-phase, big-M free; Dantzig pricing with a Bland
-fallback after a run of degenerate pivots; a fixed column (lb == ub)
-is never priced, since it cannot move.  Every solve works on one
-standard form, the structural columns then one slack per 'L' row.  A
-cold solve starts from a crash basis (Bixby 1992): a row takes the first
-column whose only nonzero lies in it and whose value solving the row is
-within bounds, and an artificial column, signed by the row's residual,
-is appended only for each row left uncovered.  Phase 1 runs only when
-there is one; it ends with the artificials pinned at zero, which keeps
-them out of phase 2.  The point and the basis inverse travel with the
-basis (the product form of the inverse, Dantzig & Orchard-Hays 1954):
-the starting basis is factored once, and each pivot prices and computes
-its entering column with products against the kept inverse, moves the
-point by the step and updates the inverse by one rank-one eta step.
-The inverse and the point are factored afresh every REFACTOR_EVERY
-pivots and once more before OPTIMAL is returned, so the point and duals
-the solution is certified and packed from come from a fresh
-factorization of the final basis.  A solve first finds a feasible start
-(a warm basis, the crash basis when it covers every row, or else phase
-1's final basis, whose inverse phase 2 keeps) and then makes one
-phase-2 run.
+Sized for the lasso's small subproblems and for LP relaxations of a few
+hundred rows.  Every solve works on one standard form, the structural
+columns then one slack per 'L' row: it finds a primal feasible basis,
+then makes one primal run (Dantzig pricing, a Bland fallback after a
+run of degenerate pivots; a fixed column, lb == ub, is never priced).
+The feasible basis comes from the first of these that works:
+
+* a warm start (below) on the same matrix;
+* a cold solve's crash basis (Bixby 1992), when it covers every row:
+  with each boxed column at the bound its cost favours and every other
+  at its default bound, a row takes the first column whose only nonzero
+  lies in it and whose value solving the row is within bounds;
+* the slack basis, each row's first zero-cost column with its only
+  nonzero there.  With every column boxed it prices dual feasible, so
+  the bounded dual simplex makes it feasible, and then optimal: the dual
+  simplex as the default cold solver (Bixby 2002, Koberstein 2005);
+* phase 1 from the crash basis, with an artificial column, signed by
+  the row's residual, for each row left uncovered; it ends with the
+  artificials pinned at zero, which keeps them out of phase 2.
+
+The point and the basis inverse travel with the basis (the product form
+of the inverse, Dantzig & Orchard-Hays 1954): the starting basis is
+factored once, and each pivot computes its entering column with a
+product against the kept inverse, moves the point by the step and
+updates the inverse by one rank-one eta step.  The primal loop prices
+each pivot; the dual loop updates its reduced costs along each pivot
+row.  The inverse and the point are factored afresh every REFACTOR_EVERY
+pivots and once more before OPTIMAL is returned, so the solution is
+certified and packed from a fresh factorization of the final basis.
 
 A warm start is what an optimal solve leaves behind: its standard-form
 matrix, basis, status vector and basis inverse.  It restarts a problem
 on the same matrix (the same array, or an equal one) that differs in
 objective, right-hand side and/or variable bounds, with no
-factorization: the kept inverse gives the basic values.  A start that
-is not primal feasible but prices dual feasible, such as the optimum of
-a problem that differs only in bounds, is first restored to feasibility
-by a bounded dual simplex loop (Koberstein 2005).  A warm start on
-another matrix, or one the dual loop cannot restore (the start is not
-dual feasible, no column can enter, the basis turns out singular, or
-the pivot cap is reached), is dropped and the problem is solved cold.
-A solve that ends other than optimal carries no point and no warm start.
+factorization.  A start that is not primal feasible but prices dual
+feasible, such as the optimum of a problem that differs only in bounds,
+is restored by the dual loop.  A warm start on another matrix, or one
+the dual loop cannot restore (not dual feasible, no column can enter, a
+singular basis, or the pivot cap), is dropped and the problem is solved
+cold.  A solve that ends other than optimal carries no point and no
+warm start.
 """
 
 from dataclasses import dataclass, field
@@ -109,7 +115,8 @@ class LpProblem:
 
 
 class WarmStart(NamedTuple):
-    """An optimal basis, as ``solve_lp`` leaves it; read-only once made."""
+    """A basis and its inverse, read-only once made: an optimum as ``solve_lp``
+    leaves it, or the slack basis a cold solve restarts from."""
 
     A: np.ndarray  # the standard-form matrix the basis belongs to
     basis: np.ndarray  # the column of each basis position
@@ -318,7 +325,11 @@ def _dual_loop(A, b, c, lb, ub, basis, status, x, Binv, max_iter):
     its bounds out, to the bound it violates, and the entering column by
     the dual ratio test: of the columns that can move the leaving one
     toward that bound, the first whose reduced cost reaches zero.  The
-    point, the eta update, the tolerances, the refactor interval and the
+    reduced costs are priced before the first pivot, which is where dual
+    feasibility is checked, and again after each factorization; in
+    between, each pivot updates them along the pivot row it already forms
+    for the ratio test, ``d -= (d_j / alpha_j) alpha``.  The point, the
+    eta update, the tolerances, the refactor interval and the
     fixed-column rule are those of ``_simplex_loop``; a basis that ends
     feasible after pivots is factored afresh before it is returned.  basis
     and status are updated in place.
@@ -327,6 +338,7 @@ def _dual_loop(A, b, c, lb, ub, basis, status, x, Binv, max_iter):
     tol = FEAS_TOL * _feas_scale(b)
     it = 0
     since = 0  # pivots since Binv and x were last factored
+    d = None  # reduced costs: priced before a pivot that follows a factorization
     try:
         while True:
             xb = x[basis]
@@ -338,9 +350,10 @@ def _dual_loop(A, b, c, lb, ub, basis, status, x, Binv, max_iter):
                 Binv, x = _factor(A, b, lb, ub, basis, status)
                 since = 0
                 continue
-            _, d, viol = _price(A, c, basis, status, Binv, fixed)
-            if viol.max() > OPT_TOL:
-                return None
+            if d is None:
+                _, d, viol = _price(A, c, basis, status, Binv, fixed)
+                if it == 0 and viol.max() > OPT_TOL:
+                    return None
             r = int(np.argmax(infeas))
             rise = below[r] > 0  # the leaving column rises to its lower bound
             alpha = Binv[r] @ A
@@ -365,6 +378,8 @@ def _dual_loop(A, b, c, lb, ub, basis, status, x, Binv, max_iter):
             basis[r] = j
             status[j] = BASIC
             _eta_update(Binv, w, r)
+            d -= (d[j] / alpha[j]) * alpha
+            d[j] = 0.0
             it += 1
             since += 1
             if it >= max_iter:
@@ -372,6 +387,7 @@ def _dual_loop(A, b, c, lb, ub, basis, status, x, Binv, max_iter):
             if since >= REFACTOR_EVERY:
                 Binv, x = _factor(A, b, lb, ub, basis, status)
                 since = 0
+                d = None
     except np.linalg.LinAlgError:
         return None
 
@@ -379,9 +395,11 @@ def _dual_loop(A, b, c, lb, ub, basis, status, x, Binv, max_iter):
 def _restart(warm, A, b, c, lb, ub, max_iter):
     """(basis, status, x, Binv, pivots): a feasible start from ``warm``, or None.
 
-    None when ``warm`` was left on another matrix or ``_dual_loop`` cannot
-    make its basis feasible.  The basic values come from the kept inverse;
-    nothing is factored unless the dual loop pivots.
+    The one path from a starting basis to the primal loop, for a warm
+    start and for a cold solve's slack basis alike.  None when ``warm``
+    was left on another matrix or ``_dual_loop`` cannot make its basis
+    feasible.  The basic values come from the kept inverse; nothing is
+    factored unless the dual loop pivots.
     """
     if not (warm.A is A or (warm.A.shape == A.shape and np.array_equal(warm.A, A))):
         return None
@@ -400,10 +418,19 @@ def _restart(warm, A, b, c, lb, ub, max_iter):
     return basis, status, x, Binv, it
 
 
+def _slack_basis(A, c):
+    """Each row's first zero-cost column, in column order, whose only nonzero
+    lies in that row: the slacks of an all-'L' LP.  None if a row has none."""
+    nz = A != 0
+    cols = np.flatnonzero((np.count_nonzero(nz, axis=0) == 1) & (c == 0))
+    rows, first = np.unique(np.nonzero(nz[:, cols].T)[1], return_index=True)
+    return cols[first] if len(rows) == A.shape[0] else None
+
+
 def _crash(A, r, x0, lb, ub):
     """(rows, cols) of a crash basis (Bixby 1992): the columns that start basic.
 
-    ``x0`` holds every column at its default bound and ``r`` is
+    ``x0`` holds every column at its starting bound and ``r`` is
     ``b - A x0``.  Row i takes the first column, in column order, whose
     only nonzero lies in row i and whose solving value ``x0_j + r_i / a_ij``
     lies within its bounds.  rows and cols are aligned, rows ascending.
@@ -420,14 +447,11 @@ def _crash(A, r, x0, lb, ub):
 def solve_lp(problem, warm=None):
     """Solve an LpProblem, optionally warm-started from ``LpSolution.warm_start()``.
 
-    A warm start on the same matrix restarts from its basis and kept
-    inverse: the primal loop runs at once if that basis is feasible for the
-    new data, after ``_dual_loop`` has restored feasibility if it is not.
-    A warm start that does not fit (another matrix or width, or a basis the
-    dual loop cannot restore) is dropped, and the solve runs cold, exactly
-    as with ``warm=None``: from the crash basis, with one artificial column
-    per row the crash leaves uncovered, and phase 1 only when there is one.
-    Only an optimal solution carries a point, duals and a warm start.
+    The start is the first of those the module docstring lists that
+    works.  A warm start that does not fit (another matrix or width, or a
+    basis the dual loop cannot restore) is dropped, and the solve runs
+    exactly as with ``warm=None``.  Only an optimal solution carries a
+    point, duals and a warm start.
     """
     A, b, c, lb, ub = _standard_form(problem)
     std = A  # the matrix a warm start refers to: no artificial columns
@@ -436,15 +460,25 @@ def solve_lp(problem, warm=None):
 
     it = 0
     start = None if warm is None else _restart(warm, A, b, c, lb, ub, max_iter)
+    if start is None:
+        status = _default_status(lb, ub)
+        # each boxed column at the bound its cost favours: the slack basis then
+        # prices dual feasible when every column is boxed
+        status[(c < 0) & (lb < ub) & np.isfinite(ub)] = AT_UPPER
+        x0 = _nonbasic_values(status, lb, ub)
+        r = b - A @ x0
+        rows, cols = _crash(A, r, x0, lb, ub)
+        slacks = _slack_basis(A, c) if len(rows) < m else None
+        if slacks is not None:
+            start_status = status.copy()
+            start_status[slacks] = BASIC
+            Binv, _ = _factor(A, b, lb, ub, slacks, start_status)
+            start = _restart(WarmStart(A, slacks, start_status, Binv), A, b, c, lb, ub, max_iter)
     if start is not None:
         basis, status, x, Binv, it = start
     else:
         # crash basis: one-nonzero columns take their rows, an artificial
         # signed by the row's residual takes each row left uncovered
-        status = _default_status(lb, ub)
-        x0 = _nonbasic_values(status, lb, ub)
-        r = b - A @ x0
-        rows, cols = _crash(A, r, x0, lb, ub)
         art_rows = np.setdiff1d(np.arange(m), rows)
         na = len(art_rows)
         A = np.hstack([A, np.diag(np.where(r >= 0, 1.0, -1.0))[:, art_rows]])

@@ -326,14 +326,25 @@ def _cross_check_cases():
     cases.append(("unbounded",
                   _lp([0.0, -1.0], A, ["L"], [1.0], [0.0, 0.0], [2.0, inf]),
                   _lp([0.0, 1.0], A, ["L"], [1.0], [0.0, 0.0], [2.0, inf])))
-    # 60 x 150: every solve, cold or warm, Dantzig or Bland, takes more than
-    # 2 * REFACTOR_EVERY pivots, so the basis inverse is updated and factored
-    # afresh more than once within a run
+    # 60 x 150, all 'L' and boxed: a cold solve starts from the slack basis
+    # and the dual loop; a warm one, Dantzig or Bland, takes more than
+    # 2 * REFACTOR_EVERY primal pivots, so the basis inverse is updated and
+    # factored afresh more than once within a run
     rng = np.random.default_rng(0)
     prob = planted_lp(rng)
     cases.append(("planted-60x150", prob,
                   _lp(rng.integers(-5, 6, size=prob.n_cols).astype(float), prob.A,
                       prob.row_type, prob.rhs, prob.col_lb, prob.col_ub)))
+    # the same construction with its 20 planted rows as equalities, which no
+    # slack covers: a cold solve runs phase 1, and every solve, cold or warm,
+    # Dantzig or Bland, takes more than 2 * REFACTOR_EVERY pivots
+    rng = np.random.default_rng(3)
+    prob = planted_lp(rng)
+    row_type = ["E"] * 20 + ["L"] * (prob.n_rows - 20)
+    cases.append(("planted-eq-60x150",
+                  _lp(prob.obj, prob.A, row_type, prob.rhs, prob.col_lb, prob.col_ub),
+                  _lp(rng.integers(-5, 6, size=prob.n_cols).astype(float), prob.A,
+                      row_type, prob.rhs, prob.col_lb, prob.col_ub)))
     return cases
 
 
@@ -487,8 +498,8 @@ def test_refactor_interval_does_not_change_the_answer(warm, bland, monkeypatch):
         for refactor in (every, 1, 10 ** 9):
             monkeypatch.setattr(lp, "REFACTOR_EVERY", refactor)
             sols.append(solve_lp(prob, warm=solve_lp(sib).warm_start() if warm else None))
-        if name == "planted-60x150":
-            assert sols[0].iterations > 2 * every
+        if name == "planted-eq-60x150" or (warm and name == "planted-60x150"):
+            assert sols[0].iterations > 2 * every, name
         default, each, never = sols
         assert each.status == never.status == default.status, name
         if each.status == OPTIMAL:
@@ -810,14 +821,87 @@ def test_fixed_column_never_enters():
 
 
 def test_artificials_only_for_uncovered_rows(monkeypatch):
-    # min x0 + x1  s.t.  -x0 - x1 <= -1, x0 - x1 <= 0, x >= 0: row 1's slack
-    # covers it at 0, row 0's slack would be -1, so only row 0 gets an
-    # artificial, and both phases see 2 structurals, 2 slacks, 1 artificial
+    # min -x0 + 3 x1  s.t.  -x0 - x1 <= -1, x0 - x1 <= 0, x >= 0: the slack
+    # basis is neither primal feasible (row 0's slack would be -1) nor dual
+    # feasible (x0 is unbounded above, with cost -1), so the dual loop gives
+    # up before any pivot; row 1's slack covers it at 0, so only row 0 gets
+    # an artificial, and both phases see 2 structurals, 2 slacks, 1 artificial
     widths = _loop_widths(monkeypatch)
-    prob = _lp([1.0, 1.0], [[-1.0, -1.0], [1.0, -1.0]], ["L", "L"], [-1.0, 0.0],
+    runs = _recording_dual_loop(monkeypatch)
+    prob = _lp([-1.0, 3.0], [[-1.0, -1.0], [1.0, -1.0]], ["L", "L"], [-1.0, 0.0],
                [0.0, 0.0], [np.inf, np.inf])
     sol = solve_lp(prob)
+    assert runs == [None]
     assert widths == [4 + 1, 4 + 1]
     assert sol.status == OPTIMAL
     assert sol.x == pytest.approx([0.5, 0.5])
+    assert sol.objective == pytest.approx(1.0)
     assert len(sol.col_status) == 4
+
+
+RELAX_SHAPES = {
+    "60x150": {},
+    "120x300": dict(k=50, n_loose=70, n_cont=140, n_int=160),
+    "240x600": dict(k=100, n_loose=140, n_cont=280, n_int=320),
+}
+
+
+@pytest.mark.parametrize("shape", list(RELAX_SHAPES))
+def test_boxed_all_l_lps_solve_cold_by_the_dual_loop(shape, monkeypatch):
+    # every column is boxed, so the slack basis, with each column at the
+    # bound its cost favours, prices dual feasible: a cold solve appends no
+    # artificial column, the dual loop pivots to the optimum, and the
+    # optimum and duals are HiGHS's (the duals, which a degenerate optimum
+    # leaves unpinned, by their dual bound)
+    pytest.importorskip("scipy")
+    widths = _loop_widths(monkeypatch)
+    runs = _recording_dual_loop(monkeypatch)
+    for seed in range(2):
+        prob = planted_lp(np.random.default_rng(seed), **RELAX_SHAPES[shape])
+        widths.clear()
+        runs.clear()
+        sol = solve_lp(prob)
+        status, objective = _highs(prob)
+        assert sol.status == status == OPTIMAL, seed
+        assert widths == [prob.n_cols + prob.n_rows], seed
+        # the dual loop keeps the basis dual feasible, so its feasible basis
+        # is optimal and the primal loop makes no pivot
+        assert len(runs) == 1 and runs[0] == sol.iterations > 0, seed
+        tol = 1e-6 * (1.0 + abs(objective))
+        assert abs(sol.objective - objective) <= tol, seed
+        y = sol.duals
+        d = prob.obj - prob.A.T @ y
+        bound = prob.rhs @ y + np.minimum(prob.col_lb * d, prob.col_ub * d).sum()
+        assert np.all(y <= lp.OPT_TOL) and abs(bound - objective) <= tol, seed
+
+
+def _degenerate_lp(seed):
+    """60 x 150, all 'L', rows 0-39 with right-hand side 0: integer entries
+    in [-3, 3] at half density, columns in [0, 1..4], costs in [-5, 5]."""
+    rng = np.random.default_rng(seed)
+    A = rng.integers(-3, 4, size=(60, 150)).astype(float) * (rng.random((60, 150)) < 0.5)
+    rhs = np.concatenate([np.zeros(40), rng.uniform(1.0, 10.0, size=20)])
+    ub = rng.integers(1, 5, size=150).astype(float)
+    obj = rng.integers(-5, 6, size=150).astype(float)
+    return _lp(obj, A, ["L"] * 60, rhs, np.zeros(150), ub)
+
+
+@pytest.mark.parametrize("bland", [False, True], ids=["dantzig", "bland"])
+def test_degenerate_boxed_family_matches_highs(bland, monkeypatch):
+    # x = 0 is a degenerate vertex of every row with right-hand side 0; each
+    # cold solve is restored by the dual loop alone and ends at HiGHS's optimum
+    pytest.importorskip("scipy")
+    if bland:
+        monkeypatch.setattr(lp, "DEGEN_PIVOT_LIMIT", 0)
+    runs = _recording_dual_loop(monkeypatch)
+    for seed in range(40):
+        prob = _degenerate_lp(seed)
+        runs.clear()
+        sol = solve_lp(prob)
+        status, objective = _highs(prob)
+        assert sol.status == status == OPTIMAL, seed
+        assert len(runs) == 1 and runs[0] == sol.iterations > 0, seed
+        assert abs(sol.objective - objective) <= 1e-6 * (1.0 + abs(objective)), seed
+        x = sol.x
+        assert np.all(x >= -1e-7) and np.all(x <= prob.col_ub + 1e-7), seed
+        assert np.all(prob.A @ x - prob.rhs <= 1e-6), seed

@@ -8,6 +8,11 @@ of cuts written.  Each set also has a ``<name>-distinct`` line over its
 distinct cuts: per round, the ``cut_to_dict`` records without their
 ``name``, first occurrences only, in the order written, and their count.
 A change that only drops repeated cuts, or renames cuts, keeps it.
+A workload that separates at the LP-relaxation point also has a
+``<name>-objective`` line: the digest of its relaxation objectives, each
+formatted ``%.9g``, one a line, and their count.  A change to the LP
+solver may move the optimal vertex, and with it the cuts, but not this
+line.
 
 * ``corpus``: every instance of ``tests/data/corpus`` at its bundled
   point, both algorithms, every useful row a starting row.
@@ -93,15 +98,19 @@ def workload_lines(name):
         start_policy=harness.POLICY_ALL if wl.start == "all" else harness.POLICY_TOP,
         start_k=20,
     )
-    text, rounds = "", []
+    text, rounds, objectives = "", [], []
     for seed in SEEDS:
         pool = gen.pool(seed, gen.Shape(*wl.shape), PER_SEED, name[:2])
         rounder = sepbench.Rounder(mpsio, harness, config, wl.relax, pool)
         for p in pool:
-            _, _, res, cut_text = rounder.round(p)
+            inst, point, res, cut_text = rounder.round(p)
             text += cut_text + harness.format_metrics(res.metrics)
             rounds.append(res.cuts)
-    return set_lines(name, text, rounds)
+            objectives.append("%.9g" % (inst.objective @ point))
+    lines = set_lines(name, text, rounds)
+    if wl.relax:
+        lines.append((name + "-objective", digest("\n".join(objectives)), len(objectives)))
+    return lines
 
 
 def main():
