@@ -2,45 +2,42 @@
 
 Sized for the lasso's small subproblems and for LP relaxations of a few
 hundred rows.  Every solve works on one standard form, the structural
-columns then one slack per 'L' row: it finds a primal feasible basis,
-then makes one primal run (Dantzig pricing, a Bland fallback after a
-run of degenerate pivots; a fixed column, lb == ub, is never priced).
-The feasible basis comes from the first of these that works:
+columns then one slack per 'L' row, and takes one path: a starting
+basis, a bounded dual simplex run to a primal feasible basis, then one
+primal run (Dantzig pricing, a Bland fallback after a run of degenerate
+pivots; a fixed column, lb == ub, is never priced).  The start is
 
-* a warm start (below) on the same matrix;
-* a cold solve's crash basis (Bixby 1992), when it covers every row:
-  with each boxed column at the bound its cost favours and every other
-  at its default bound, a row takes the first column whose only nonzero
-  lies in it and whose value solving the row is within bounds;
-* the slack basis, each row's first zero-cost column with its only
-  nonzero there.  With every column boxed it prices dual feasible, so
-  the bounded dual simplex makes it feasible, and then optimal: the dual
-  simplex as the default cold solver (Bixby 2002, Koberstein 2005);
-* phase 1 from the crash basis, with an artificial column, signed by
-  the row's residual, for each row left uncovered; it ends with the
-  artificials pinned at zero, which keeps them out of phase 2.
+* a warm start (below) on the same matrix, or else
+* the crash basis (Bixby 1992) if it covers every row: with each boxed
+  column at the bound its cost favours and every other at its default
+  bound, a row takes the first column whose only nonzero lies in it and
+  whose value solving the row is within bounds; it is primal feasible;
+* or else the logical basis: each row's first zero-cost column whose
+  only nonzero lies in it, and for an 'E' row with none an appended
+  column e_i fixed at [0, 0], as in HiGHS.  With every column boxed it
+  prices dual feasible: the dual simplex as the cold solver (Bixby 2002).
+
+At a start that prices dual infeasible, the dual run shifts each such
+column's cost by its reduced cost, for that run only (the cost
+modification of Koberstein & Suhl 2007); a dual run that finds no
+column to enter proves the problem infeasible.
 
 The point and the basis inverse travel with the basis (the product form
-of the inverse, Dantzig & Orchard-Hays 1954): the starting basis is
-factored once, and each pivot computes its entering column with a
-product against the kept inverse, moves the point by the step and
-updates the inverse by one rank-one eta step.  The primal loop prices
-each pivot; the dual loop updates its reduced costs along each pivot
-row.  The inverse and the point are factored afresh every REFACTOR_EVERY
-pivots and once more before OPTIMAL is returned, so the solution is
-certified and packed from a fresh factorization of the final basis.
+of the inverse, Dantzig & Orchard-Hays 1954): each pivot computes its
+entering column with a product against the kept inverse, moves the
+point by the step and updates the inverse by one rank-one eta step.  The
+primal loop prices each pivot; the dual loop updates its reduced costs
+along each pivot row.  The inverse and the point are factored afresh
+every REFACTOR_EVERY pivots and once more before OPTIMAL is returned, so
+the solution is certified and packed from a fresh factorization.
 
 A warm start is what an optimal solve leaves behind: its standard-form
 matrix, basis, status vector and basis inverse.  It restarts a problem
 on the same matrix (the same array, or an equal one) that differs in
 objective, right-hand side and/or variable bounds, with no
-factorization.  A start that is not primal feasible but prices dual
-feasible, such as the optimum of a problem that differs only in bounds,
-is restored by the dual loop.  A warm start on another matrix, or one
-the dual loop cannot restore (not dual feasible, no column can enter, a
-singular basis, or the pivot cap), is dropped and the problem is solved
-cold.  A solve that ends other than optimal carries no point and no
-warm start.
+factorization.  One on another matrix, or whose dual run finds its
+basis singular or reaches the pivot cap, is dropped for a cold solve.
+A solve that ends other than optimal carries no point and no warm start.
 """
 
 from dataclasses import dataclass, field
@@ -58,7 +55,7 @@ FREE = 3
 FEAS_TOL = 1e-7
 OPT_TOL = 1e-7
 DEGEN_PIVOT_LIMIT = 1000
-MAX_ITER_FACTOR = 50  # a phase stops after MAX_ITER_FACTOR * (rows + cols) pivots
+MAX_ITER_FACTOR = 50  # each loop stops after MAX_ITER_FACTOR * (rows + cols) pivots
 REFACTOR_EVERY = 64  # the basis inverse is factored afresh after this many pivots
 PIVOT_TOL = 1e-10  # smaller entries of a pivot column or row are not pivoted on
 
@@ -116,7 +113,7 @@ class LpProblem:
 
 class WarmStart(NamedTuple):
     """A basis and its inverse, read-only once made: an optimum as ``solve_lp``
-    leaves it, or the slack basis a cold solve restarts from."""
+    leaves it, or the crash or logical basis a cold solve starts from."""
 
     A: np.ndarray  # the standard-form matrix the basis belongs to
     basis: np.ndarray  # the column of each basis position
@@ -138,7 +135,8 @@ class LpSolution:
         """The WarmStart that restarts ``solve_lp`` from this optimum.
 
         None, which solves cold, when the solve was not optimal or when its
-        final basis keeps an artificial column (dependent equality rows).
+        final basis keeps an appended 'E'-row logical (dependent equality
+        rows).
         """
         return self._warm
 
@@ -317,114 +315,107 @@ def _feas_scale(b):
 def _dual_loop(A, b, c, lb, ub, basis, status, x, Binv, max_iter):
     """Bounded dual simplex iterations to a primal feasible basis.
 
-    Returns (x, Binv, pivots), or None when the basis cannot be restored
-    this way: it is not dual feasible, no column can enter (the problem is
-    then infeasible), a factorization finds it singular, or max_iter
-    pivots are reached.  x and Binv are the point and inverse of the
-    starting basis.  Each pivot takes the basic column farthest outside
-    its bounds out, to the bound it violates, and the entering column by
-    the dual ratio test: of the columns that can move the leaving one
-    toward that bound, the first whose reduced cost reaches zero.  The
-    reduced costs are priced before the first pivot, which is where dual
-    feasibility is checked, and again after each factorization; in
-    between, each pivot updates them along the pivot row it already forms
-    for the ratio test, ``d -= (d_j / alpha_j) alpha``.  The point, the
-    eta update, the tolerances, the refactor interval and the
-    fixed-column rule are those of ``_simplex_loop``; a basis that ends
-    feasible after pivots is factored afresh before it is returned.  basis
-    and status are updated in place.
+    Returns (code, x, Binv, pivots): code is OPTIMAL when the basis is
+    primal feasible (optimal for the loop's costs), INFEASIBLE when no
+    column can enter, a proof of infeasibility whatever the costs, and
+    ITERATION_LIMIT after max_iter pivots.  x and Binv are the starting
+    basis's point and inverse.  Each pivot takes the basic column farthest
+    outside its bounds out, to the bound it violates, and the entering
+    column by the dual ratio test: of the columns that can move the
+    leaving one toward that bound, the first whose reduced cost reaches
+    zero.  The reduced costs are priced first and after each
+    factorization, and in between updated along the pivot row,
+    ``d -= (d_j / alpha_j) alpha``.  At the first pricing each column that
+    prices dual infeasible gets ``c_j -= d_j`` for this loop only (cost
+    modification: Koberstein & Suhl 2007, "Progress in the dual simplex
+    method for large scale LP problems: practical dual phase 1
+    algorithms", Comput. Optim. Appl. 37:49).  The point, eta update,
+    tolerances, refactor interval and fixed-column rule are those of
+    ``_simplex_loop``; a basis that ends feasible after pivots is factored
+    afresh.  basis and status are updated in place.  Raises LpFailure if
+    the violation no column can reduce is not finite (a NaN point), and
+    ``np.linalg.LinAlgError`` if a factorization finds the basis singular.
     """
     fixed = lb == ub
     tol = FEAS_TOL * _feas_scale(b)
     it = 0
     since = 0  # pivots since Binv and x were last factored
     d = None  # reduced costs: priced before a pivot that follows a factorization
-    try:
-        while True:
-            xb = x[basis]
-            below = lb[basis] - xb
-            infeas = np.maximum(below, xb - ub[basis])
-            if infeas.max(initial=0.0) <= tol:
-                if since == 0:
-                    return x, Binv, it
-                Binv, x = _factor(A, b, lb, ub, basis, status)
-                since = 0
-                continue
-            if d is None:
-                _, d, viol = _price(A, c, basis, status, Binv, fixed)
-                if it == 0 and viol.max() > OPT_TOL:
-                    return None
-            r = int(np.argmax(infeas))
-            rise = below[r] > 0  # the leaving column rises to its lower bound
-            alpha = Binv[r] @ A
-            # a column at its lower bound can rise, at its upper bound fall, a
-            # free one move either way; x_B[r] moves by -alpha_j per unit of x_j
-            sdir = np.where(status == AT_UPPER, -1.0, 1.0)
-            gain = np.where(status == FREE, np.abs(alpha), (-sdir if rise else sdir) * alpha)
-            cand = np.flatnonzero((gain > PIVOT_TOL) & (status != BASIC) & ~fixed)
-            if not len(cand):
-                return None
-            ratios = np.where(status[cand] == FREE, np.abs(d[cand]),
-                              np.maximum(sdir[cand] * d[cand], 0.0)) / gain[cand]
-            j = int(cand[np.argmin(ratios)])
-            w = Binv @ A[:, j]
-            out = basis[r]
-            target = lb[out] if rise else ub[out]
-            t = (x[out] - target) / w[r]
-            x[basis] -= t * w
-            x[j] += t
-            x[out] = target
-            status[out] = AT_LOWER if rise else AT_UPPER
-            basis[r] = j
-            status[j] = BASIC
-            _eta_update(Binv, w, r)
-            d -= (d[j] / alpha[j]) * alpha
-            d[j] = 0.0
-            it += 1
-            since += 1
-            if it >= max_iter:
-                return None
-            if since >= REFACTOR_EVERY:
-                Binv, x = _factor(A, b, lb, ub, basis, status)
-                since = 0
-                d = None
-    except np.linalg.LinAlgError:
-        return None
+    while True:
+        xb = x[basis]
+        below = lb[basis] - xb
+        infeas = np.maximum(below, xb - ub[basis])
+        if infeas.max(initial=0.0) <= tol:
+            if since == 0:
+                return OPTIMAL, x, Binv, it
+            Binv, x = _factor(A, b, lb, ub, basis, status)
+            since = 0
+            continue
+        if d is None:
+            _, d, viol = _price(A, c, basis, status, Binv, fixed)
+            if it == 0:
+                shift = viol > OPT_TOL
+                c = np.where(shift, c - d, c)
+                d[shift] = 0.0
+        r = int(np.argmax(infeas))
+        rise = below[r] > 0  # the leaving column rises to its lower bound
+        alpha = Binv[r] @ A
+        # a column at its lower bound can rise, at its upper bound fall, a
+        # free one move either way; x_B[r] moves by -alpha_j per unit of x_j
+        sdir = np.where(status == AT_UPPER, -1.0, 1.0)
+        gain = np.where(status == FREE, np.abs(alpha), (-sdir if rise else sdir) * alpha)
+        cand = np.flatnonzero((gain > PIVOT_TOL) & (status != BASIC) & ~fixed)
+        if not len(cand):
+            if not np.isfinite(infeas[r]):
+                raise LpFailure("infeasibility could not be certified")
+            return INFEASIBLE, x, Binv, it
+        ratios = np.where(status[cand] == FREE, np.abs(d[cand]),
+                          np.maximum(sdir[cand] * d[cand], 0.0)) / gain[cand]
+        j = int(cand[np.argmin(ratios)])
+        w = Binv @ A[:, j]
+        out = basis[r]
+        target = lb[out] if rise else ub[out]
+        t = (x[out] - target) / w[r]
+        x[basis] -= t * w
+        x[j] += t
+        x[out] = target
+        status[out] = AT_LOWER if rise else AT_UPPER
+        basis[r] = j
+        status[j] = BASIC
+        _eta_update(Binv, w, r)
+        d -= (d[j] / alpha[j]) * alpha
+        d[j] = 0.0
+        it += 1
+        since += 1
+        if it >= max_iter:
+            return ITERATION_LIMIT, x, Binv, it
+        if since >= REFACTOR_EVERY:
+            Binv, x = _factor(A, b, lb, ub, basis, status)
+            since = 0
+            d = None
 
 
-def _restart(warm, A, b, c, lb, ub, max_iter):
-    """(basis, status, x, Binv, pivots): a feasible start from ``warm``, or None.
+def _restart(start, A, b, c, lb, ub, max_iter):
+    """(code, basis, status, x, Binv, pivots): ``_dual_loop`` from ``start``.
 
     The one path from a starting basis to the primal loop, for a warm
-    start and for a cold solve's slack basis alike.  None when ``warm``
-    was left on another matrix or ``_dual_loop`` cannot make its basis
-    feasible.  The basic values come from the kept inverse; nothing is
-    factored unless the dual loop pivots.
+    start and a cold solve's crash or logical basis alike; code and
+    pivots are the dual loop's.  The basic values come from the kept
+    inverse; nothing is factored unless the dual loop pivots.  Raises
+    ``np.linalg.LinAlgError`` when a factorization finds the basis
+    singular.
     """
-    if not (warm.A is A or (warm.A.shape == A.shape and np.array_equal(warm.A, A))):
-        return None
-    basis = warm.basis.copy()
-    status = warm.status.copy()
+    basis = start.basis.copy()
+    status = start.status.copy()
     # nonbasic columns whose recorded bound no longer exists fall back to 0
     status[(status == AT_LOWER) & ~np.isfinite(lb)] = FREE
     lost_ub = (status == AT_UPPER) & ~np.isfinite(ub)
     status[lost_ub] = np.where(np.isfinite(lb[lost_ub]), AT_LOWER, FREE)
     x = _nonbasic_values(status, lb, ub)
-    x[basis] = warm.Binv @ (b - A @ x)
-    restored = _dual_loop(A, b, c, lb, ub, basis, status, x, warm.Binv.copy(), max_iter)
-    if restored is None:
-        return None
-    x, Binv, it = restored
-    return basis, status, x, Binv, it
-
-
-def _slack_basis(A, c):
-    """Each row's first zero-cost column, in column order, whose only nonzero
-    lies in that row: the slacks of an all-'L' LP.  None if a row has none."""
-    nz = A != 0
-    cols = np.flatnonzero((np.count_nonzero(nz, axis=0) == 1) & (c == 0))
-    rows, first = np.unique(np.nonzero(nz[:, cols].T)[1], return_index=True)
-    return cols[first] if len(rows) == A.shape[0] else None
+    x[basis] = start.Binv @ (b - A @ x)
+    code, x, Binv, it = _dual_loop(A, b, c, lb, ub, basis, status, x, start.Binv.copy(),
+                                   max_iter)
+    return code, basis, status, x, Binv, it
 
 
 def _crash(A, r, x0, lb, ub):
@@ -444,69 +435,69 @@ def _crash(A, r, x0, lb, ub):
     return rows, cols[ok][first]
 
 
+def _cold_start(A, b, c, lb, ub):
+    """(A, c, lb, ub, start): a cold solve's crash or logical basis, as a
+    WarmStart, on the standard form widened by any appended logicals.
+
+    Each boxed column starts at the bound its cost favours, every other at
+    its default bound; the module docstring gives the two bases.
+    """
+    m, width = A.shape
+    status = _default_status(lb, ub)
+    status[(c < 0) & (lb < ub) & np.isfinite(ub)] = AT_UPPER
+    x0 = _nonbasic_values(status, lb, ub)
+    rows, basis = _crash(A, b - A @ x0, x0, lb, ub)
+    if len(rows) < m:
+        nz = A != 0
+        cols = np.flatnonzero((np.count_nonzero(nz, axis=0) == 1) & (c == 0))
+        rows, first = np.unique(np.nonzero(nz[:, cols].T)[1], return_index=True)
+        basis = np.full(m, -1)
+        basis[rows] = cols[first]
+        missing = np.flatnonzero(basis < 0)  # 'E' rows: every 'L' row has a slack
+        basis[missing] = width + np.arange(len(missing))
+        A = np.hstack([A, np.eye(m)[:, missing]])
+        c, lb, ub = (np.concatenate([v, np.zeros(len(missing))]) for v in (c, lb, ub))
+        status = np.concatenate([status, np.full(len(missing), BASIC)])
+    status[basis] = BASIC
+    Binv, _ = _factor(A, b, lb, ub, basis, status)
+    return A, c, lb, ub, WarmStart(A, basis, status, Binv)
+
+
 def solve_lp(problem, warm=None):
     """Solve an LpProblem, optionally warm-started from ``LpSolution.warm_start()``.
 
-    The start is the first of those the module docstring lists that
-    works.  A warm start that does not fit (another matrix or width, or a
-    basis the dual loop cannot restore) is dropped, and the solve runs
+    Warm, crash and logical starts take one path, as the module docstring
+    describes: ``_restart``, whose dual loop ends feasible or proves the
+    problem infeasible, then one ``_simplex_loop`` run on the true costs.
+    A warm start on another matrix, or whose dual loop finds its basis
+    singular or reaches the pivot cap, is dropped, and the solve runs
     exactly as with ``warm=None``.  Only an optimal solution carries a
     point, duals and a warm start.
     """
     A, b, c, lb, ub = _standard_form(problem)
-    std = A  # the matrix a warm start refers to: no artificial columns
-    m, width = A.shape
+    std = A  # the matrix a warm start refers to: no appended logicals
+    width = A.shape[1]
     max_iter = MAX_ITER_FACTOR * (problem.n_rows + problem.n_cols)
 
-    it = 0
-    start = None if warm is None else _restart(warm, A, b, c, lb, ub, max_iter)
-    if start is None:
-        status = _default_status(lb, ub)
-        # each boxed column at the bound its cost favours: the slack basis then
-        # prices dual feasible when every column is boxed
-        status[(c < 0) & (lb < ub) & np.isfinite(ub)] = AT_UPPER
-        x0 = _nonbasic_values(status, lb, ub)
-        r = b - A @ x0
-        rows, cols = _crash(A, r, x0, lb, ub)
-        slacks = _slack_basis(A, c) if len(rows) < m else None
-        if slacks is not None:
-            start_status = status.copy()
-            start_status[slacks] = BASIC
-            Binv, _ = _factor(A, b, lb, ub, slacks, start_status)
-            start = _restart(WarmStart(A, slacks, start_status, Binv), A, b, c, lb, ub, max_iter)
-    if start is not None:
-        basis, status, x, Binv, it = start
-    else:
-        # crash basis: one-nonzero columns take their rows, an artificial
-        # signed by the row's residual takes each row left uncovered
-        art_rows = np.setdiff1d(np.arange(m), rows)
-        na = len(art_rows)
-        A = np.hstack([A, np.diag(np.where(r >= 0, 1.0, -1.0))[:, art_rows]])
-        lb = np.concatenate([lb, np.zeros(na)])
-        ub = np.concatenate([ub, np.full(na, np.inf)])
-        status = np.concatenate([status, np.full(na, BASIC)])
-        status[cols] = BASIC
-        basis = np.empty(m, dtype=np.int64)
-        basis[rows] = cols
-        basis[art_rows] = width + np.arange(na)
-        Binv, x = _factor(A, b, lb, ub, basis, status)
-        if na:
-            c1 = np.concatenate([np.zeros(width), np.ones(na)])
-            code, it, x, _, Binv = _simplex_loop(A, b, c1, lb, ub, basis, status, x, Binv,
-                                                 max_iter)
-            if code == ITERATION_LIMIT:
-                return LpSolution(status=ITERATION_LIMIT, iterations=it)
-            if np.sum(np.abs(x[basis[basis >= width]])) > FEAS_TOL * _feas_scale(b) * 10:
-                return LpSolution(status=INFEASIBLE, iterations=it)
-            # pin the artificials at zero (some may stay basic on dependent
-            # rows), which keeps them out of phase 2's pricing; the basis
-            # keeps its point and inverse, so phase 2 starts from phase 1's
-            ub[width:] = 0.0
-            c = np.concatenate([c, np.zeros(na)])
-
-    # phase 2 from the feasible start
-    code, it2, x, y, Binv = _simplex_loop(A, b, c, lb, ub, basis, status, x, Binv, max_iter)
-    it += it2
+    run = None
+    if warm is not None and (
+        warm.A is A or (warm.A.shape == A.shape and np.array_equal(warm.A, A))
+    ):
+        try:
+            run = _restart(warm, A, b, c, lb, ub, max_iter)
+        except np.linalg.LinAlgError:
+            pass  # solved cold below
+    if run is None or run[0] == ITERATION_LIMIT:
+        A, c, lb, ub, start = _cold_start(A, b, c, lb, ub)
+        try:
+            run = _restart(start, A, b, c, lb, ub, max_iter)
+        except np.linalg.LinAlgError:
+            raise LpFailure("singular basis matrix")
+    code, basis, status, x, Binv, it = run
+    if code == OPTIMAL:
+        code, it2, x, y, Binv = _simplex_loop(A, b, c, lb, ub, basis, status, x, Binv,
+                                              max_iter)
+        it += it2
     if code != OPTIMAL:
         return LpSolution(status=code, iterations=it)
     tol = FEAS_TOL * _feas_scale(b) * 10
@@ -523,7 +514,7 @@ def solve_lp(problem, warm=None):
         objective=float(problem.obj @ xs),
         col_status=col_status,
         iterations=it,
-        # a basis that keeps an artificial column restarts nothing
+        # a basis that keeps an appended logical restarts nothing
         _warm=WarmStart(std, basis, col_status, Binv) if np.all(basis < width) else None,
     )
 

@@ -197,9 +197,9 @@ def test_lasso_objective_beats_trivial_and_mw(example1, example1_ctx):
             assert sol.objective <= objective(res.factors) + 1e-7
 
 
-def test_cold_lasso_solves_on_corpus_skip_phase_1(monkeypatch):
+def test_cold_lasso_solves_on_corpus_make_one_primal_run(monkeypatch):
     # each context solves at most one lasso LP cold, its first, and that
-    # solve runs only phase 2 (every lasso LP row is crashed); every later
+    # solve makes one primal run (every lasso LP row is crashed); every later
     # one, a re-solve or the next start row's first solve, restarts from a
     # kept basis
     crashes = []

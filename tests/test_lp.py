@@ -235,13 +235,16 @@ def test_non_finite_data_rejected(change):
         _one_column(**change)
 
 
-def test_nan_point_is_not_certified():
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_nan_point_is_not_certified(warm):
     # a NaN written past the contract check makes every residual NaN,
-    # which the feasibility certificate must refuse
+    # which the feasibility certificate must refuse; the dual loop, which
+    # meets it first, must not read it as a proof of infeasibility
     prob = _one_column()
+    start = solve_lp(prob).warm_start() if warm else None
     prob.rhs[0] = np.nan
     with pytest.raises(LpFailure):
-        solve_lp(prob)
+        solve_lp(prob, warm=start)
 
 
 @pytest.mark.parametrize(
@@ -256,7 +259,8 @@ def test_nan_point_is_not_certified():
     ],
 )
 def test_dependent_equality_rows(A, row_type, rhs, obj, want_x, want_obj):
-    # one artificial column stays basic at zero through phase 2
+    # a row the crash leaves uncovered keeps its appended logical, fixed at
+    # [0, 0], basic to the end: the optimum leaves no warm start
     prob = LpProblem(
         obj=obj, A=A, row_type=row_type, rhs=rhs,
         col_lb=[0.0, 0.0], col_ub=[np.inf, np.inf],
@@ -336,8 +340,8 @@ def _cross_check_cases():
                   _lp(rng.integers(-5, 6, size=prob.n_cols).astype(float), prob.A,
                       prob.row_type, prob.rhs, prob.col_lb, prob.col_ub)))
     # the same construction with its 20 planted rows as equalities, which no
-    # slack covers: a cold solve runs phase 1, and every solve, cold or warm,
-    # Dantzig or Bland, takes more than 2 * REFACTOR_EVERY pivots
+    # slack covers: a cold solve appends a fixed logical for each, and a warm
+    # one, Dantzig or Bland, takes more than 2 * REFACTOR_EVERY pivots
     rng = np.random.default_rng(3)
     prob = planted_lp(rng)
     row_type = ["E"] * 20 + ["L"] * (prob.n_rows - 20)
@@ -489,16 +493,22 @@ def test_duals_price_the_final_basis(warm, bland, monkeypatch):
 def test_refactor_interval_does_not_change_the_answer(warm, bland, monkeypatch):
     # REFACTOR_EVERY = 1 factors every new basis; 10**9 carries one inverse
     # through the whole run by eta updates and factors it again only before
-    # returning OPTIMAL; both end with the same status and optimum
+    # returning OPTIMAL; both end with the same status and optimum.  No cold
+    # solve of the cross-check cases takes more than 2 * REFACTOR_EVERY
+    # pivots, so the cold runs add a 240 x 600 planted LP that does
     if bland:
         monkeypatch.setattr(lp, "DEGEN_PIVOT_LIMIT", 0)
     every = lp.REFACTOR_EVERY
-    for name, prob, sib in _cross_check_cases():
+    cases = _cross_check_cases()
+    if not warm:
+        cases.append(("planted-240x600",
+                      planted_lp(np.random.default_rng(0), **RELAX_SHAPES["240x600"]), None))
+    for name, prob, sib in cases:
         sols = []
         for refactor in (every, 1, 10 ** 9):
             monkeypatch.setattr(lp, "REFACTOR_EVERY", refactor)
             sols.append(solve_lp(prob, warm=solve_lp(sib).warm_start() if warm else None))
-        if name == "planted-eq-60x150" or (warm and name == "planted-60x150"):
+        if name == "planted-240x600" or (warm and name.startswith("planted")):
             assert sols[0].iterations > 2 * every, name
         default, each, never = sols
         assert each.status == never.status == default.status, name
@@ -555,16 +565,21 @@ def _hand_offs(seed, sequences=30):
 
 
 def _recording_dual_loop(monkeypatch, cap=None):
-    """The pivots of each ``_dual_loop`` run (None if it gave up), appended
-    as they end; ``cap[0]``, when set, replaces its pivot cap."""
+    """The pivots of each ``_dual_loop`` run that ends feasible (None for one
+    that ends otherwise or raises), appended as they end; ``cap[0]``, when
+    set, replaces its pivot cap."""
     runs = []
     real_dual_loop = lp._dual_loop
 
     def recording(*args):
         if cap is not None and cap[0] is not None:
             args = args[:-1] + (cap[0],)
-        out = real_dual_loop(*args)
-        runs.append(None if out is None else out[2])
+        try:
+            out = real_dual_loop(*args)
+        except np.linalg.LinAlgError:
+            runs.append(None)
+            raise
+        runs.append(out[3] if out[0] == OPTIMAL else None)
         return out
 
     monkeypatch.setattr(lp, "_dual_loop", recording)
@@ -619,7 +634,8 @@ def _same_answer(a, b):
 
 def test_dual_loop_past_its_cap_solves_cold(monkeypatch):
     # with the dual loop's cap at 1 pivot, every hand-off that needs one
-    # gives up and is solved exactly as without a warm start
+    # gives up and is solved exactly as without a warm start, whose dual
+    # loop makes no pivot from the crash basis
     cap = [None]
     runs = _recording_dual_loop(monkeypatch, cap)
     forced = 0
@@ -633,19 +649,21 @@ def test_dual_loop_past_its_cap_solves_cold(monkeypatch):
         cap[0] = 1
         capped = solve_lp(prob, warm=warm)
         cap[0] = None
-        assert runs[1:] == [None], i
+        assert runs[1:] == [None, 0], i
         assert _same_answer(capped, solve_lp(prob)), i
         forced += 1
     assert forced > 0
 
 
-def test_start_neither_primal_nor_dual_feasible_solves_cold(monkeypatch):
+def test_start_neither_primal_nor_dual_feasible_is_restored(monkeypatch):
     # a hand-off whose factor costs change too: where the kept basis then
-    # prices dual infeasible, the dual loop gives up before any pivot, and
-    # the solve is exactly the cold one
+    # is neither primal nor dual feasible, the dual loop shifts the costs
+    # that price wrong and restores feasibility, and the primal loop ends
+    # at HiGHS's optimum, with no cold solve
+    pytest.importorskip("scipy")
     runs = _recording_dual_loop(monkeypatch)
     rng = np.random.default_rng(37)
-    dropped = 0
+    restored = 0
     for i, (prob, warm) in enumerate(_hand_offs(29)):
         if warm is None:
             continue
@@ -653,18 +671,27 @@ def test_start_neither_primal_nor_dual_feasible_solves_cold(monkeypatch):
         obj = prob.obj.copy()
         obj[:k] = rng.uniform(0.0, 1.0, size=k)
         changed = _lp(obj, prob.A, prob.row_type, prob.rhs, prob.col_lb, prob.col_ub)
+        A, b, c, lb, ub = lp._standard_form(changed)
+        x = lp._nonbasic_values(warm.status, lb, ub)
+        x[warm.basis] = warm.Binv @ (b - A @ x)
+        _, _, viol = lp._price(A, c, warm.basis, warm.status, warm.Binv, lb == ub)
         runs.clear()
         sol = solve_lp(changed, warm=warm)
-        if runs == [None]:
-            assert _same_answer(sol, solve_lp(changed)), i
-            dropped += 1
-    assert dropped > 0
+        if np.all((x >= lb - lp.FEAS_TOL) & (x <= ub + lp.FEAS_TOL)) or viol.max() <= lp.OPT_TOL:
+            continue
+        assert len(runs) == 1 and runs[0] > 0, i
+        status, objective = _highs(changed)
+        assert sol.status == status == OPTIMAL, i
+        assert abs(sol.objective - objective) <= 1e-6 * (1.0 + abs(objective)), i
+        restored += 1
+    assert restored > 0
 
 
 def test_singular_warm_basis_falls_back_to_cold(monkeypatch):
     # a factorization in the dual loop that finds the basis singular (forced
     # by REFACTOR_EVERY = 1 and a _factor that raises once) drops the warm
-    # start, and the solve is exactly the cold one
+    # start, and the solve is exactly the cold one, whose dual loop makes no
+    # pivot from the crash basis
     monkeypatch.setattr(lp, "REFACTOR_EVERY", 1)
     runs = _recording_dual_loop(monkeypatch)
     real_factor = lp._factor
@@ -688,7 +715,7 @@ def test_singular_warm_basis_falls_back_to_cold(monkeypatch):
         runs.clear()
         sol = solve_lp(prob, warm=warm)
         monkeypatch.setattr(lp, "_factor", real_factor)
-        assert raised and runs == [None], i
+        assert raised and runs == [None, 0], i
         assert _same_answer(sol, cold), i
         checked += 1
     assert checked > 0
@@ -711,11 +738,32 @@ def test_singular_refactor_raises_lp_failure(refactor, monkeypatch):
     assert basis.tolist() == [0, 1, 3]
 
 
+def test_singular_refactor_in_a_cold_dual_loop_raises_lp_failure(monkeypatch):
+    # a cold start has no start to fall back to: a factorization in its
+    # dual loop that finds the basis singular (forced by REFACTOR_EVERY = 1
+    # and a _factor that raises after the start's own) fails the solve
+    monkeypatch.setattr(lp, "REFACTOR_EVERY", 1)
+    real_factor = lp._factor
+    calls = []
+
+    def singular_after_start(*args):
+        calls.append(1)
+        if len(calls) > 1:
+            raise np.linalg.LinAlgError("singular matrix")
+        return real_factor(*args)
+
+    monkeypatch.setattr(lp, "_factor", singular_after_start)
+    prob = {name: p for name, p, _ in _cross_check_cases()}["planted-60x150"]
+    with pytest.raises(LpFailure, match="singular basis matrix"):
+        solve_lp(prob)
+    assert len(calls) == 2
+
+
 def test_crash_takes_first_feasible_one_nonzero_column():
     inf = np.inf
     # row 0: columns 0 and 1 both solve it within their bounds, column 0 wins;
     # row 1: column 2 would have to reach 3 > its upper bound 1, so the row
-    # keeps its artificial; row 2: the free column 4 solves it at -2;
+    # is left uncovered; row 2: the free column 4 solves it at -2;
     # column 3 has two nonzeros and is never taken
     A = np.array([
         [1.0, 2.0, 0.0, 0.0, 0.0],
@@ -774,9 +822,9 @@ def _loop_widths(monkeypatch):
     return widths
 
 
-def test_lasso_shaped_lps_match_highs_and_skip_phase_1(monkeypatch):
+def test_lasso_shaped_lps_match_highs_from_the_crash_basis(monkeypatch):
     # every row of B lam - mu+ + mu- = 0 is crashed by a one-nonzero column,
-    # so a cold solve appends no artificial and makes the phase-2 loop only;
+    # so a cold solve appends no logical and makes one primal run;
     # some lam are pinned at [0, 0], and a priced fixed column would cost a
     # zero-length bound flip, a ratio test with tcap 0
     pytest.importorskip("scipy")
@@ -820,23 +868,66 @@ def test_fixed_column_never_enters():
     assert sol.col_status[1] == lp.AT_LOWER
 
 
-def test_artificials_only_for_uncovered_rows(monkeypatch):
+def test_dual_infeasible_start_takes_a_cost_shift(monkeypatch):
     # min -x0 + 3 x1  s.t.  -x0 - x1 <= -1, x0 - x1 <= 0, x >= 0: the slack
     # basis is neither primal feasible (row 0's slack would be -1) nor dual
-    # feasible (x0 is unbounded above, with cost -1), so the dual loop gives
-    # up before any pivot; row 1's slack covers it at 0, so only row 0 gets
-    # an artificial, and both phases see 2 structurals, 2 slacks, 1 artificial
+    # feasible (x0 is unbounded above, with cost -1); the dual loop shifts
+    # x0's cost to 0, for its own run only, and pivots to a feasible basis,
+    # then the primal loop reaches the optimum on the true costs: one run
+    # of each, on 2 structurals and 2 slacks with no appended column
     widths = _loop_widths(monkeypatch)
     runs = _recording_dual_loop(monkeypatch)
     prob = _lp([-1.0, 3.0], [[-1.0, -1.0], [1.0, -1.0]], ["L", "L"], [-1.0, 0.0],
                [0.0, 0.0], [np.inf, np.inf])
     sol = solve_lp(prob)
-    assert runs == [None]
-    assert widths == [4 + 1, 4 + 1]
+    assert len(runs) == 1 and runs[0] > 0
+    assert widths == [4]
     assert sol.status == OPTIMAL
     assert sol.x == pytest.approx([0.5, 0.5])
     assert sol.objective == pytest.approx(1.0)
     assert len(sol.col_status) == 4
+    A, b, c, lb, ub = lp._standard_form(prob)
+    cost = c.copy()
+    status = np.array([lp.AT_LOWER, lp.AT_LOWER, lp.BASIC, lp.BASIC])
+    code = lp._dual_loop(A, b, c, lb, ub, np.array([2, 3]), status,
+                         np.array([0.0, 0.0, -1.0, 0.0]), np.eye(2), 100)[0]
+    assert code == OPTIMAL and np.array_equal(c, cost)
+
+
+def test_uncovered_equality_rows_get_one_fixed_logical_each(monkeypatch):
+    # rows 0 and 1 are equalities no one-nonzero column covers; row 2's is
+    # the zero-cost x3, row 3's its slack: the start appends a logical e_i
+    # fixed at [0, 0] for rows 0 and 1 only, the one primal run sees
+    # 4 structurals, 1 slack and 2 logicals, and the solution reports the
+    # structurals and the slack
+    pytest.importorskip("scipy")
+    widths = _loop_widths(monkeypatch)
+    A = [[1.0, 1.0, 1.0, 0.0], [1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0],
+         [1.0, 0.0, 1.0, 0.0]]
+    prob = _lp([1.0, 2.0, 3.0, 0.0], A, ["E", "E", "E", "L"], [2.0, 0.0, 5.0, 3.0],
+               [0.0] * 4, [np.inf] * 3 + [10.0])
+    sol = solve_lp(prob)
+    assert widths == [4 + 1 + 2]
+    assert sol.status == OPTIMAL and len(sol.col_status) == 4 + 1
+    assert sol.x == pytest.approx([1.0, 1.0, 0.0, 5.0])
+    status, objective = _highs(prob)
+    assert status == OPTIMAL and sol.objective == pytest.approx(objective)
+
+
+@pytest.mark.parametrize("bland", [False, True], ids=["dantzig", "bland"])
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_every_solve_makes_one_primal_run(warm, bland, monkeypatch):
+    # warm, crash and logical starts share one path, a dual loop and then
+    # one primal run on the true costs; a dual loop that proves the problem
+    # infeasible ends the solve before any primal run
+    if bland:
+        monkeypatch.setattr(lp, "DEGEN_PIVOT_LIMIT", 0)
+    widths = _loop_widths(monkeypatch)
+    for name, prob, sib in _cross_check_cases():
+        start = solve_lp(sib).warm_start() if warm else None
+        widths.clear()
+        sol = solve_lp(prob, warm=start)
+        assert len(widths) == (0 if sol.status == INFEASIBLE else 1), name
 
 
 RELAX_SHAPES = {
@@ -850,7 +941,7 @@ RELAX_SHAPES = {
 def test_boxed_all_l_lps_solve_cold_by_the_dual_loop(shape, monkeypatch):
     # every column is boxed, so the slack basis, with each column at the
     # bound its cost favours, prices dual feasible: a cold solve appends no
-    # artificial column, the dual loop pivots to the optimum, and the
+    # column, the dual loop pivots to the optimum, and the
     # optimum and duals are HiGHS's (the duals, which a degenerate optimum
     # leaves unpinned, by their dual bound)
     pytest.importorskip("scipy")
