@@ -250,7 +250,9 @@ def select_partition_and_delta(k):
     ``VIOLATION_THRESHOLD``.
 
     ``_score`` rates every delta at once; the first maximum of the
-    violation over the live deltas wins, and only that cut is built.
+    violation over the live deltas wins, and only a winner above the
+    threshold is built: ``_score`` gives a delta the same bits alone as
+    in a batch, so its scored violation is the built cut's.
     """
     if k.q == 0:
         return None
@@ -260,8 +262,9 @@ def select_partition_and_delta(k):
     if not live.any():
         return None
     best = np.flatnonzero(live)[np.argmax(violation[live])]
-    cut = cmir_inequality(k, T, U, deltas[best])
-    return cut if cut.violation > VIOLATION_THRESHOLD else None
+    if not violation[best] > VIOLATION_THRESHOLD:
+        return None
+    return cmir_inequality(k, T, U, deltas[best])
 
 
 def separate_on_aggregation(aggregation, ctx, cut_name):

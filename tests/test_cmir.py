@@ -254,6 +254,80 @@ def test_select_matches_reference_loop(monkeypatch):
         outcomes["below_threshold" if cut is None else "cut"] += 1
     assert min(outcomes.values()) >= 5, outcomes
 
+
+def test_select_builds_only_the_cut_it_returns(monkeypatch):
+    """The search calls cmir_inequality once when it returns a cut, and
+    never for a winner below the threshold or when every delta is degenerate."""
+    built = []
+
+    def counting(*args):
+        cut = cmir_inequality(*args)
+        built.append(cut)
+        return cut
+
+    monkeypatch.setattr(cmir, "cmir_inequality", counting)
+    rng = np.random.default_rng(17)
+    outcomes = {"cut": 0, "below_threshold": 0, "all_degenerate": 0}
+    for i in range(240):
+        k = _equivalence_row(rng, i % 4)
+        ref = reference_select(k, -np.inf)
+        del built[:]
+        cut = select_partition_and_delta(k)
+        if cut is None:
+            assert built == [], i
+            outcomes["all_degenerate" if ref is None else "below_threshold"] += 1
+        else:
+            assert built == [cut], i
+            assert cut.violation > cmir.VIOLATION_THRESHOLD
+            outcomes["cut"] += 1
+    assert min(outcomes.values()) >= 5, outcomes
+
+
+def _corpus_knapsack_rows(monkeypatch):
+    """Every knapsack row the c-MIR search sees in a corpus separation."""
+    from aggsep.harness import POLICY_ALL, RunConfig, run_separation
+
+    rows = []
+    search = cmir.select_partition_and_delta
+
+    def recording(k):
+        rows.append(k)
+        return search(k)
+
+    with monkeypatch.context() as m:
+        m.setattr(cmir, "select_partition_and_delta", recording)
+        for mps, sol in corpus_paths():
+            inst = parse_mps_file(mps)
+            with open(sol) as fh:
+                point = parse_solution(fh, inst)
+            run_separation(inst, point, RunConfig(algorithm="both", start_policy=POLICY_ALL))
+    return rows
+
+
+def test_score_entries_do_not_depend_on_the_batch(monkeypatch):
+    """Each delta's _score entries are the same bits alone as in the batch
+    of all candidates: the search's skip of a below-threshold winner, and
+    the violation of the cut it builds, rest on this."""
+    rng = np.random.default_rng(29)
+    rows = [_equivalence_row(rng, i % 4) for i in range(160)]
+    corpus = _corpus_knapsack_rows(monkeypatch)
+    assert len(corpus) >= 20
+    rows += corpus
+    rows.append(_knap([4.0, 2.0], [2, 3], 7.5, zbar=[1.25, 0.75]))  # the tie case
+    names = ("beta", "f", "live", "z", "rhs", "s_coef", "violation")
+    checked = 0
+    for r, k in enumerate(rows):
+        _, U = proximity_partition(k)
+        deltas = delta_candidates(k)
+        batch = cmir._score(k, U, deltas)
+        for i in range(len(deltas)):
+            alone = cmir._score(k, U, deltas[i:i + 1])
+            for name, many, one in zip(names, batch, alone):
+                assert many[i:i + 1].tobytes() == one.tobytes(), (r, i, name)
+            checked += 1
+    assert checked >= 1000, checked
+
+
 def test_bound_substitute_simple_upper():
     inst = MilpInstance(
         "t",
