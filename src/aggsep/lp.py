@@ -4,8 +4,9 @@ Sized for the lasso's small subproblems and for LP relaxations of a few
 hundred rows.  Every solve works on one standard form, the structural
 columns then one slack per 'L' row, and takes one path: a starting
 basis, a bounded dual simplex run to a primal feasible basis, then one
-primal run (Dantzig pricing, a Bland fallback after a run of degenerate
-pivots; a fixed column, lb == ub, is never priced).  The start is
+primal run (Dantzig pricing; a fixed column, lb == ub, is never priced).
+A run whose pivots return, with no progress in between, to a basis it
+left has cycled, and goes on by Bland's rule (Bland 1977).  The start is
 
 * a warm start (below) on the same matrix, or else
 * the crash basis (Bixby 1992) if it covers every row: with each boxed
@@ -54,7 +55,6 @@ FREE = 3
 
 FEAS_TOL = 1e-7
 OPT_TOL = 1e-7
-DEGEN_PIVOT_LIMIT = 1000
 MAX_ITER_FACTOR = 50  # each loop stops after MAX_ITER_FACTOR * (rows + cols) pivots
 REFACTOR_EVERY = 64  # the basis inverse is factored afresh after this many pivots
 PIVOT_TOL = 1e-10  # smaller entries of a pivot column or row are not pivoted on
@@ -236,6 +236,20 @@ def _eta_update(Binv, w, r):
     Binv[r] = pivot_row
 
 
+def _cycled(seen, status, step):
+    """Whether a pivot of ``step`` closed a cycle: it made no progress
+    (step <= 1e-10) and left a ``status`` that ``seen`` holds, the statuses
+    left by the no-progress pivots since the last pivot that made progress.
+    Records the status; a pivot that makes progress empties ``seen``."""
+    if step > 1e-10:
+        seen.clear()
+        return False
+    key = status.tobytes()
+    cycled = key in seen
+    seen.add(key)
+    return cycled
+
+
 def _simplex_loop(A, b, c, lb, ub, basis, status, x, Binv, max_iter):
     """Primal iterations from a feasible basis; returns (code, iterations, x, y, Binv).
 
@@ -249,10 +263,13 @@ def _simplex_loop(A, b, c, lb, ub, basis, status, x, Binv, max_iter):
     so for OPTIMAL x, y and Binv come from a fresh factorization of the
     final basis.  For UNBOUNDED they are those of the last basis priced;
     for ITERATION_LIMIT all three are None.  A fixed column (lb == ub) is
-    never priced: it cannot move.  basis and status are updated in place.
+    never priced: it cannot move.  Once ``_cycled`` finds a pivot back at a
+    status of its no-progress run, the lowest-index violated column enters
+    (Bland 1977, Math. Oper. Res. 2:103); the leaving position is still the
+    first of tied ratios.  basis and status are updated in place.
     """
     fixed = lb == ub
-    degen = 0
+    seen = set()
     bland = False
     it = 0
     since = 0  # pivots since Binv and x were last factored
@@ -291,12 +308,7 @@ def _simplex_loop(A, b, c, lb, ub, basis, status, x, Binv, max_iter):
                 basis[leave] = j
                 status[j] = BASIC
                 _eta_update(Binv, w, leave)
-            if t <= 1e-10:
-                degen += 1
-                if degen > DEGEN_PIVOT_LIMIT:
-                    bland = True
-            else:
-                degen = 0
+            bland = bland or _cycled(seen, status, t)
             it += 1
             since += 1
             if it >= max_iter:
@@ -323,7 +335,10 @@ def _dual_loop(A, b, c, lb, ub, basis, status, x, Binv, max_iter):
     outside its bounds out, to the bound it violates, and the entering
     column by the dual ratio test: of the columns that can move the
     leaving one toward that bound, the first whose reduced cost reaches
-    zero.  The reduced costs are priced first and after each
+    zero.  Once ``_cycled``, given the entering ratio as the step, finds a
+    cycle, the infeasible basic column of lowest index leaves instead (the
+    entering choice already takes the first of tied ratios: Bland's rule).
+    The reduced costs are priced first and after each
     factorization, and in between updated along the pivot row,
     ``d -= (d_j / alpha_j) alpha``.  At the first pricing each column that
     prices dual infeasible gets ``c_j -= d_j`` for this loop only (cost
@@ -338,6 +353,8 @@ def _dual_loop(A, b, c, lb, ub, basis, status, x, Binv, max_iter):
     """
     fixed = lb == ub
     tol = FEAS_TOL * _feas_scale(b)
+    seen = set()
+    bland = False
     it = 0
     since = 0  # pivots since Binv and x were last factored
     d = None  # reduced costs: priced before a pivot that follows a factorization
@@ -357,7 +374,8 @@ def _dual_loop(A, b, c, lb, ub, basis, status, x, Binv, max_iter):
                 shift = viol > OPT_TOL
                 c = np.where(shift, c - d, c)
                 d[shift] = 0.0
-        r = int(np.argmax(infeas))
+        r = int(np.argmin(np.where(infeas <= tol, len(status), basis)) if bland
+                else np.argmax(infeas))
         rise = below[r] > 0  # the leaving column rises to its lower bound
         alpha = Binv[r] @ A
         # a column at its lower bound can rise, at its upper bound fall, a
@@ -371,7 +389,8 @@ def _dual_loop(A, b, c, lb, ub, basis, status, x, Binv, max_iter):
             return INFEASIBLE, x, Binv, it
         ratios = np.where(status[cand] == FREE, np.abs(d[cand]),
                           np.maximum(sdir[cand] * d[cand], 0.0)) / gain[cand]
-        j = int(cand[np.argmin(ratios)])
+        k = int(np.argmin(ratios))
+        j = int(cand[k])
         w = Binv @ A[:, j]
         out = basis[r]
         target = lb[out] if rise else ub[out]
@@ -385,6 +404,7 @@ def _dual_loop(A, b, c, lb, ub, basis, status, x, Binv, max_iter):
         _eta_update(Binv, w, r)
         d -= (d[j] / alpha[j]) * alpha
         d[j] = 0.0
+        bland = bland or _cycled(seen, status, ratios[k])
         it += 1
         since += 1
         if it >= max_iter:

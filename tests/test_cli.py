@@ -6,7 +6,7 @@ import pytest
 
 from aggsep.cli import EXIT_LP, EXIT_OK, EXIT_PARSE, main
 
-from helpers import EXAMPLE1_MPS, corpus_paths
+from helpers import DATA_DIR, EXAMPLE1_MPS, corpus_paths
 
 PYPROJECT = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
 
@@ -22,6 +22,16 @@ def test_relax_writes_solution(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 4
     assert lines[0].startswith("x1 ")
+
+
+def test_relax_solves_beales_cycling_lp(tmp_path):
+    # from the slack basis Dantzig's rule cycles on Beale's LP; the solve
+    # notices the repeated basis and ends at the optimum x = (1, 0, 1, 0)
+    out = tmp_path / "beale.sol"
+    argv = ["relax", "--instance", os.path.join(DATA_DIR, "beale.mps"), "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    point = {name: float(v) for name, v in map(str.split, out.read_text().splitlines())}
+    assert point == pytest.approx({"x1": 1.0, "x2": 0.0, "x3": 1.0, "x4": 0.0}, abs=1e-9)
 
 
 def test_separate_end_to_end(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 
 from aggsep import lp
 from aggsep.errors import ContractViolation, LpFailure
+from aggsep.harness import POLICY_ALL, RunConfig, run_separation, solve_relaxation
 from aggsep.lasso import reweight
 from aggsep.lp import (
     INFEASIBLE,
@@ -13,8 +14,9 @@ from aggsep.lp import (
     build_abs_value_lp,
     solve_lp,
 )
+from aggsep.mpsio import parse_mps_file, parse_solution_file
 
-from helpers import enumerate_bfs_optimum, planted_lp, random_lp
+from helpers import corpus_paths, enumerate_bfs_optimum, planted_lp, random_lp
 
 
 def test_single_bound_active():
@@ -331,9 +333,9 @@ def _cross_check_cases():
                   _lp([0.0, -1.0], A, ["L"], [1.0], [0.0, 0.0], [2.0, inf]),
                   _lp([0.0, 1.0], A, ["L"], [1.0], [0.0, 0.0], [2.0, inf])))
     # 60 x 150, all 'L' and boxed: a cold solve starts from the slack basis
-    # and the dual loop; a warm one, Dantzig or Bland, takes more than
-    # 2 * REFACTOR_EVERY primal pivots, so the basis inverse is updated and
-    # factored afresh more than once within a run
+    # and the dual loop; a warm one takes more than 2 * REFACTOR_EVERY
+    # primal pivots, so the basis inverse is updated and factored afresh
+    # more than once within a run
     rng = np.random.default_rng(0)
     prob = planted_lp(rng)
     cases.append(("planted-60x150", prob,
@@ -341,7 +343,7 @@ def _cross_check_cases():
                       prob.row_type, prob.rhs, prob.col_lb, prob.col_ub)))
     # the same construction with its 20 planted rows as equalities, which no
     # slack covers: a cold solve appends a fixed logical for each, and a warm
-    # one, Dantzig or Bland, takes more than 2 * REFACTOR_EVERY pivots
+    # one takes more than 2 * REFACTOR_EVERY pivots
     rng = np.random.default_rng(3)
     prob = planted_lp(rng)
     row_type = ["E"] * 20 + ["L"] * (prob.n_rows - 20)
@@ -383,12 +385,117 @@ def test_solve_lp_matches_highs(warm):
     _check_against_highs(warm)
 
 
+# Beale's (1955) and Kuhn's LPs, (A, b, c) of min c.x s.t. A x <= b, x >= 0:
+# from the slack basis Dantzig's rule, with ties broken by basis position,
+# returns to a basis it left without progress
+BEALE = ([[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]],
+         [0.0, 0.0, 1.0], [-0.75, 20.0, -0.5, 6.0])
+KUHN = ([[-2.0, -9.0, 1.0, 9.0], [1 / 3, 1.0, -1 / 3, -2.0], [2.0, 3.0, -1.0, -12.0]],
+        [0.0, 0.0, 2.0], [-2.0, -3.0, 1.0, 12.0])
+CYCLING_OPTIMA = {"beale": (-1.25, [1.0, 0.0, 1.0, 0.0]), "kuhn": (-2.0, [2.0, 0.0, 2.0, 0.0]),
+                  "beale-dual": (1.25, None)}
+
+
+def _cycling_case(name):
+    """(problem, sibling) for a name of CYCLING_OPTIMA.  Beale's dual is
+    min b.u s.t. -A^T u <= c, u >= 0.  The sibling has nonnegative costs
+    (the dual: right-hand side), so its optimum is the slack basis."""
+    A, b, c = BEALE if name.startswith("beale") else KUHN
+    if name == "beale-dual":
+        A, b, c = -np.array(A).T, c, b
+    A, b, c = (np.array(v, dtype=float) for v in (A, b, c))
+
+    def lp_of(c, b):  # min c.x  s.t.  A x <= b, x >= 0
+        return _lp(c, A, ["L"] * len(b), b, np.zeros(len(c)), np.full(len(c), np.inf))
+
+    sib = lp_of(c, np.abs(b)) if name == "beale-dual" else lp_of(np.abs(c), b)
+    return lp_of(c, b), sib
+
+
+def _cycle_checks(monkeypatch):
+    """The answer of each ``_cycled`` call, appended as the loops make them."""
+    checks = []
+    real_check = lp._cycled
+
+    def recording(*args):
+        checks.append(real_check(*args))
+        return checks[-1]
+
+    monkeypatch.setattr(lp, "_cycled", recording)
+    return checks
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("name", list(CYCLING_OPTIMA))
+def test_classic_cycling_lps_solve(name, warm, monkeypatch):
+    # the loop that cycles reports it once and goes on by Bland's rule to
+    # the closed-form optimum: the primal loop on Beale's and Kuhn's LPs
+    # (the dual loop makes no pivot), the dual loop on Beale's dual (the
+    # primal loop makes none)
+    prob, sib = _cycling_case(name)
+    start = solve_lp(sib).warm_start() if warm else None
+    checks = _cycle_checks(monkeypatch)
+    runs = _recording_dual_loop(monkeypatch)
+    sol = solve_lp(prob, warm=start)
+    objective, x = CYCLING_OPTIMA[name]
+    assert sol.status == OPTIMAL
+    assert sol.objective == pytest.approx(objective, abs=1e-12)
+    if x is not None:
+        assert sol.x == pytest.approx(x, abs=1e-12)
+    assert sum(checks) == 1
+    assert runs == ([sol.iterations] if name == "beale-dual" else [0])
+
+
+def _block_diagonal(a, b):
+    """The LP of a's rows and columns, then b's, with nothing coupling them."""
+    A = np.zeros((a.n_rows + b.n_rows, a.n_cols + b.n_cols))
+    A[:a.n_rows, :a.n_cols] = a.A
+    A[a.n_rows:, a.n_cols:] = b.A
+    return _lp(np.concatenate([a.obj, b.obj]), A, a.row_type + b.row_type,
+               np.concatenate([a.rhs, b.rhs]), np.concatenate([a.col_lb, b.col_lb]),
+               np.concatenate([a.col_ub, b.col_ub]))
+
+
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 def test_bland_fallback_matches_highs(warm, monkeypatch):
-    # the first degenerate pivot switches every later pick to Bland's rule
+    # Beale's and Kuhn's LPs each beside a 60 x 150 planted LP, the
+    # sibling's costs nonnegative: every solve reports a cycle, goes on by
+    # Bland's rule, and ends at HiGHS's optimum with the small block at
+    # its closed-form optimum
     pytest.importorskip("scipy")
-    monkeypatch.setattr(lp, "DEGEN_PIVOT_LIMIT", 0)
-    _check_against_highs(warm)
+    checks = _cycle_checks(monkeypatch)
+    for name in ("beale", "kuhn"):
+        small, small_sib = _cycling_case(name)
+        for seed in range(3):
+            planted = planted_lp(np.random.default_rng(seed))
+            prob = _block_diagonal(small, planted)
+            sib = _block_diagonal(small_sib, _lp(np.abs(planted.obj), planted.A,
+                                                 planted.row_type, planted.rhs,
+                                                 planted.col_lb, planted.col_ub))
+            start = solve_lp(sib).warm_start() if warm else None
+            checks.clear()
+            sol = solve_lp(prob, warm=start)
+            status, objective = _highs(prob)
+            assert sol.status == status == OPTIMAL, (name, seed)
+            assert sum(checks) >= 1, (name, seed)
+            assert abs(sol.objective - objective) <= 1e-6 * (1.0 + abs(objective)), (name, seed)
+            assert sol.x[:4] == pytest.approx(CYCLING_OPTIMA[name][1], abs=1e-9), (name, seed)
+            x = sol.x
+            assert np.all(x >= -1e-7) and np.all(x <= prob.col_ub + 1e-7), (name, seed)
+            assert np.all(prob.A @ x - prob.rhs <= 1e-6), (name, seed)
+
+
+def test_corpus_solves_never_cycle(monkeypatch):
+    # no no-progress run of the corpus's lasso LPs or relaxations returns
+    # to a basis, so Bland's rule never turns on and every pivot is
+    # Dantzig's: the condition under which the output bytes cannot move
+    checks = _cycle_checks(monkeypatch)
+    config = RunConfig(algorithm="both", start_policy=POLICY_ALL)
+    for mps, sol in corpus_paths():
+        inst = parse_mps_file(mps)
+        run_separation(inst, parse_solution_file(sol, inst), config)
+        solve_relaxation(inst)
+    assert len(checks) > 0 and not any(checks)
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
@@ -463,14 +570,11 @@ def test_accepted_warm_basis_is_solved_once(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("bland", [False, True], ids=["dantzig", "bland"])
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
-def test_duals_price_the_final_basis(warm, bland, monkeypatch):
+def test_duals_price_the_final_basis(warm):
     # reduced costs d = c - A^T y over the standard-form columns, the
     # structurals and then the slack e_i of each 'L' row, agree with the
     # status of each column at the optimum
-    if bland:
-        monkeypatch.setattr(lp, "DEGEN_PIVOT_LIMIT", 0)
     checked = 0
     for name, prob, sib in _cross_check_cases():
         sol = solve_lp(prob, warm=solve_lp(sib).warm_start() if warm else None)
@@ -488,16 +592,13 @@ def test_duals_price_the_final_basis(warm, bland, monkeypatch):
     assert checked >= 30
 
 
-@pytest.mark.parametrize("bland", [False, True], ids=["dantzig", "bland"])
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
-def test_refactor_interval_does_not_change_the_answer(warm, bland, monkeypatch):
+def test_refactor_interval_does_not_change_the_answer(warm, monkeypatch):
     # REFACTOR_EVERY = 1 factors every new basis; 10**9 carries one inverse
     # through the whole run by eta updates and factors it again only before
     # returning OPTIMAL; both end with the same status and optimum.  No cold
     # solve of the cross-check cases takes more than 2 * REFACTOR_EVERY
     # pivots, so the cold runs add a 240 x 600 planted LP that does
-    if bland:
-        monkeypatch.setattr(lp, "DEGEN_PIVOT_LIMIT", 0)
     every = lp.REFACTOR_EVERY
     cases = _cross_check_cases()
     if not warm:
@@ -914,14 +1015,11 @@ def test_uncovered_equality_rows_get_one_fixed_logical_each(monkeypatch):
     assert status == OPTIMAL and sol.objective == pytest.approx(objective)
 
 
-@pytest.mark.parametrize("bland", [False, True], ids=["dantzig", "bland"])
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
-def test_every_solve_makes_one_primal_run(warm, bland, monkeypatch):
+def test_every_solve_makes_one_primal_run(warm, monkeypatch):
     # warm, crash and logical starts share one path, a dual loop and then
     # one primal run on the true costs; a dual loop that proves the problem
     # infeasible ends the solve before any primal run
-    if bland:
-        monkeypatch.setattr(lp, "DEGEN_PIVOT_LIMIT", 0)
     widths = _loop_widths(monkeypatch)
     for name, prob, sib in _cross_check_cases():
         start = solve_lp(sib).warm_start() if warm else None
@@ -977,13 +1075,10 @@ def _degenerate_lp(seed):
     return _lp(obj, A, ["L"] * 60, rhs, np.zeros(150), ub)
 
 
-@pytest.mark.parametrize("bland", [False, True], ids=["dantzig", "bland"])
-def test_degenerate_boxed_family_matches_highs(bland, monkeypatch):
+def test_degenerate_boxed_family_matches_highs(monkeypatch):
     # x = 0 is a degenerate vertex of every row with right-hand side 0; each
     # cold solve is restored by the dual loop alone and ends at HiGHS's optimum
     pytest.importorskip("scipy")
-    if bland:
-        monkeypatch.setattr(lp, "DEGEN_PIVOT_LIMIT", 0)
     runs = _recording_dual_loop(monkeypatch)
     for seed in range(40):
         prob = _degenerate_lp(seed)
