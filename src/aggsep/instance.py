@@ -6,7 +6,6 @@ senses into <= rows); integrality lives on the variables.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -35,6 +34,13 @@ class Variable:
             raise MalformedInstanceError(
                 "variable %s has bounds [%g, %g]" % (self.name, self.lower, self.upper)
             )
+        # bound substitution shifts an integer variable by its bound
+        if self.is_integer and any(math.isfinite(b) and b != math.floor(b)
+                                   for b in (self.lower, self.upper)):
+            raise MalformedInstanceError(
+                "integer variable %s has fractional bounds [%g, %g]"
+                % (self.name, self.lower, self.upper)
+            )
         if not math.isfinite(self.objective):
             raise MalformedInstanceError(
                 "variable %s has objective %r" % (self.name, self.objective)
@@ -50,33 +56,45 @@ class Row:
     """A single constraint row ``coefficients . x <= rhs``."""
 
     name: str
-    coefficients: dict  # variable name -> nonzero coefficient
+    coefficients: dict  # variable name -> coefficient; an entry of 0.0 counts as absent
     rhs: float
 
 
 @dataclass
 class MilpInstance:
-    """Immutable-by-convention MILP: share freely once built."""
+    """Immutable-by-convention MILP: share freely once built.
+
+    Construction checks the ``Variable`` and ``Row`` input records and, in
+    the same pass, sets ``n_vars``, ``n_rows``, ``var_index`` and
+    ``row_index`` (name -> position), the dense (rows x vars) ``matrix``,
+    ``rhs``, ``lower``, ``upper``, ``objective``, ``integer_mask`` and
+    ``variable_bounds``.
+    """
 
     name: str
     variables: list
     rows: list
 
     def __post_init__(self):
-        names = set()
-        for v in self.variables:
-            if v.name in names:
+        self.n_vars, self.n_rows = len(self.variables), len(self.rows)
+        self.var_index = idx = {}
+        for j, v in enumerate(self.variables):
+            if v.name in idx:
                 raise MalformedInstanceError("duplicate variable name %s" % v.name)
-            names.add(v.name)
-        rnames = set()
-        for r in self.rows:
-            if r.name in rnames:
+            idx[v.name] = j
+        self.row_index = {}
+        self.matrix = A = np.zeros((self.n_rows, self.n_vars))
+        pairs = {}  # row -> the columns of its two nonzeros
+        for i, r in enumerate(self.rows):
+            if r.name in self.row_index:
                 raise MalformedInstanceError("duplicate row name %s" % r.name)
-            rnames.add(r.name)
+            self.row_index[r.name] = i
             if not math.isfinite(r.rhs):
                 raise MalformedInstanceError("non-finite rhs in row %s" % r.name)
+            nonzeros = []
             for var, val in r.coefficients.items():
-                if var not in names:
+                j = idx.get(var)
+                if j is None:
                     raise MalformedInstanceError(
                         "row %s references unknown variable %s" % (r.name, var)
                     )
@@ -84,74 +102,29 @@ class MilpInstance:
                     raise MalformedInstanceError(
                         "non-finite coefficient %r on %s in row %s" % (val, var, r.name)
                     )
-
-    @cached_property
-    def var_index(self):
-        return {v.name: i for i, v in enumerate(self.variables)}
-
-    @cached_property
-    def row_index(self):
-        return {r.name: i for i, r in enumerate(self.rows)}
-
-    @property
-    def n_vars(self):
-        return len(self.variables)
-
-    @property
-    def n_rows(self):
-        return len(self.rows)
-
-    @cached_property
-    def matrix(self):
-        """Dense (rows x vars) coefficient matrix."""
-        A = np.zeros((len(self.rows), len(self.variables)))
-        idx = self.var_index
-        for i, r in enumerate(self.rows):
-            for var, val in r.coefficients.items():
-                A[i, idx[var]] = val
-        return A
-
-    @cached_property
-    def rhs(self):
-        return np.array([r.rhs for r in self.rows], dtype=float)
-
-    @cached_property
-    def lower(self):
-        return np.array([v.lower for v in self.variables], dtype=float)
-
-    @cached_property
-    def upper(self):
-        return np.array([v.upper for v in self.variables], dtype=float)
-
-    @cached_property
-    def objective(self):
-        return np.array([v.objective for v in self.variables], dtype=float)
-
-    @cached_property
-    def integer_mask(self):
-        return np.array([v.is_integer for v in self.variables], dtype=bool)
-
-    @cached_property
-    def variable_bounds(self):
-        """Implied-bound rows and the bounds they state, in row order.
-
-        A row qualifies iff it has exactly two nonzeros, a positive
-        coefficient a on a continuous variable and its other nonzero c on
-        an integer variable; it then encodes ``x_var <= const + coef *
-        x_int_var`` with const = rhs/a and coef = -c/a.
-        """
-        idx = self.var_index
-        two = [(i, r.coefficients) for i, r in enumerate(self.rows) if len(r.coefficients) == 2]
-        rows = np.array([i for i, _ in two], dtype=np.int64)
-        cols = np.array([[idx[v] for v in c] for _, c in two], dtype=np.int64).reshape(-1, 2)
-        vals = np.array([list(c.values()) for _, c in two], dtype=float).reshape(-1, 2)
-        swap = self.integer_mask[cols[:, 0]]  # an integer first: swap the two
+                if val:
+                    A[i, j] = val
+                    nonzeros.append(j)
+            if len(nonzeros) == 2:
+                pairs[i] = nonzeros
+        self.rhs = np.array([r.rhs for r in self.rows], dtype=float)
+        self.lower = np.array([v.lower for v in self.variables], dtype=float)
+        self.upper = np.array([v.upper for v in self.variables], dtype=float)
+        self.objective = np.array([v.objective for v in self.variables], dtype=float)
+        self.integer_mask = is_int = np.array([v.is_integer for v in self.variables], dtype=bool)
+        # An implied-bound row has two nonzeros: a positive a on a continuous
+        # variable and c on an integer one.  It encodes x_var <= const + coef
+        # * x_int_var with const = rhs/a and coef = -c/a.
+        rows = np.array(list(pairs), dtype=np.int64)
+        cols = np.array(list(pairs.values()), dtype=np.int64).reshape(-1, 2)
+        vals = A[rows[:, None], cols]
+        swap = is_int[cols[:, 0]]  # an integer first: swap the two
         cols[swap], vals[swap] = cols[swap, ::-1], vals[swap, ::-1]
-        is_int = self.integer_mask[cols]
-        keep = ~is_int[:, 0] & is_int[:, 1] & (vals[:, 0] > 0)
+        keep = ~is_int[cols[:, 0]] & is_int[cols[:, 1]] & (vals[:, 0] > 0)
         rows, cols, vals = rows[keep], cols[keep], vals[keep]
-        return VariableBounds(rows=rows, var=cols[:, 0], int_var=cols[:, 1],
-                              const=self.rhs[rows] / vals[:, 0], coef=-vals[:, 1] / vals[:, 0])
+        self.variable_bounds = VariableBounds(
+            rows=rows, var=cols[:, 0], int_var=cols[:, 1],
+            const=self.rhs[rows] / vals[:, 0], coef=-vals[:, 1] / vals[:, 0])
 
 
 class VariableBounds(NamedTuple):
@@ -166,7 +139,7 @@ class VariableBounds(NamedTuple):
 
 
 def detect_variable_bounds(instance):
-    """Implied bounds of ``instance``; found once, then reused."""
+    """Implied bounds of ``instance``, found when it was built."""
     return instance.variable_bounds
 
 

@@ -58,6 +58,7 @@ OPT_TOL = 1e-7
 MAX_ITER_FACTOR = 50  # each loop stops after MAX_ITER_FACTOR * (rows + cols) pivots
 REFACTOR_EVERY = 64  # the basis inverse is factored afresh after this many pivots
 PIVOT_TOL = 1e-10  # smaller entries of a pivot column or row are not pivoted on
+NO_PROGRESS = 1e-10  # a pivot's step up to it makes no progress; Bland ties ratios within it
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -200,6 +201,16 @@ def ratio_test(w, xb, lb, ub, sdir, tcap):
     basic position (-1 for a bound flip / unbounded step) and ``to_upper``
     tells which bound the leaving variable hits.
     """
+    ratios, neg = _primal_ratios(w, xb, lb, ub, sdir)
+    if ratios.size:
+        k = int(np.argmin(ratios))
+        if ratios[k] < tcap:
+            return float(max(ratios[k], 0.0)), k, bool(neg[k])
+    return tcap, -1, False
+
+
+def _primal_ratios(w, xb, lb, ub, sdir):
+    """(ratios, neg): each basic position's step to a bound, and whether it is the upper."""
     d = sdir * w
     pos = d > PIVOT_TOL
     neg = d < -PIVOT_TOL
@@ -207,11 +218,7 @@ def ratio_test(w, xb, lb, ub, sdir, tcap):
     ratios = np.full(len(d), np.inf)
     ratios[pos] = (xb[pos] - lb[pos]) / d[pos]
     ratios[neg] = (ub[neg] - xb[neg]) / -d[neg]
-    if ratios.size:
-        k = int(np.argmin(ratios))
-        if ratios[k] < tcap:
-            return float(max(ratios[k], 0.0)), k, bool(neg[k])
-    return tcap, -1, False
+    return ratios, neg
 
 
 def _price(A, c, basis, status, Binv, fixed):
@@ -238,10 +245,10 @@ def _eta_update(Binv, w, r):
 
 def _cycled(seen, status, step):
     """Whether a pivot of ``step`` closed a cycle: it made no progress
-    (step <= 1e-10) and left a ``status`` that ``seen`` holds, the statuses
+    (step <= NO_PROGRESS) and left a ``status`` that ``seen`` holds, the statuses
     left by the no-progress pivots since the last pivot that made progress.
     Records the status; a pivot that makes progress empties ``seen``."""
-    if step > 1e-10:
+    if step > NO_PROGRESS:
         seen.clear()
         return False
     key = status.tobytes()
@@ -264,9 +271,10 @@ def _simplex_loop(A, b, c, lb, ub, basis, status, x, Binv, max_iter):
     final basis.  For UNBOUNDED they are those of the last basis priced;
     for ITERATION_LIMIT all three are None.  A fixed column (lb == ub) is
     never priced: it cannot move.  Once ``_cycled`` finds a pivot back at a
-    status of its no-progress run, the lowest-index violated column enters
-    (Bland 1977, Math. Oper. Res. 2:103); the leaving position is still the
-    first of tied ratios.  basis and status are updated in place.
+    status of its no-progress run, the pivots follow Bland's rule (Bland
+    1977, Math. Oper. Res. 2:103): the lowest-index violated column enters,
+    and of the basic columns whose ratios tie, within NO_PROGRESS, the
+    lowest leaves.  basis and status are updated in place.
     """
     fixed = lb == ub
     seen = set()
@@ -295,6 +303,11 @@ def _simplex_loop(A, b, c, lb, ub, basis, status, x, Binv, max_iter):
             )
             if not np.isfinite(t):
                 return UNBOUNDED, it, x, y, Binv
+            if bland and leave >= 0:
+                ratios, neg = _primal_ratios(w, x[basis], lb[basis], ub[basis], sdir)
+                tied = np.flatnonzero(ratios <= ratios[leave] + NO_PROGRESS)
+                leave = int(tied[np.argmin(basis[tied])])
+                t, to_upper = float(max(ratios[leave], 0.0)), bool(neg[leave])
             x[basis] -= sdir * t * w
             if leave < 0:
                 # entering variable flips to its opposite bound
@@ -336,8 +349,9 @@ def _dual_loop(A, b, c, lb, ub, basis, status, x, Binv, max_iter):
     column by the dual ratio test: of the columns that can move the
     leaving one toward that bound, the first whose reduced cost reaches
     zero.  Once ``_cycled``, given the entering ratio as the step, finds a
-    cycle, the infeasible basic column of lowest index leaves instead (the
-    entering choice already takes the first of tied ratios: Bland's rule).
+    cycle, the pivots follow Bland's rule: the infeasible basic column of
+    lowest index leaves, and of the columns whose ratios tie within
+    NO_PROGRESS the lowest, the first as the candidates ascend, enters.
     The reduced costs are priced first and after each
     factorization, and in between updated along the pivot row,
     ``d -= (d_j / alpha_j) alpha``.  At the first pricing each column that
@@ -389,7 +403,8 @@ def _dual_loop(A, b, c, lb, ub, basis, status, x, Binv, max_iter):
             return INFEASIBLE, x, Binv, it
         ratios = np.where(status[cand] == FREE, np.abs(d[cand]),
                           np.maximum(sdir[cand] * d[cand], 0.0)) / gain[cand]
-        k = int(np.argmin(ratios))
+        k = int(np.argmax(ratios <= ratios.min() + NO_PROGRESS) if bland
+                else np.argmin(ratios))
         j = int(cand[k])
         w = Binv @ A[:, j]
         out = basis[r]

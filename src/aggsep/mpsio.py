@@ -73,7 +73,17 @@ def parse_mps(stream, name_hint="instance"):
     so must the sum of repeated entries of one (column, row) pair; a bad
     one is an MpsParseError at its line.
     """
-    name = name_hint
+    records = _read_records(stream, name_hint)
+    # Let go of the input (a StringIO made for this call is freed here on
+    # CPython 3.11+) and the reader's tables before the instance allocates
+    # its dense matrix: a matrix allocated beside them can fragment the heap
+    # so that it keeps a second matrix's pages.
+    del stream
+    return MilpInstance(*records)
+
+
+def _read_records(stream, name):
+    """(name, variables, rows): the MPS text as the instance's input records."""
     section = None
     row_sense = {}  # row name -> 'N' | 'L' | 'G' | 'E'
     row_line = {}  # row name -> its ROWS line
@@ -276,7 +286,7 @@ def parse_mps(stream, name_hint="instance"):
             rows.append(Row(rname, row, rhs))
             rows.append(Row(rname + "_neg", _negated(row), -rhs))
 
-    return MilpInstance(name=name, variables=variables, rows=rows)
+    return name, variables, rows
 
 
 def parse_mps_file(path):

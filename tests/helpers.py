@@ -396,13 +396,15 @@ def validate_cut_bruteforce(cut, k, tol=1e-7):
 
 def reference_variable_bounds(instance):
     """The per-row detection loop that the array detection replaced:
-    ``(row, var, int_var, const, coef)`` per implied-bound row."""
+    ``(row, var, int_var, const, coef)`` per implied-bound row, a row with
+    two nonzeros (an entry of 0.0 is none)."""
     idx = instance.var_index
     out = []
     for i, row in enumerate(instance.rows):
-        if len(row.coefficients) != 2:
+        items = sorted(((v, c) for v, c in row.coefficients.items() if c != 0),
+                       key=lambda kv: idx[kv[0]])
+        if len(items) != 2:
             continue
-        items = sorted(row.coefficients.items(), key=lambda kv: idx[kv[0]])
         cont = [(v, c) for v, c in items if not instance.variables[idx[v]].is_integer and c > 0]
         ints = [(v, c) for v, c in items if instance.variables[idx[v]].is_integer]
         if len(cont) == 1 and len(ints) == 1:

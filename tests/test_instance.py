@@ -110,6 +110,21 @@ def test_detect_bounds_idempotent():
         [0], [1], [2.0], [0.5])
 
 
+def test_detect_bounds_counts_nonzeros_not_entries():
+    # an entry of 0.0 is no nonzero: x <= 10 z with an explicit zero on y is
+    # an implied-bound row, and x <= 4 with an explicit zero on z is not
+    inst = MilpInstance(
+        "t", [Variable("x"), Variable("z", INTEGER), Variable("y")],
+        [Row("b", {"x": 1.0, "z": -10.0, "y": 0.0}, 0.0), Row("u", {"x": 1.0, "z": 0.0}, 4.0)],
+    )
+    table = detect_variable_bounds(inst)
+    assert (table.rows.tolist(), table.var.tolist(), table.int_var.tolist()) == ([0], [0], [1])
+    assert table.const.tolist() == [0.0] and table.coef.tolist() == [10.0]
+    got = list(zip(table.rows.tolist(), table.var.tolist(), table.int_var.tolist(),
+                   table.const.tolist(), table.coef.tolist()))
+    assert got == reference_variable_bounds(inst)
+
+
 def test_detect_bounds_matches_row_loop():
     """Two-entry rows in every mix of kinds, signs and entry order."""
     rng = np.random.default_rng(3)
@@ -184,6 +199,23 @@ def test_instance_rejects_nonfinite_row_data(coef, rhs):
 def test_variable_rejects_bounds_outside_the_reals(lower, upper):
     with pytest.raises(MalformedInstanceError):
         Variable("x", lower=lower, upper=upper)
+
+
+@pytest.mark.parametrize("lower, upper", [(0.5, 2.5), (0.5, 2.0), (0.0, 2.5),
+                                          (-math.inf, 2.5), (-1.5, math.inf)])
+def test_integer_variable_rejects_fractional_bounds(lower, upper):
+    with pytest.raises(MalformedInstanceError):
+        Variable("z", INTEGER, lower, upper)
+    Variable("x", CONTINUOUS, lower, upper)  # a continuous one may have them
+
+
+def test_fractional_integer_bound_would_give_an_invalid_cut():
+    # x in [0, 4], z in [0.5, 2.5] integer, x + 2z <= 4.6 and -x <= 0:
+    # bound substitution shifted z by 0.5 as if z - 0.5 were an integer,
+    # and at (0, 1.6) the round emitted z <= 1.5, which cuts off (0, 2)
+    with pytest.raises(MalformedInstanceError, match="fractional"):
+        MilpInstance("t", [Variable("x", CONTINUOUS, 0.0, 4.0), Variable("z", INTEGER, 0.5, 2.5)],
+                     [Row("r1", {"x": 1.0, "z": 2.0}, 4.6), Row("r2", {"x": -1.0}, 0.0)])
 
 
 @pytest.mark.parametrize("objective", [math.nan, math.inf, -math.inf])

@@ -485,6 +485,45 @@ def test_bland_fallback_matches_highs(warm, monkeypatch):
             assert np.all(prob.A @ x - prob.rhs <= 1e-6), (name, seed)
 
 
+@pytest.mark.parametrize("bland", [False, True], ids=["dantzig", "bland"])
+def test_bland_ratio_tie_leaves_lowest_column(bland, monkeypatch):
+    # min -x2 - 3 x3  s.t.  x1 + x2 <= 1, x0 + x2 <= 1, x3 + x4 <= 1,
+    # x3 + x5 <= 5, x >= 0: the crash basis puts x1 in basis position 0 and
+    # x0 in position 1.  The primal loop's first pivot brings x3 in, its
+    # second x2, for which x1 and x0 tie in the ratio test.  Bland's rule
+    # takes the lower column out (x0), Dantzig's the first position (x1).
+    if bland:
+        monkeypatch.setattr(lp, "_cycled", lambda seen, status, step: True)
+    A = np.array([[0, 1, 1, 0, 0, 0], [1, 0, 1, 0, 0, 0], [0, 0, 0, 1, 1, 0],
+                  [0, 0, 0, 1, 0, 1]], dtype=float)
+    sol = solve_lp(_lp([0.0, 0.0, -1.0, -3.0, 0.0, 0.0], A, ["L"] * 4, [1.0, 1.0, 1.0, 5.0],
+                       np.zeros(6), np.full(6, np.inf)))
+    assert sol.status == OPTIMAL and sol.iterations == 2
+    assert sol.objective == pytest.approx(-4.0)
+    leaves = 0 if bland else 1
+    assert sol.col_status[leaves] == lp.AT_LOWER
+    assert sol.col_status[1 - leaves] == lp.BASIC
+
+
+@pytest.mark.parametrize("bland", [False, True], ids=["dantzig", "bland"])
+def test_bland_dual_ratio_tie_enters_lowest_column(bland, monkeypatch):
+    # min (1 + 5e-11) x2 + x3 + x4  s.t.  x0 - x4 = -2, x1 - x2 - x3 = -1,
+    # x2 + x3 + x4 + x5 = 10, x >= 0, from the logical basis {x0, x1, x5}:
+    # the dual loop's first pivot brings x4 in, its second x2 or x3, whose
+    # ratios differ by 5e-11.  Bland's rule takes the lower column (x2),
+    # Dantzig's the least ratio (x3).
+    if bland:
+        monkeypatch.setattr(lp, "_cycled", lambda seen, status, step: True)
+    A = np.array([[1, 0, 0, 0, -1, 0], [0, 1, -1, -1, 0, 0], [0, 0, 1, 1, 1, 1]], dtype=float)
+    sol = solve_lp(_lp([0.0, 0.0, 1.0 + 5e-11, 1.0, 1.0, 0.0], A, ["E"] * 3, [-2.0, -1.0, 10.0],
+                       np.zeros(6), np.full(6, np.inf)))
+    assert sol.status == OPTIMAL and sol.iterations == 2
+    assert sol.objective == pytest.approx(3.0)
+    enters = 2 if bland else 3
+    assert sol.col_status[enters] == lp.BASIC
+    assert sol.col_status[5 - enters] == lp.AT_LOWER
+
+
 def test_corpus_solves_never_cycle(monkeypatch):
     # no no-progress run of the corpus's lasso LPs or relaxations returns
     # to a basis, so Bland's rule never turns on and every pivot is

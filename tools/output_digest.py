@@ -20,33 +20,23 @@ line.
   of each seed's pool, each run as one benchmark round (``Rounder`` with
   the benchmark's ``RunConfig``).
 
-BLAS is held to one thread, as in the benchmark: the relaxation's bytes
-depend on the thread count.  Run from the repository root:
+BLAS is held to one thread, as in the benchmark, unless ``--threads N``
+sets N: the relaxation's bytes depend on the thread count.  Run from the
+repository root:
 
-    python3 tools/output_digest.py
+    python3 tools/output_digest.py [--threads N]
 """
 
+import argparse
+import hashlib
+import io
+import json
 import os
 import sys
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
-for _var in THREAD_VARS:
-    os.environ[_var] = "1"  # only acts before numpy is first imported
-
-import hashlib  # noqa: E402
-import io  # noqa: E402
-import json  # noqa: E402
-
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
-sys.path.insert(0, os.path.join(ROOT, "src"))
-sys.path.insert(0, os.path.join(ROOT, "sepbench"))
-
-import gen  # noqa: E402
-import run as sepbench  # noqa: E402
-
-from aggsep import harness, mpsio  # noqa: E402
-
 SEEDS = (1, 2)
 PER_SEED = 6
 CORPUS_DIR = os.path.join(ROOT, "tests", "data", "corpus")
@@ -58,6 +48,8 @@ def digest(text):
 
 def distinct_records(cuts):
     """A round's cut records without their names, first occurrences only."""
+    from aggsep import mpsio
+
     records = []
     for cut in cuts:
         record = mpsio.cut_to_dict(cut)
@@ -76,6 +68,8 @@ def set_lines(name, text, rounds):
 
 
 def corpus_lines():
+    from aggsep import harness, mpsio
+
     text, rounds = "", []
     config = harness.RunConfig(algorithm="both", start_policy=harness.POLICY_ALL)
     for fn in sorted(os.listdir(CORPUS_DIR)):
@@ -92,6 +86,10 @@ def corpus_lines():
 
 
 def workload_lines(name):
+    import gen
+    import run as sepbench
+    from aggsep import harness, mpsio
+
     wl = sepbench.WORKLOADS[name]
     config = harness.RunConfig(
         algorithm="both",
@@ -114,6 +112,17 @@ def workload_lines(name):
 
 
 def main():
+    ap = argparse.ArgumentParser(description="Digests of aggsep's output bytes.")
+    ap.add_argument("--threads", type=int, default=1, help="BLAS threads (default 1)")
+    args = ap.parse_args()
+    if args.threads < 1:
+        ap.error("--threads must be at least 1")
+    for var in THREAD_VARS:
+        os.environ[var] = str(args.threads)  # only acts before numpy is first imported
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    sys.path.insert(0, os.path.join(ROOT, "sepbench"))
+    import run as sepbench
+
     for lines in [corpus_lines()] + [workload_lines(n) for n in sepbench.WORKLOADS]:
         for line in lines:
             print("%s %s %d" % line)
