@@ -5,8 +5,10 @@ hundred rows.  Every solve works on one standard form, the structural
 columns then one slack per 'L' row, and takes one path: a starting
 basis, a bounded dual simplex run to a primal feasible basis, then one
 primal run (Dantzig pricing; a fixed column, lb == ub, is never priced).
-A run whose pivots return, with no progress in between, to a basis it
-left has cycled, and goes on by Bland's rule (Bland 1977).  The start is
+Both ratio tests give ratios within NO_PROGRESS of the least to the
+lowest column index.  A run whose pivots return, with no progress in
+between, to a basis it left has cycled, and goes on by Bland's rule
+(Bland 1977).  The start is
 
 * a warm start (below) on the same matrix, or else
 * the crash basis (Bixby 1992) if it covers every row: with each boxed
@@ -58,7 +60,7 @@ OPT_TOL = 1e-7
 MAX_ITER_FACTOR = 50  # each loop stops after MAX_ITER_FACTOR * (rows + cols) pivots
 REFACTOR_EVERY = 64  # the basis inverse is factored afresh after this many pivots
 PIVOT_TOL = 1e-10  # smaller entries of a pivot column or row are not pivoted on
-NO_PROGRESS = 1e-10  # a pivot's step up to it makes no progress; Bland ties ratios within it
+NO_PROGRESS = 1e-10  # a pivot's step up to it makes no progress; ratios within it tie
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -192,25 +194,17 @@ def _default_status(lb, ub):
     return status
 
 
-def ratio_test(w, xb, lb, ub, sdir, tcap):
+def ratio_test(w, xb, lb, ub, sdir, tcap, cols):
     """Bounded-variable primal ratio test.
 
     ``xb`` moves along ``-sdir*w`` as the entering variable takes step
     ``t >= 0``; ``tcap`` bounds the step by the entering variable's own
     range.  Returns ``(t, leave, to_upper)`` where ``leave`` is the blocking
     basic position (-1 for a bound flip / unbounded step) and ``to_upper``
-    tells which bound the leaving variable hits.
+    tells which bound the leaving variable hits.  Of the positions whose
+    ratios lie within NO_PROGRESS of the least, the one whose column in
+    ``cols`` is lowest blocks, and ``t`` is its ratio.
     """
-    ratios, neg = _primal_ratios(w, xb, lb, ub, sdir)
-    if ratios.size:
-        k = int(np.argmin(ratios))
-        if ratios[k] < tcap:
-            return float(max(ratios[k], 0.0)), k, bool(neg[k])
-    return tcap, -1, False
-
-
-def _primal_ratios(w, xb, lb, ub, sdir):
-    """(ratios, neg): each basic position's step to a bound, and whether it is the upper."""
     d = sdir * w
     pos = d > PIVOT_TOL
     neg = d < -PIVOT_TOL
@@ -218,7 +212,12 @@ def _primal_ratios(w, xb, lb, ub, sdir):
     ratios = np.full(len(d), np.inf)
     ratios[pos] = (xb[pos] - lb[pos]) / d[pos]
     ratios[neg] = (ub[neg] - xb[neg]) / -d[neg]
-    return ratios, neg
+    least = ratios.min(initial=np.inf)
+    if least < tcap:
+        tied = np.flatnonzero(ratios <= least + NO_PROGRESS)
+        k = int(tied[np.argmin(cols[tied])])
+        return float(max(ratios[k], 0.0)), k, bool(neg[k])
+    return tcap, -1, False
 
 
 def _price(A, c, basis, status, Binv, fixed):
@@ -270,11 +269,11 @@ def _simplex_loop(A, b, c, lb, ub, basis, status, x, Binv, max_iter):
     so for OPTIMAL x, y and Binv come from a fresh factorization of the
     final basis.  For UNBOUNDED they are those of the last basis priced;
     for ITERATION_LIMIT all three are None.  A fixed column (lb == ub) is
-    never priced: it cannot move.  Once ``_cycled`` finds a pivot back at a
-    status of its no-progress run, the pivots follow Bland's rule (Bland
-    1977, Math. Oper. Res. 2:103): the lowest-index violated column enters,
-    and of the basic columns whose ratios tie, within NO_PROGRESS, the
-    lowest leaves.  basis and status are updated in place.
+    never priced: it cannot move.  ``ratio_test`` gives tied ratios to the
+    lowest column.  Once ``_cycled`` finds a pivot back at a status of its
+    no-progress run, the lowest-index violated column enters, which with
+    that tie rule is Bland's rule (Bland 1977, Math. Oper. Res. 2:103).
+    basis and status are updated in place.
     """
     fixed = lb == ub
     seen = set()
@@ -299,15 +298,10 @@ def _simplex_loop(A, b, c, lb, ub, basis, status, x, Binv, max_iter):
             w = Binv @ A[:, j]
             tcap = ub[j] - lb[j] if status[j] != FREE else np.inf
             t, leave, to_upper = ratio_test(
-                w, x[basis], lb[basis], ub[basis], sdir, float(tcap)
+                w, x[basis], lb[basis], ub[basis], sdir, float(tcap), basis
             )
             if not np.isfinite(t):
                 return UNBOUNDED, it, x, y, Binv
-            if bland and leave >= 0:
-                ratios, neg = _primal_ratios(w, x[basis], lb[basis], ub[basis], sdir)
-                tied = np.flatnonzero(ratios <= ratios[leave] + NO_PROGRESS)
-                leave = int(tied[np.argmin(basis[tied])])
-                t, to_upper = float(max(ratios[leave], 0.0)), bool(neg[leave])
             x[basis] -= sdir * t * w
             if leave < 0:
                 # entering variable flips to its opposite bound
@@ -348,11 +342,10 @@ def _dual_loop(A, b, c, lb, ub, basis, status, x, Binv, max_iter):
     outside its bounds out, to the bound it violates, and the entering
     column by the dual ratio test: of the columns that can move the
     leaving one toward that bound, the first whose reduced cost reaches
-    zero.  Once ``_cycled``, given the entering ratio as the step, finds a
-    cycle, the pivots follow Bland's rule: the infeasible basic column of
-    lowest index leaves, and of the columns whose ratios tie within
-    NO_PROGRESS the lowest, the first as the candidates ascend, enters.
-    The reduced costs are priced first and after each
+    zero, the lowest of those whose ratios tie within NO_PROGRESS.  Once
+    ``_cycled``, given the entering ratio as the step, finds a cycle, the
+    infeasible basic column of lowest index leaves, which with that tie
+    rule is Bland's rule.  The reduced costs are priced first and after each
     factorization, and in between updated along the pivot row,
     ``d -= (d_j / alpha_j) alpha``.  At the first pricing each column that
     prices dual infeasible gets ``c_j -= d_j`` for this loop only (cost
@@ -403,8 +396,7 @@ def _dual_loop(A, b, c, lb, ub, basis, status, x, Binv, max_iter):
             return INFEASIBLE, x, Binv, it
         ratios = np.where(status[cand] == FREE, np.abs(d[cand]),
                           np.maximum(sdir[cand] * d[cand], 0.0)) / gain[cand]
-        k = int(np.argmax(ratios <= ratios.min() + NO_PROGRESS) if bland
-                else np.argmin(ratios))
+        k = int(np.argmax(ratios <= ratios.min() + NO_PROGRESS))  # cand ascends
         j = int(cand[k])
         w = Binv @ A[:, j]
         out = basis[r]
@@ -442,10 +434,11 @@ def _restart(start, A, b, c, lb, ub, max_iter):
     """
     basis = start.basis.copy()
     status = start.status.copy()
-    # nonbasic columns whose recorded bound no longer exists fall back to 0
-    status[(status == AT_LOWER) & ~np.isfinite(lb)] = FREE
-    lost_ub = (status == AT_UPPER) & ~np.isfinite(ub)
-    status[lost_ub] = np.where(np.isfinite(lb[lost_ub]), AT_LOWER, FREE)
+    # a status the bounds no longer allow takes the default one (choices in
+    # status order: BASIC, AT_LOWER, AT_UPPER, FREE)
+    default = _default_status(lb, ub)
+    stale = ~np.choose(status, [True, np.isfinite(lb), np.isfinite(ub), default == FREE])
+    status[stale] = default[stale]
     x = _nonbasic_values(status, lb, ub)
     x[basis] = start.Binv @ (b - A @ x)
     code, x, Binv, it = _dual_loop(A, b, c, lb, ub, basis, status, x, start.Binv.copy(),

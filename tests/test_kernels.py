@@ -48,7 +48,7 @@ def test_ratio_test_blocking_variable():
     xb = np.array([2.0, 1.0])
     lb = np.array([0.0, 0.0])
     ub = np.array([np.inf, 3.0])
-    t, leave, to_upper = ratio_test(w, xb, lb, ub, 1.0, np.inf)
+    t, leave, to_upper = ratio_test(w, xb, lb, ub, 1.0, np.inf, np.arange(2))
     assert t == pytest.approx(2.0)
     assert leave == 0 and not to_upper
 
@@ -58,27 +58,27 @@ def test_ratio_test_bound_flip_cap():
     xb = np.array([1.0])
     lb = np.array([0.0])
     ub = np.array([np.inf])
-    t, leave, _ = ratio_test(w, xb, lb, ub, 1.0, 4.0)
+    t, leave, _ = ratio_test(w, xb, lb, ub, 1.0, 4.0, np.arange(1))
     assert t == pytest.approx(4.0)
     assert leave == -1
 
 
 
-def _ratio_test_reference(w, xb, lb, ub, sdir, tcap):
-    """Scalar ratio test: the first smallest ratio blocks if it beats tcap."""
-    best, leave, to_upper = np.inf, -1, False
+def _ratio_test_reference(w, xb, lb, ub, sdir, tcap, cols):
+    """Scalar ratio test: if the smallest ratio beats tcap, the position of
+    lowest column among the ratios within 1e-10 of it blocks."""
+    blocks = []  # (ratio, position, to_upper)
     for k in range(len(w)):
         d = sdir * w[k]
         if d > 1e-10 and np.isfinite(lb[k]):
-            r, up = (xb[k] - lb[k]) / d, False
+            blocks.append(((xb[k] - lb[k]) / d, k, False))
         elif d < -1e-10 and np.isfinite(ub[k]):
-            r, up = (ub[k] - xb[k]) / -d, True
-        else:
-            continue
-        if r < best:
-            best, leave, to_upper = r, k, up
+            blocks.append(((ub[k] - xb[k]) / -d, k, True))
+    best = min((r for r, _, _ in blocks), default=np.inf)
     if best < tcap:
-        return max(best, 0.0), leave, to_upper
+        r, leave, to_upper = min((b for b in blocks if b[0] <= best + 1e-10),
+                                 key=lambda b: cols[b[1]])
+        return max(r, 0.0), leave, to_upper
     return tcap, -1, False
 
 
@@ -93,11 +93,18 @@ def test_ratio_test_matches_scalar_loop():
         # basic values inside their bounds, now and then a little outside
         xb = np.clip(rng.uniform(-4, 4, size=m), lb, ub) + rng.choice(
             [0.0, -1e-9, 1e-9], size=m, p=[0.8, 0.1, 0.1])
+        # now and then two positions tie exactly, for the lower column to take
+        pair = rng.choice(m, size=2, replace=False) if m > 1 and rng.random() < 0.3 else []
+        for v in (w, xb, lb, ub):
+            v[pair[1:]] = v[pair[:1]]
         sdir = float(rng.choice([-1.0, 1.0]))
         tcap = float(rng.choice([np.inf, rng.uniform(0, 4)]))
-        got = ratio_test(w, xb, lb, ub, sdir, tcap)
-        assert got == _ratio_test_reference(w, xb, lb, ub, sdir, tcap)
+        cols = rng.permutation(3 * m)[:m]
+        got = ratio_test(w, xb, lb, ub, sdir, tcap, cols)
+        assert got == _ratio_test_reference(w, xb, lb, ub, sdir, tcap, cols)
         t, leave, to_upper = got
         seen.add("upper" if to_upper else "lower" if leave >= 0 else
                  "unbounded" if t == np.inf else "flip")
-    assert seen == {"upper", "lower", "flip", "unbounded"}
+        if leave in pair:
+            seen.add("tie")
+    assert seen == {"upper", "lower", "flip", "unbounded", "tie"}

@@ -12,7 +12,9 @@ A workload that separates at the LP-relaxation point also has a
 ``<name>-objective`` line: the digest of its relaxation objectives, each
 formatted ``%.9g``, one a line, and their count.  A change to the LP
 solver may move the optimal vertex, and with it the cuts, but not this
-line.
+line.  Such a workload's ``<name>-basis`` line is the digest of each
+relaxation's final basis, the ``col_status`` of ``solve_lp`` on
+``harness.instance_lp``, one instance a line, and their count.
 
 * ``corpus``: every instance of ``tests/data/corpus`` at its bundled
   point, both algorithms, every useful row a starting row.
@@ -21,8 +23,9 @@ line.
   the benchmark's ``RunConfig``).
 
 BLAS is held to one thread, as in the benchmark, unless ``--threads N``
-sets N: the relaxation's bytes depend on the thread count.  Run from the
-repository root:
+sets N: the relaxation's point, and with it relax-point's cuts, can
+differ in its last bits with the thread count, while its basis should
+not.  Run from the repository root:
 
     python3 tools/output_digest.py [--threads N]
 """
@@ -89,6 +92,7 @@ def workload_lines(name):
     import gen
     import run as sepbench
     from aggsep import harness, mpsio
+    from aggsep.lp import solve_lp
 
     wl = sepbench.WORKLOADS[name]
     config = harness.RunConfig(
@@ -96,7 +100,7 @@ def workload_lines(name):
         start_policy=harness.POLICY_ALL if wl.start == "all" else harness.POLICY_TOP,
         start_k=20,
     )
-    text, rounds, objectives = "", [], []
+    text, rounds, objectives, bases = "", [], [], []
     for seed in SEEDS:
         pool = gen.pool(seed, gen.Shape(*wl.shape), PER_SEED, name[:2])
         rounder = sepbench.Rounder(mpsio, harness, config, wl.relax, pool)
@@ -105,9 +109,13 @@ def workload_lines(name):
             text += cut_text + harness.format_metrics(res.metrics)
             rounds.append(res.cuts)
             objectives.append("%.9g" % (inst.objective @ point))
+            if wl.relax:
+                status = solve_lp(harness.instance_lp(inst)).col_status
+                bases.append(" ".join(map(str, status)))
     lines = set_lines(name, text, rounds)
     if wl.relax:
         lines.append((name + "-objective", digest("\n".join(objectives)), len(objectives)))
+        lines.append((name + "-basis", digest("\n".join(bases)), len(bases)))
     return lines
 
 
