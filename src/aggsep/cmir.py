@@ -267,8 +267,70 @@ def select_partition_and_delta(k):
     return cmir_inequality(k, T, U, deltas[best])
 
 
+def _cannot_cut(aggregation, ctx):
+    """True when no (T, U, delta) can give a cut of ``aggregation`` above
+    ``VIOLATION_THRESHOLD``; decided from alpha and the point, before bound
+    substitution.
+
+    With rho = beta - alpha.xbar, y_j the bound slack of a continuous x_j
+    at the point and d_j an implied bound's integer coefficient, the
+    knapsack row has sbar = sum |alpha_j| y_j and slack
+    sigma = b + sbar - a.zbar = rho + sum (|alpha_j| + sign_j alpha_j) y_j.
+    Every delta candidate is at most
+    D = max(1, max_k |alpha_k| + sum_j |alpha_j d_j|).  As G(d) <= d,
+    0 <= zbar <= u and sbar >= 0 give every cut a violation of at most
+    -sigma/delta + max(0, 1 - sbar/delta), which is <= 0 when sigma >= 0
+    and sigma + sbar >= D.
+
+    Rounding margin: 1e-9 times the magnitudes summed into sigma and sbar,
+    here and in the knapsack row: |beta|, |alpha_i xbar_i|, |alpha_j y_j|,
+    and D |xbar_k| and D |l_k| for each integer the row touches.  That is
+    far above the rounding of a sum of n terms (n 2^-53 of their
+    magnitudes) for any n up to millions.  The integer terms count twice:
+    a position bound substitution drops (|a_k| <= ZERO_TOL) moves sigma by
+    up to ZERO_TOL |xbar_k| more.  sbar must reach 1e-9 sum |alpha_j y_j|,
+    so that the knapsack row's sum of it, in its own order, is >= 0 too.
+    """
+    inst = ctx.instance
+    sub = ctx.substitution
+    alpha = aggregation.alpha
+    nz = np.flatnonzero(np.abs(alpha) > ZERO_TOL)
+    is_int = inst.integer_mask[nz]
+    cont = nz[~is_int]
+    if not sub.usable[cont].all():
+        return False
+    implied = sub.int_var[cont]
+    ints = np.concatenate((nz[is_int], implied[implied >= 0]))
+    lo = inst.lower[ints]
+    x_int = ctx.xbar[ints]
+    z = x_int - lo
+    u = np.round(inst.upper[ints] - lo)
+    if not (np.isfinite(u) & (z >= 0) & (z <= u)).all():
+        return False
+    a = alpha[nz]
+    ax = a * ctx.xbar[nz]
+    a_cont = a[~is_int]
+    mult = np.abs(a_cont)
+    y = sub.slack_at_point[cont]
+    sbar = mult @ y
+    y_abs = mult @ np.abs(y)
+    if not sbar >= 1e-9 * y_abs:
+        return False
+    beta = aggregation.beta
+    sigma = beta - ax.sum() + sbar + (sub.slack_sign[cont] * a_cont) @ y
+    D = max(1.0, np.abs(a[is_int]).max(initial=0.0) + np.abs(a_cont * sub.int_coef[cont]).sum())
+    margin = 1e-9 * (1.0 + abs(beta) + np.abs(ax).sum() + y_abs
+                     + 2.0 * D * (np.abs(x_int).sum() + np.abs(lo).sum()))
+    return sigma >= margin and sigma + sbar >= D + margin
+
+
 def separate_on_aggregation(aggregation, ctx, cut_name):
-    """bound substitution -> (T, U, delta) search -> CutRecord, or None."""
+    """bound substitution -> (T, U, delta) search -> CutRecord, or None.
+
+    An aggregation ``_cannot_cut`` rules out skips both steps.
+    """
+    if _cannot_cut(aggregation, ctx):
+        return None
     k = bound_substitute(aggregation, ctx)
     if k is None or not k.fractional.any():
         return None

@@ -35,7 +35,8 @@ every REFACTOR_EVERY pivots and once more before OPTIMAL is returned, so
 the solution is certified and packed from a fresh factorization.
 
 A warm start is what an optimal solve leaves behind: its standard-form
-matrix, basis, status vector and basis inverse.  It restarts a problem
+matrix, basis, status vector and basis inverse, and the 'E' rows whose
+logical column it appends again.  It restarts a problem
 on the same matrix (the same array, or an equal one) that differs in
 objective, right-hand side and/or variable bounds, with no
 factorization.  One on another matrix, or whose dual run finds its
@@ -120,8 +121,9 @@ class WarmStart(NamedTuple):
 
     A: np.ndarray  # the standard-form matrix the basis belongs to
     basis: np.ndarray  # the column of each basis position
-    status: np.ndarray  # per standard-form column
-    Binv: np.ndarray  # inverse of A[:, basis], from a fresh factorization
+    status: np.ndarray  # per column of A widened by ``logicals``
+    Binv: np.ndarray  # inverse of the widened A[:, basis], from a fresh factorization
+    logicals: np.ndarray = np.zeros(0, dtype=np.int64)  # 'E' rows given a logical column
 
 
 @dataclass
@@ -135,12 +137,8 @@ class LpSolution:
     _warm: WarmStart = field(default=None, repr=False)
 
     def warm_start(self):
-        """The WarmStart that restarts ``solve_lp`` from this optimum.
-
-        None, which solves cold, when the solve was not optimal or when its
-        final basis keeps an appended 'E'-row logical (dependent equality
-        rows).
-        """
+        """The WarmStart that restarts ``solve_lp`` from this optimum, or
+        None, which solves cold, when the solve was not optimal."""
         return self._warm
 
 
@@ -163,6 +161,16 @@ def _standard_form(problem):
     lb = np.concatenate([problem.col_lb, np.zeros(ns)])
     ub = np.concatenate([problem.col_ub, np.full(ns, np.inf)])
     return A, problem.rhs, c, lb, ub
+
+
+def _widen(A, c, lb, ub, rows):
+    """(A, c, lb, ub) with a logical column e_i, of zero cost and fixed at
+    [0, 0], appended for each row i of ``rows``; the inputs if it is empty."""
+    if len(rows) == 0:
+        return A, c, lb, ub
+    zeros = np.zeros(len(rows))
+    return (np.hstack([A, np.eye(A.shape[0])[:, rows]]),
+            *(np.concatenate([v, zeros]) for v in (c, lb, ub)))
 
 
 def _nonbasic_values(status, lb, ub):
@@ -464,8 +472,8 @@ def _crash(A, r, x0, lb, ub):
 
 
 def _cold_start(A, b, c, lb, ub):
-    """(A, c, lb, ub, start): a cold solve's crash or logical basis, as a
-    WarmStart, on the standard form widened by any appended logicals.
+    """A cold solve's crash or logical basis, as a WarmStart whose
+    ``logicals`` are the 'E' rows that need an appended column.
 
     Each boxed column starts at the bound its cost favours, every other at
     its default bound; the module docstring gives the two bases.
@@ -475,6 +483,7 @@ def _cold_start(A, b, c, lb, ub):
     status[(c < 0) & (lb < ub) & np.isfinite(ub)] = AT_UPPER
     x0 = _nonbasic_values(status, lb, ub)
     rows, basis = _crash(A, b - A @ x0, x0, lb, ub)
+    missing = np.zeros(0, dtype=np.int64)
     if len(rows) < m:
         nz = A != 0
         cols = np.flatnonzero((np.count_nonzero(nz, axis=0) == 1) & (c == 0))
@@ -483,12 +492,11 @@ def _cold_start(A, b, c, lb, ub):
         basis[rows] = cols[first]
         missing = np.flatnonzero(basis < 0)  # 'E' rows: every 'L' row has a slack
         basis[missing] = width + np.arange(len(missing))
-        A = np.hstack([A, np.eye(m)[:, missing]])
-        c, lb, ub = (np.concatenate([v, np.zeros(len(missing))]) for v in (c, lb, ub))
         status = np.concatenate([status, np.full(len(missing), BASIC)])
     status[basis] = BASIC
-    Binv, _ = _factor(A, b, lb, ub, basis, status)
-    return A, c, lb, ub, WarmStart(A, basis, status, Binv)
+    wide, _, lb, ub = _widen(A, c, lb, ub, missing)
+    Binv, _ = _factor(wide, b, lb, ub, basis, status)
+    return WarmStart(A, basis, status, Binv, missing)
 
 
 def solve_lp(problem, warm=None):
@@ -502,21 +510,23 @@ def solve_lp(problem, warm=None):
     exactly as with ``warm=None``.  Only an optimal solution carries a
     point, duals and a warm start.
     """
-    A, b, c, lb, ub = _standard_form(problem)
-    std = A  # the matrix a warm start refers to: no appended logicals
-    width = A.shape[1]
+    std, b, *form = _standard_form(problem)  # form: c, lb, ub
+    width = std.shape[1]
     max_iter = MAX_ITER_FACTOR * (problem.n_rows + problem.n_cols)
 
     run = None
     if warm is not None and (
-        warm.A is A or (warm.A.shape == A.shape and np.array_equal(warm.A, A))
+        warm.A is std or (warm.A.shape == std.shape and np.array_equal(warm.A, std))
     ):
+        start = warm
+        A, c, lb, ub = _widen(std, *form, start.logicals)
         try:
-            run = _restart(warm, A, b, c, lb, ub, max_iter)
+            run = _restart(start, A, b, c, lb, ub, max_iter)
         except np.linalg.LinAlgError:
             pass  # solved cold below
     if run is None or run[0] == ITERATION_LIMIT:
-        A, c, lb, ub, start = _cold_start(A, b, c, lb, ub)
+        start = _cold_start(std, b, *form)
+        A, c, lb, ub = _widen(std, *form, start.logicals)
         try:
             run = _restart(start, A, b, c, lb, ub, max_iter)
         except np.linalg.LinAlgError:
@@ -542,8 +552,9 @@ def solve_lp(problem, warm=None):
         objective=float(problem.obj @ xs),
         col_status=col_status,
         iterations=it,
-        # a basis that keeps an appended logical restarts nothing
-        _warm=WarmStart(std, basis, col_status, Binv) if np.all(basis < width) else None,
+        # the logicals are appended again only while the basis holds one
+        _warm=(WarmStart(std, basis, col_status, Binv) if np.all(basis < width)
+               else WarmStart(std, basis, status, Binv, start.logicals)),
     )
 
 

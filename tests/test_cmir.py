@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aggsep import cmir
 from aggsep.aggregate import AggregationResult
@@ -640,3 +641,150 @@ def test_random_cuts_all_valid():
             )
             checked += 1
     assert checked > 50
+
+
+CORPUS_RULED_OUT = 68  # corpus aggregations _cannot_cut rules out
+CORPUS_AGGREGATIONS = 112
+
+
+def _rule_is_sound(agg, ctx):
+    """Whether ``_cannot_cut`` rules the aggregation out; where it does, no
+    live delta candidate of the proximity partition, of U empty or of U
+    every position scores above the threshold."""
+    if not cmir._cannot_cut(agg, ctx):
+        return False
+    k = bound_substitute(agg, ctx)
+    if k is not None and k.q:
+        deltas = delta_candidates(k)
+        for U in (proximity_partition(k)[1], (), tuple(range(k.q))):
+            _, _, live, _, _, _, violation = cmir._score(k, U, deltas)
+            over = live & (violation > cmir.VIOLATION_THRESHOLD)
+            assert not over.any(), (U, deltas[over], violation[over])
+    return True
+
+
+def test_cannot_cut_is_sound_on_corpus_aggregations():
+    """Every corpus aggregation, both algorithms, every useful start row at
+    the bundled point: the rule never rules out a cut, and it rules out a
+    pinned number of aggregations (a rule that never fires fails here)."""
+    from aggsep.harness import POLICY_ALL, RunConfig, run_separation
+
+    fired = total = 0
+    for mps, sol in corpus_paths():
+        inst = parse_mps_file(mps)
+        with open(sol) as fh:
+            point = parse_solution(fh, inst)
+        ctx = preprocess(inst, point)
+        result = run_separation(inst, point, RunConfig(algorithm="both", start_policy=POLICY_ALL))
+        for aggs in result.aggregations.values():
+            for agg in aggs:
+                fired += _rule_is_sound(agg, ctx)
+                total += 1
+    assert (fired, total) == (CORPUS_RULED_OUT, CORPUS_AGGREGATIONS)
+
+
+def test_cannot_cut_is_sound_on_random_combinations():
+    """Seeded lambda >= 0 over one to three corpus rows, at the bundled point,
+    at points inside the box and at points up to 2 outside it, so that both
+    bounds and rows are violated at some of them."""
+    rng = np.random.default_rng(41)
+    fired = outside = violated = 0
+    for mps, sol in corpus_paths():
+        inst = parse_mps_file(mps)
+        with open(sol) as fh:
+            points = [parse_solution(fh, inst)]
+        lo = np.where(np.isfinite(inst.lower), inst.lower, -5.0)
+        hi = np.where(np.isfinite(inst.upper), inst.upper, lo + 10.0)
+        points += [rng.uniform(lo, hi) for _ in range(2)]
+        points += [rng.uniform(lo - 2.0, hi + 2.0) for _ in range(2)]
+        for point in points:
+            ctx = preprocess(inst, point)
+            for _ in range(40):
+                rows = rng.choice(inst.n_rows, size=int(rng.integers(1, 4)), replace=False)
+                lam = rng.uniform(0.1, 3.0, size=len(rows))
+                agg = AggregationResult(
+                    factors=dict(zip(rows.tolist(), lam.tolist())), alpha=lam @ inst.matrix[rows],
+                    beta=float(lam @ inst.rhs[rows]), used_rows=tuple(rows.tolist()),
+                    eliminated=(), residual_bad=(), algorithm="mw", starting_row=int(rows[0]),
+                )
+                hit = _rule_is_sound(agg, ctx)
+                fired += hit
+                outside += hit and bool(np.any((point < inst.lower) | (point > inst.upper)))
+                violated += hit and agg.beta < agg.alpha @ point
+    assert fired > 0 and outside > 0 and violated > 0, (fired, outside, violated)
+
+
+@st.composite
+def _implied_bound_rows(draw):
+    """A small instance whose continuous variables have implied bounds
+    x_j <= c_j + d_j z_k, a drawn row over all its variables and a point
+    near those bounds, some of it outside the box."""
+    q = draw(st.integers(1, 3))
+    nc = draw(st.integers(1, 3))
+    coef = st.sampled_from([-2.0, -1.5, -1.0, -0.5, 0.5, 1.0, 2.0, 3.0])
+    ints = [Variable("z%d" % i, INTEGER, float(draw(st.integers(-2, 1))),
+                     float(draw(st.integers(2, 5)))) for i in range(q)]
+    conts = [Variable("x%d" % j, CONTINUOUS, 0.0, 100.0) for j in range(nc)]
+    zbar = [draw(st.floats(v.lower - 0.5, v.upper + 0.5)) for v in ints]
+    rows, xbar = [], []
+    for j in range(nc):
+        k = draw(st.integers(0, q - 1))
+        d = draw(st.sampled_from([1.0, 2.0, 4.0]))
+        c = draw(st.sampled_from([0.0, 1.0, 3.0]))
+        rows.append(Row("vb%d" % j, {"x%d" % j: 1.0, "z%d" % k: -d}, c))  # x_j <= c + d z_k
+        xbar.append(c + d * zbar[k] - draw(st.floats(-0.5, 3.0)))
+    inst = MilpInstance("h", ints + conts, rows)
+    point = np.array(zbar + xbar)
+    alpha = np.array([draw(coef) for _ in range(q + nc)])
+    beta = float(alpha @ point) + draw(st.floats(-1.0, 8.0))
+    return inst, point, alpha, beta
+
+
+@given(_implied_bound_rows())
+@settings(max_examples=300, deadline=None)
+def test_cannot_cut_is_sound_on_drawn_rows_with_implied_bounds(case):
+    inst, point, alpha, beta = case
+    agg = AggregationResult(
+        factors={}, alpha=alpha, beta=beta, used_rows=(), eliminated=(),
+        residual_bad=(), algorithm="mw", starting_row=0,
+    )
+    _rule_is_sound(agg, preprocess(inst, point))
+
+
+# Each guard of ``_cannot_cut``, failing alone: the others hold and
+# sigma + sbar >= D, yet the search emits a cut, so a rule without that
+# guard would skip it.  (variables, row, point, sigma, sbar, D)
+GUARD_CASES = {
+    # the point lies below its integer's lower bound
+    "zbar-below-lower": ([Variable("z", INTEGER, 0.0, 3.0)], {"z": -0.5}, 1.8, [-1.4],
+                         1.1, 0.0, 1.0),
+    # the point lies above its integer's upper bound
+    "zbar-above-upper": ([Variable("z", INTEGER, 0.0, 2.0)], {"z": -0.5}, -1.3, [5.4],
+                         1.4, 0.0, 1.0),
+    # the row is violated at the point: sigma < 0
+    "sigma-negative": ([Variable("z", INTEGER, 0.0, 3.0), Variable("y", CONTINUOUS, 0.0, 10.0)],
+                       {"z": 1.0, "y": -2.0}, -1.2, [1.8, 1.2], -0.6, 2.4, 1.0),
+    # y lies below its lower bound 0, so its slack is negative: sbar < 0
+    "sbar-negative": ([Variable("z", INTEGER, 0.0, 10.0), Variable("y", CONTINUOUS, 0.0, 100.0)],
+                      {"z": 1.0, "y": -1.0}, 3.9, [0.5, -1.0], 2.4, -1.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GUARD_CASES))
+def test_each_cannot_cut_guard_is_needed(case):
+    variables, coefs, beta, point, sigma, sbar, D = GUARD_CASES[case]
+    inst = MilpInstance("g", variables, [Row("r", coefs, beta)])
+    ctx = preprocess(inst, np.array(point))
+    agg = AggregationResult(
+        factors={0: 1.0}, alpha=inst.matrix[0].copy(), beta=beta, used_rows=(0,),
+        eliminated=(), residual_bad=(), algorithm="mw", starting_row=0,
+    )
+    k = bound_substitute(agg, ctx)
+    assert k.b + k.sbar - k.a @ k.zbar == pytest.approx(sigma)
+    assert k.sbar == pytest.approx(sbar)
+    assert max(1.0, np.abs(k.a).max()) == D and sigma + sbar >= D
+    inside = bool(np.all((k.zbar >= 0) & (k.zbar <= k.u)))
+    assert (inside, sigma >= 0, sbar >= 0).count(False) == 1
+    assert not cmir._cannot_cut(agg, ctx)
+    cut = separate_on_aggregation(agg, ctx, "c")
+    assert cut is not None and cut.violation > cmir.VIOLATION_THRESHOLD

@@ -285,7 +285,7 @@ def test_nan_point_is_not_certified(warm):
 )
 def test_dependent_equality_rows(A, row_type, rhs, obj, want_x, want_obj):
     # a row the crash leaves uncovered keeps its appended logical, fixed at
-    # [0, 0], basic to the end: the optimum leaves no warm start
+    # [0, 0], basic to the end; a warm restart appends it again
     prob = LpProblem(
         obj=obj, A=A, row_type=row_type, rhs=rhs,
         col_lb=[0.0, 0.0], col_ub=[np.inf, np.inf],
@@ -304,6 +304,26 @@ def test_dependent_equality_rows(A, row_type, rhs, obj, want_x, want_obj):
     warm = solve_lp(prob, warm=sol.warm_start())
     assert warm.status == OPTIMAL
     assert warm.objective == pytest.approx(want_obj, abs=1e-9)
+
+
+def test_optimum_with_basic_logical_restarts_warm():
+    # x0 + x1 = 2 and 2x0 + 2x1 = 4: the second row's logical stays basic
+    # at the optimum, and the warm start appends it again, so the re-solve
+    # makes no pivot; with a changed cost it ends where a cold solve does
+    inf = np.inf
+    prob = _lp([1.0, 2.0], [[1.0, 1.0], [2.0, 2.0]], ["E", "E"], [2.0, 4.0],
+               [0.0, 0.0], [1.5, inf])
+    sol = solve_lp(prob)
+    assert sol.status == OPTIMAL and sol.iterations > 0
+    start = sol.warm_start()
+    assert start is not None and start.basis.max() >= prob.n_cols
+    again = solve_lp(prob, warm=start)
+    assert (again.status, again.iterations) == (OPTIMAL, 0)
+    assert again.x.tolist() == sol.x.tolist()
+    changed = _lp([2.0, 1.0], prob.A, prob.row_type, prob.rhs, prob.col_lb, prob.col_ub)
+    warm, cold = solve_lp(changed, warm=start), solve_lp(changed)
+    assert warm.status == cold.status == OPTIMAL
+    assert warm.x == pytest.approx(cold.x, abs=1e-12)
 
 
 def _highs(prob):
