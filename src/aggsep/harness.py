@@ -24,6 +24,12 @@ class RunConfig:
     start_k: int = 20
     start_names: tuple = ()
 
+    def __post_init__(self):
+        if self.start_k < 1:
+            raise ContractViolation("start_k must be at least 1, got %r" % self.start_k)
+        if self.maxaggr < 0:
+            raise ContractViolation("maxaggr must be nonnegative, got %r" % self.maxaggr)
+
     def algorithms(self):
         if self.algorithm == "both":
             return ("mw", "lasso")

@@ -8,17 +8,21 @@ primal run (Dantzig pricing; a fixed column, lb == ub, is never priced).
 Both ratio tests give ratios within NO_PROGRESS of the least to the
 lowest column index.  A run whose pivots return, with no progress in
 between, to a basis it left has cycled, and goes on by Bland's rule
-(Bland 1977).  The start is
+(Bland 1977).  The start is a warm start (below) on the same matrix, or
+else a cold start: with each boxed column at the bound its cost favours
+and every other at its default bound, one scan finds the columns whose
+only nonzero lies in one row, and each row takes the first, in column
+order, that passes
 
-* a warm start (below) on the same matrix, or else
-* the crash basis (Bixby 1992) if it covers every row: with each boxed
-  column at the bound its cost favours and every other at its default
-  bound, a row takes the first column whose only nonzero lies in it and
-  whose value solving the row is within bounds; it is primal feasible;
-* or else the logical basis: each row's first zero-cost column whose
-  only nonzero lies in it, and for an 'E' row with none an appended
-  column e_i fixed at [0, 0], as in HiGHS.  With every column boxed it
-  prices dual feasible: the dual simplex as the cold solver (Bixby 2002).
+* the crash mask (Bixby 1992), if it covers every row: the column's
+  value solving the row is within bounds; the basis is primal feasible;
+* else the logical mask: the column has zero cost, and an 'E' row with
+  none gets an appended column e_i fixed at [0, 0], as in HiGHS.  With
+  every column boxed it prices dual feasible: the dual simplex as the
+  cold solver (Bixby 2002).
+
+Either basis is diagonal, so its inverse is its reciprocal diagonal, and
+a cold solve calls LAPACK only when it refactors.
 
 At a start that prices dual infeasible, the dual run shifts each such
 column's cost by its reduced cost, for that run only (the cost
@@ -122,7 +126,7 @@ class WarmStart(NamedTuple):
     A: np.ndarray  # the standard-form matrix the basis belongs to
     basis: np.ndarray  # the column of each basis position
     status: np.ndarray  # per column of A widened by ``logicals``
-    Binv: np.ndarray  # inverse of the widened A[:, basis], from a fresh factorization
+    Binv: np.ndarray  # inverse of the widened A[:, basis], freshly factored or diagonal
     logicals: np.ndarray = np.zeros(0, dtype=np.int64)  # 'E' rows given a logical column
 
 
@@ -454,49 +458,35 @@ def _restart(start, A, b, c, lb, ub, max_iter):
     return code, basis, status, x, Binv, it
 
 
-def _crash(A, r, x0, lb, ub):
-    """(rows, cols) of a crash basis (Bixby 1992): the columns that start basic.
-
-    ``x0`` holds every column at its starting bound and ``r`` is
-    ``b - A x0``.  Row i takes the first column, in column order, whose
-    only nonzero lies in row i and whose solving value ``x0_j + r_i / a_ij``
-    lies within its bounds.  rows and cols are aligned, rows ascending.
-    """
-    nz = A != 0
-    cols = np.flatnonzero(np.count_nonzero(nz, axis=0) == 1)
-    rows = np.nonzero(nz[:, cols].T)[1]
-    value = x0[cols] + r[rows] / A[rows, cols]
-    ok = (value >= lb[cols]) & (value <= ub[cols])
-    rows, first = np.unique(rows[ok], return_index=True)
-    return rows, cols[ok][first]
-
-
 def _cold_start(A, b, c, lb, ub):
     """A cold solve's crash or logical basis, as a WarmStart whose
     ``logicals`` are the 'E' rows that need an appended column.
 
-    Each boxed column starts at the bound its cost favours, every other at
-    its default bound; the module docstring gives the two bases.
+    The module docstring gives the start values and the two masks.
     """
     m, width = A.shape
     status = _default_status(lb, ub)
     status[(c < 0) & (lb < ub) & np.isfinite(ub)] = AT_UPPER
     x0 = _nonbasic_values(status, lb, ub)
-    rows, basis = _crash(A, b - A @ x0, x0, lb, ub)
-    missing = np.zeros(0, dtype=np.int64)
-    if len(rows) < m:
-        nz = A != 0
-        cols = np.flatnonzero((np.count_nonzero(nz, axis=0) == 1) & (c == 0))
-        rows, first = np.unique(np.nonzero(nz[:, cols].T)[1], return_index=True)
-        basis = np.full(m, -1)
-        basis[rows] = cols[first]
-        missing = np.flatnonzero(basis < 0)  # 'E' rows: every 'L' row has a slack
-        basis[missing] = width + np.arange(len(missing))
-        status = np.concatenate([status, np.full(len(missing), BASIC)])
+    nz = A != 0
+    cols = np.flatnonzero(np.count_nonzero(nz, axis=0) == 1)
+    rows = np.nonzero(nz[:, cols].T)[1]  # aligned with cols
+    entry = A[rows, cols]
+    value = x0[cols] + (b - A @ x0)[rows] / entry
+    ok = (value >= lb[cols]) & (value <= ub[cols])
+    covered, first = np.unique(rows[ok], return_index=True)
+    if len(covered) < m:  # the crash leaves a row uncovered
+        ok = c[cols] == 0
+        covered, first = np.unique(rows[ok], return_index=True)
+    basis = np.full(m, -1)
+    basis[covered] = cols[ok][first]
+    diag = np.ones(m)
+    diag[covered] = entry[ok][first]
+    missing = np.flatnonzero(basis < 0)  # 'E' rows: every 'L' row has a slack
+    basis[missing] = width + np.arange(len(missing))
+    status = np.concatenate([status, np.full(len(missing), BASIC)])
     status[basis] = BASIC
-    wide, _, lb, ub = _widen(A, c, lb, ub, missing)
-    Binv, _ = _factor(wide, b, lb, ub, basis, status)
-    return WarmStart(A, basis, status, Binv, missing)
+    return WarmStart(A, basis, status, np.diag(1.0 / diag), missing)
 
 
 def solve_lp(problem, warm=None):
@@ -552,9 +542,7 @@ def solve_lp(problem, warm=None):
         objective=float(problem.obj @ xs),
         col_status=col_status,
         iterations=it,
-        # the logicals are appended again only while the basis holds one
-        _warm=(WarmStart(std, basis, col_status, Binv) if np.all(basis < width)
-               else WarmStart(std, basis, status, Binv, start.logicals)),
+        _warm=WarmStart(std, basis, status, Binv, start.logicals),
     )
 
 

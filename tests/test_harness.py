@@ -9,10 +9,11 @@ import pytest
 import aggsep.harness
 import aggsep.lasso
 from aggsep.aggregate import AggregationResult
-from aggsep.errors import LpFailure
+from aggsep.errors import ContractViolation, LpFailure
 from aggsep.harness import (
     POLICY_ALL,
     POLICY_NAMED,
+    POLICY_TOP,
     RunConfig,
     format_metrics,
     instance_lp,
@@ -67,6 +68,14 @@ def test_sparsity_metrics_empty_and_undefined(example1_ctx):
     m = sparsity_metrics([_agg((), (0,))], ctx)
     assert m.ratio is None
     assert m.total_bad_cols == 0.0
+
+
+@pytest.mark.parametrize("field, value", [("start_k", -2), ("start_k", 0), ("maxaggr", -1)])
+def test_run_config_rejects_out_of_range_fields(field, value):
+    # a negative start_k would slice rows[:start_k] from the end, and 0
+    # would start from no row; a negative maxaggr would run as 0
+    with pytest.raises(ContractViolation, match=field):
+        RunConfig(algorithm="mw", start_policy=POLICY_TOP, **{field: value})
 
 
 def test_run_separation_example1(example1, example1_point):

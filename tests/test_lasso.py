@@ -202,30 +202,30 @@ def test_cold_lasso_solves_on_corpus_make_one_primal_run(monkeypatch):
     # solve makes one primal run (every lasso LP row is crashed); every later
     # one, a re-solve or the next start row's first solve, restarts from a
     # kept basis
-    crashes = []
+    starts = []
     loops = []
     cold = []
     solves = []
-    real_crash = lp._crash
+    real_cold_start = lp._cold_start
     real_loop = lp._simplex_loop
 
-    def counting_crash(*args):
-        crashes.append(1)
-        return real_crash(*args)
+    def counting_cold_start(*args):
+        starts.append(1)
+        return real_cold_start(*args)
 
     def counting_loop(*args):
         loops.append(1)
         return real_loop(*args)
 
     def solve(prob, warm=None):
-        before = (len(crashes), len(loops))
+        before = (len(starts), len(loops))
         sol = solve_lp(prob, warm=warm)
-        if len(crashes) > before[0]:
+        if len(starts) > before[0]:
             cold.append((len(solves[-1]), len(loops) - before[1]))
         solves[-1].append(warm)
         return sol
 
-    monkeypatch.setattr(lp, "_crash", counting_crash)
+    monkeypatch.setattr(lp, "_cold_start", counting_cold_start)
     monkeypatch.setattr(lp, "_simplex_loop", counting_loop)
     monkeypatch.setattr(lasso, "solve_lp", solve)
     per_context = []

@@ -1,9 +1,17 @@
+import os
+
 import numpy as np
 import pytest
 
 from aggsep import lp
 from aggsep.errors import ContractViolation, LpFailure
-from aggsep.harness import POLICY_ALL, RunConfig, run_separation, solve_relaxation
+from aggsep.harness import (
+    POLICY_ALL,
+    RunConfig,
+    instance_lp,
+    run_separation,
+    solve_relaxation,
+)
 from aggsep.lasso import reweight
 from aggsep.lp import (
     INFEASIBLE,
@@ -16,7 +24,7 @@ from aggsep.lp import (
 )
 from aggsep.mpsio import parse_mps_file, parse_solution_file
 
-from helpers import corpus_paths, enumerate_bfs_optimum, planted_lp, random_lp
+from helpers import DATA_DIR, corpus_paths, enumerate_bfs_optimum, planted_lp, random_lp
 
 
 def test_single_bound_active():
@@ -600,8 +608,11 @@ def _rejected_start(kind):
                    [2.0, 5.0], [0.0] * 3, [np.inf] * 3)
         sib = _lp([1.0, 1.0, 10.0], [[1.0, 2.0, 0.0], [2.0, 1.0, 1.0]], ["E", "E"],
                   [3.0, 3.0], [0.0] * 3, [np.inf] * 3)
+        # both 'E' rows start from an appended logical, which the optimum
+        # leaves nonbasic and its warm start names
         start = solve_lp(sib).warm_start()
-        assert start.status.tolist() == [lp.BASIC, lp.BASIC, lp.AT_LOWER]
+        assert sorted(start.basis.tolist()) == [0, 1] and start.logicals.tolist() == [0, 1]
+        assert start.status.tolist()[:3] == [lp.BASIC, lp.BASIC, lp.AT_LOWER]
         return prob, start
     A = [[1.0, 2.0], [3.0, 1.0]]
     prob = _lp([-1.0, -1.0], A, ["L", "L"], [4.0, 6.0], [0.0, 0.0], [np.inf, np.inf])
@@ -709,7 +720,8 @@ def test_refactor_interval_does_not_change_the_answer(warm, monkeypatch):
 def test_optimum_comes_from_a_fresh_factorization(refactor, monkeypatch):
     # REFACTOR_EVERY = 1 factors every new basis; with 10**9 the inverse is
     # only updated pivot by pivot, yet either way the point returned is the
-    # one _factor computed for the final basis
+    # one _factor computed for the final basis; the cold start's diagonal
+    # inverse is not factored
     monkeypatch.setattr(lp, "REFACTOR_EVERY", refactor)
     points = []
     real_factor = lp._factor
@@ -725,7 +737,7 @@ def test_optimum_comes_from_a_fresh_factorization(refactor, monkeypatch):
     assert sol.status == OPTIMAL and sol.iterations > 0
     assert np.array_equal(sol.x, points[-1][: prob.n_cols])
     if refactor == 1:
-        assert len(points) > sol.iterations
+        assert len(points) >= sol.iterations
 
 
 def _hand_offs(seed, sequences=30):
@@ -929,7 +941,7 @@ def test_singular_refactor_raises_lp_failure(refactor, monkeypatch):
 def test_singular_refactor_in_a_cold_dual_loop_raises_lp_failure(monkeypatch):
     # a cold start has no start to fall back to: a factorization in its
     # dual loop that finds the basis singular (forced by REFACTOR_EVERY = 1
-    # and a _factor that raises after the start's own) fails the solve
+    # and a _factor that raises on its second call) fails the solve
     monkeypatch.setattr(lp, "REFACTOR_EVERY", 1)
     real_factor = lp._factor
     calls = []
@@ -947,30 +959,152 @@ def test_singular_refactor_in_a_cold_dual_loop_raises_lp_failure(monkeypatch):
     assert len(calls) == 2
 
 
-def test_crash_takes_first_feasible_one_nonzero_column():
+def _start_values(c, lb, ub):
+    """Each column's cold-start value, one column at a time: a boxed column
+    at the bound its cost favours, every other at its default bound."""
+    x0 = np.zeros(len(c))
+    for j in range(len(c)):
+        if np.isfinite(lb[j]) and np.isfinite(ub[j]) and lb[j] < ub[j] and c[j] < 0:
+            x0[j] = ub[j]
+        elif np.isfinite(lb[j]):
+            x0[j] = lb[j]
+        elif np.isfinite(ub[j]):
+            x0[j] = ub[j]
+    return x0
+
+
+def _reference_start(A, b, c, lb, ub):
+    """(mask, basis, logicals) of the cold-start rule, row by row: each row
+    takes the first column, in column order, whose only nonzero lies in it
+    and whose value solving the row is within bounds, if those cover every
+    row ('crash'); else the first such column of zero cost, and an uncovered
+    row gets the next appended logical ('logical')."""
+    m, n = A.shape
+    x0 = _start_values(c, lb, ub)
+    r = b - A @ x0
+
+    def first(i, passes):
+        for j in range(n):
+            if A[i, j] != 0 and np.count_nonzero(A[:, j]) == 1 and passes(i, j):
+                return j
+        return None
+
+    crash = [first(i, lambda i, j: lb[j] <= x0[j] + r[i] / A[i, j] <= ub[j])
+             for i in range(m)]
+    if None not in crash:
+        return "crash", crash, []
+    basis = [first(i, lambda i, j: c[j] == 0) for i in range(m)]
+    logicals = [i for i in range(m) if basis[i] is None]
+    for k, i in enumerate(logicals):
+        basis[i] = n + k
+    return "logical", basis, logicals
+
+
+def _check_cold_start(A, b, c, lb, ub):
+    """(mask, logicals) of the reference, after checking ``_cold_start``
+    against it: the same basis and logicals, each basic column BASIC, and as
+    its inverse the reciprocal diagonal of the widened basis matrix."""
+    mask, basis, logicals = _reference_start(A, b, c, lb, ub)
+    start = lp._cold_start(A, b, c, lb, ub)
+    assert start.basis.tolist() == basis and start.logicals.tolist() == logicals
+    B = np.hstack([A, np.eye(A.shape[0])[:, logicals]])[:, basis]
+    assert np.array_equal(B, np.diag(np.diag(B)))
+    assert np.array_equal(start.Binv, np.diag(1.0 / np.diag(B)))
+    assert np.flatnonzero(start.status == lp.BASIC).tolist() == sorted(basis)
+    return mask, logicals
+
+
+def test_cold_start_takes_first_in_bounds_one_nonzero_column():
     inf = np.inf
     # row 0: columns 0 and 1 both solve it within their bounds, column 0 wins;
-    # row 1: column 2 would have to reach 3 > its upper bound 1, so the row
-    # is left uncovered; row 2: the free column 4 solves it at -2;
+    # row 1: column 2 would have to reach 3 > its upper bound 1, so the later
+    # column 5 solves it at 1.5; row 2: the free column 4 solves it at -0.5;
     # column 3 has two nonzeros and is never taken
     A = np.array([
-        [1.0, 2.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 1.0, 1.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0, 1.0],
+        [1.0, 2.0, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 1.0, 1.0, 0.0, 2.0],
+        [0.0, 0.0, 0.0, 1.0, 4.0, 0.0],
     ])
-    lb = np.array([0.0, 0.0, 0.0, -inf, -inf])
-    ub = np.array([5.0, 5.0, 1.0, inf, inf])
-    x0 = np.zeros(5)  # every column at its default bound
-    r = np.array([4.0, 3.0, -2.0]) - A @ x0
-    rows, cols = lp._crash(A, r, x0, lb, ub)
-    assert rows.tolist() == [0, 2]
-    assert cols.tolist() == [0, 4]
+    b = np.array([4.0, 3.0, -2.0])
+    lb = np.array([0.0, 0.0, 0.0, -inf, -inf, 0.0])
+    ub = np.array([5.0, 5.0, 1.0, inf, inf, inf])
+    start = lp._cold_start(A, b, np.ones(6), lb, ub)
+    assert start.basis.tolist() == [0, 5, 4] and len(start.logicals) == 0
+    assert np.array_equal(start.Binv, np.diag([1.0, 0.5, 0.25]))
+    # without column 5 the crash leaves row 1 uncovered: the logical basis
+    # takes the zero-cost columns 0 and 4, and row 1 gets a logical
+    A, lb, ub = A[:, :5], lb[:5], ub[:5]
+    start = lp._cold_start(A, b, np.array([0.0, 0.0, 1.0, 0.0, 0.0]), lb, ub)
+    assert start.basis.tolist() == [0, 5, 4] and start.logicals.tolist() == [1]
+    assert np.array_equal(start.Binv, np.diag([1.0, 1.0, 0.25]))
+    assert start.status.tolist() == [lp.BASIC, lp.AT_LOWER, lp.AT_LOWER, lp.FREE,
+                                     lp.BASIC, lp.BASIC]
 
 
-def test_crash_of_zero_row_matrix_is_empty():
-    rows, cols = lp._crash(np.zeros((0, 3)), np.zeros(0), np.zeros(3),
-                           np.zeros(3), np.full(3, np.inf))
-    assert len(rows) == 0 and len(cols) == 0
+def test_cold_start_of_zero_row_matrix_is_empty():
+    start = lp._cold_start(np.zeros((0, 3)), np.zeros(0), np.zeros(3), np.zeros(3),
+                           np.full(3, np.inf))
+    assert len(start.basis) == 0 and len(start.logicals) == 0
+    assert start.Binv.shape == (0, 0)
+    assert start.status.tolist() == [lp.AT_LOWER] * 3
+
+
+def test_cold_start_matches_the_row_by_row_rule():
+    # random 'E' and 'L' LPs, thinned so that one-nonzero columns are
+    # common, with free, boxed and fixed columns and zero, negative and
+    # positive costs, and a 0-row LP: every start is the reference's, and
+    # each mask and an appended logical occur
+    rng = np.random.default_rng(41)
+    masks = {"crash": 0, "logical": 0}
+    appended = 0
+    for i in range(300):
+        prob = random_lp(rng)
+        m, n = prob.A.shape
+        A = prob.A * (rng.random((m, n)) < 0.4)
+        kind = rng.integers(0, 4, size=n)  # as drawn, free, boxed, fixed
+        lb = np.where(kind == 1, -np.inf, prob.col_lb)
+        ub = np.where(kind == 1, np.inf, np.where(kind == 2, 3.0, prob.col_ub))
+        ub = np.where(kind == 3, lb, ub)
+        obj = prob.obj * (rng.random(n) < 0.6)
+        std = lp._standard_form(_lp(obj, A, prob.row_type, prob.rhs, lb, ub))
+        mask, logicals = _check_cold_start(*std)
+        masks[mask] += 1
+        assert all(prob.row_type[r] == "E" for r in logicals), i
+        appended += len(logicals) > 0
+    assert min(masks.values()) > 0 and appended > 0
+    assert _check_cold_start(np.zeros((0, 2)), np.zeros(0), np.array([-1.0, 0.0]),
+                             np.array([0.0, -np.inf]), np.array([1.0, np.inf]))[0] == "crash"
+
+
+def test_cold_start_traffic_on_corpus(monkeypatch):
+    # measured traffic: no corpus relaxation's crash covers every row, so
+    # each starts from the logical basis; example1's and beale's 3 rows are
+    # each crashed (there the two masks pick the same slacks and zero-cost
+    # columns); every cold lasso LP is crashed, each absolute-value row by a
+    # mu column, where the logical mask would append a logical per row
+    for mps, _ in corpus_paths():
+        std = lp._standard_form(instance_lp(parse_mps_file(mps)))
+        assert _check_cold_start(*std)[0] == "logical", mps
+    for name in ("example1.mps", "beale.mps"):
+        std = lp._standard_form(instance_lp(parse_mps_file(os.path.join(DATA_DIR, name))))
+        assert std[0].shape[0] == 3
+        assert _check_cold_start(*std)[0] == "crash", name
+    starts = []
+    real_cold_start = lp._cold_start
+
+    def recording(*args):
+        starts.append(args)
+        return real_cold_start(*args)
+
+    monkeypatch.setattr(lp, "_cold_start", recording)
+    config = RunConfig(algorithm="lasso", start_policy=POLICY_ALL)
+    for mps, sol in corpus_paths():
+        inst = parse_mps_file(mps)
+        run_separation(inst, parse_solution_file(sol, inst), config)
+    monkeypatch.setattr(lp, "_cold_start", real_cold_start)
+    assert len(starts) == len(corpus_paths())
+    for args in starts:
+        assert _check_cold_start(*args)[0] == "crash"
 
 
 def _lasso_draw(rng):
