@@ -25,17 +25,22 @@ class RunConfig:
     start_names: tuple = ()
 
     def __post_init__(self):
+        if self.algorithm not in ("mw", "lasso", "both"):
+            raise ContractViolation("algorithm must be 'mw', 'lasso' or 'both', got %r"
+                                    % (self.algorithm,))
+        if self.start_policy not in (POLICY_ALL, POLICY_TOP, POLICY_NAMED):
+            raise ContractViolation("start_policy must be one of %r, got %r"
+                                    % ((POLICY_ALL, POLICY_TOP, POLICY_NAMED), self.start_policy))
+        if bool(self.start_names) != (self.start_policy == POLICY_NAMED):
+            raise ContractViolation("start_names must be given exactly under start_policy %r"
+                                    % POLICY_NAMED)
         if self.start_k < 1:
             raise ContractViolation("start_k must be at least 1, got %r" % self.start_k)
         if self.maxaggr < 0:
             raise ContractViolation("maxaggr must be nonnegative, got %r" % self.maxaggr)
 
     def algorithms(self):
-        if self.algorithm == "both":
-            return ("mw", "lasso")
-        if self.algorithm in ("mw", "lasso"):
-            return (self.algorithm,)
-        raise ContractViolation("unknown algorithm %r" % self.algorithm)
+        return ("mw", "lasso") if self.algorithm == "both" else (self.algorithm,)
 
 
 @dataclass
@@ -94,23 +99,21 @@ def _starting_rows(ctx, config, algo, diagnostics):
         return rows
     if config.start_policy == POLICY_TOP:
         return rows[: config.start_k]
-    if config.start_policy == POLICY_NAMED:
-        index = ctx.instance.row_index
-        out = []
-        for name in config.start_names:
-            if name not in index:
-                raise ContractViolation("unknown starting row %r" % name)
-            i = index[name]
-            if i in rows:
-                out.append(i)
-            else:
-                why = ("an implied-bound row, which mw never aggregates"
-                       if i in ctx.bounds.rows and algo == "mw"
-                       else "not a useful row "
-                            "(no kept bad column, or past preprocess.MAX_USEFUL_ROWS)")
-                diagnostics.append("%s: starting row %s dropped: %s" % (algo, name, why))
-        return out
-    raise ContractViolation("unknown starting-row policy %r" % config.start_policy)
+    index = ctx.instance.row_index
+    out = []
+    for name in config.start_names:
+        if name not in index:
+            raise ContractViolation("unknown starting row %r" % name)
+        i = index[name]
+        if i in rows:
+            out.append(i)
+        else:
+            why = ("an implied-bound row, which mw never aggregates"
+                   if i in ctx.bounds.rows and algo == "mw"
+                   else "not a useful row "
+                        "(no kept bad column, or past preprocess.MAX_USEFUL_ROWS)")
+            diagnostics.append("%s: starting row %s dropped: %s" % (algo, name, why))
+    return out
 
 
 def run_separation(instance, point, config=None, duals=None):

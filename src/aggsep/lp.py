@@ -31,20 +31,22 @@ column to enter proves the problem infeasible.
 
 The point and the basis inverse travel with the basis (the product form
 of the inverse, Dantzig & Orchard-Hays 1954): each pivot computes its
-entering column with a product against the kept inverse, moves the
-point by the step and updates the inverse by one rank-one eta step.  The
-primal loop prices each pivot; the dual loop updates its reduced costs
-along each pivot row.  The inverse and the point are factored afresh
-every REFACTOR_EVERY pivots and once more before OPTIMAL is returned, so
-the solution is certified and packed from a fresh factorization.
+entering column with a product against the kept inverse, and ``_pivot``,
+the one place a column enters the basis, moves the point by the step and
+updates the inverse by one rank-one eta step.  The primal loop prices
+each pivot; the dual loop updates its reduced costs along each pivot
+row.  The inverse and the point are factored afresh every REFACTOR_EVERY
+pivots and once more before OPTIMAL is returned, so the solution is
+certified and packed from a fresh factorization.
 
 A warm start is what an optimal solve leaves behind: its standard-form
 matrix, basis, status vector and basis inverse, and the 'E' rows whose
-logical column it appends again.  It restarts a problem
-on the same matrix (the same array, or an equal one) that differs in
-objective, right-hand side and/or variable bounds, with no
-factorization.  One on another matrix, or whose dual run finds its
-basis singular or reaches the pivot cap, is dropped for a cold solve.
+logical column it appends again.  It restarts a problem on the same
+matrix (the same array, or an equal one) that differs in objective,
+right-hand side and/or variable bounds, with no factorization; one on
+another matrix is not tried.  One fallback rule: a warm solve in which
+either run finds its basis singular or reaches the pivot cap is redone
+cold, and a cold solve that finds its basis singular raises LpFailure.
 A solve that ends other than optimal carries no point and no warm start.
 """
 
@@ -254,6 +256,21 @@ def _eta_update(Binv, w, r):
     Binv[r] = pivot_row
 
 
+def _pivot(basis, status, x, Binv, lb, ub, j, w, r, step, to_upper):
+    """Column j, whose ``Binv`` image is ``w``, takes basis position r, in
+    place: the point moves by ``step`` along j, the leaving column is set
+    exactly to its upper bound if ``to_upper`` and else its lower one, and
+    Binv takes one eta step.  The one place a column enters the basis."""
+    x[basis] -= step * w
+    x[j] += step
+    out = basis[r]
+    status[out] = AT_UPPER if to_upper else AT_LOWER
+    x[out] = ub[out] if to_upper else lb[out]
+    basis[r] = j
+    status[j] = BASIC
+    _eta_update(Binv, w, r)
+
+
 def _cycled(seen, status, step):
     """Whether a pivot of ``step`` closed a cycle: it made no progress
     (step <= NO_PROGRESS) and left a ``status`` that ``seen`` holds, the statuses
@@ -269,74 +286,60 @@ def _cycled(seen, status, step):
 
 
 def _simplex_loop(A, b, c, lb, ub, basis, status, x, Binv, max_iter):
-    """Primal iterations from a feasible basis; returns (code, iterations, x, y, Binv).
+    """Primal iterations from a feasible basis; returns (code, x, Binv, pivots).
 
     x and Binv are the point and basis inverse of the starting basis, as
     ``_factor`` gives them.  code is OPTIMAL / UNBOUNDED / ITERATION_LIMIT.
-    Each pivot prices with y = c_B Binv and w = Binv a_j, moves the point by
-    the step, sets the leaving column exactly to its bound, and updates
-    Binv by one eta step (the product form of the inverse).  Every
-    REFACTOR_EVERY pivots, and before OPTIMAL is returned after any pivot,
-    Binv and x are recomputed by ``_factor`` and the basis is priced again,
-    so for OPTIMAL x, y and Binv come from a fresh factorization of the
-    final basis.  For UNBOUNDED they are those of the last basis priced;
-    for ITERATION_LIMIT all three are None.  A fixed column (lb == ub) is
-    never priced: it cannot move.  ``ratio_test`` gives tied ratios to the
+    Each pivot prices with y = c_B Binv and w = Binv a_j, and ``_pivot``
+    moves the point and updates Binv by one eta step (the product form of
+    the inverse).  Every REFACTOR_EVERY pivots, and before OPTIMAL is
+    returned after any pivot, Binv and x are recomputed by ``_factor`` and
+    the basis is priced again, so for OPTIMAL x and Binv come from a fresh
+    factorization of the final basis.  A fixed column (lb == ub) is never
+    priced: it cannot move.  ``ratio_test`` gives tied ratios to the
     lowest column.  Once ``_cycled`` finds a pivot back at a status of its
     no-progress run, the lowest-index violated column enters, which with
     that tie rule is Bland's rule (Bland 1977, Math. Oper. Res. 2:103).
-    basis and status are updated in place.
+    basis and status are updated in place.  Raises
+    ``np.linalg.LinAlgError`` if a factorization finds the basis singular.
     """
     fixed = lb == ub
     seen = set()
     bland = False
     it = 0
     since = 0  # pivots since Binv and x were last factored
-    try:
-        while True:
-            y, d, viol = _price(A, c, basis, status, Binv, fixed)
-            # Bland takes the first violated column, Dantzig the most violated
-            j = int(np.argmax(viol > OPT_TOL) if bland else np.argmax(viol))
-            if viol[j] <= OPT_TOL:
-                if since == 0:
-                    return OPTIMAL, it, x, y, Binv
-                Binv, x = _factor(A, b, lb, ub, basis, status)
-                since = 0
-                continue
-            if status[j] == AT_UPPER or (status[j] == FREE and d[j] > 0):
-                sdir = -1.0
-            else:
-                sdir = 1.0
-            w = Binv @ A[:, j]
-            tcap = ub[j] - lb[j] if status[j] != FREE else np.inf
-            t, leave, to_upper = ratio_test(
-                w, x[basis], lb[basis], ub[basis], sdir, float(tcap), basis
-            )
-            if not np.isfinite(t):
-                return UNBOUNDED, it, x, y, Binv
+    while True:
+        _, d, viol = _price(A, c, basis, status, Binv, fixed)
+        # Bland takes the first violated column, Dantzig the most violated
+        j = int(np.argmax(viol > OPT_TOL) if bland else np.argmax(viol))
+        if viol[j] <= OPT_TOL:
+            if since == 0:
+                return OPTIMAL, x, Binv, it
+            Binv, x = _factor(A, b, lb, ub, basis, status)
+            since = 0
+            continue
+        sdir = -1.0 if status[j] == AT_UPPER or (status[j] == FREE and d[j] > 0) else 1.0
+        w = Binv @ A[:, j]
+        tcap = ub[j] - lb[j] if status[j] != FREE else np.inf
+        t, leave, to_upper = ratio_test(w, x[basis], lb[basis], ub[basis], sdir,
+                                        float(tcap), basis)
+        if not np.isfinite(t):
+            return UNBOUNDED, x, Binv, it
+        if leave < 0:
+            # entering variable flips to its opposite bound
             x[basis] -= sdir * t * w
-            if leave < 0:
-                # entering variable flips to its opposite bound
-                status[j] = AT_UPPER if status[j] == AT_LOWER else AT_LOWER
-                x[j] = ub[j] if status[j] == AT_UPPER else lb[j]
-            else:
-                x[j] += sdir * t
-                out = basis[leave]
-                status[out] = AT_UPPER if to_upper else AT_LOWER
-                x[out] = ub[out] if to_upper else lb[out]
-                basis[leave] = j
-                status[j] = BASIC
-                _eta_update(Binv, w, leave)
-            bland = bland or _cycled(seen, status, t)
-            it += 1
-            since += 1
-            if it >= max_iter:
-                return ITERATION_LIMIT, it, None, None, None
-            if since >= REFACTOR_EVERY:
-                Binv, x = _factor(A, b, lb, ub, basis, status)
-                since = 0
-    except np.linalg.LinAlgError:
-        raise LpFailure("singular basis matrix")
+            status[j] = AT_UPPER if status[j] == AT_LOWER else AT_LOWER
+            x[j] = ub[j] if status[j] == AT_UPPER else lb[j]
+        else:
+            _pivot(basis, status, x, Binv, lb, ub, j, w, leave, sdir * t, to_upper)
+        bland = bland or _cycled(seen, status, t)
+        it += 1
+        since += 1
+        if it >= max_iter:
+            return ITERATION_LIMIT, x, Binv, it
+        if since >= REFACTOR_EVERY:
+            Binv, x = _factor(A, b, lb, ub, basis, status)
+            since = 0
 
 
 def _feas_scale(b):
@@ -363,7 +366,7 @@ def _dual_loop(A, b, c, lb, ub, basis, status, x, Binv, max_iter):
     prices dual infeasible gets ``c_j -= d_j`` for this loop only (cost
     modification: Koberstein & Suhl 2007, "Progress in the dual simplex
     method for large scale LP problems: practical dual phase 1
-    algorithms", Comput. Optim. Appl. 37:49).  The point, eta update,
+    algorithms", Comput. Optim. Appl. 37:49).  The pivot (``_pivot``),
     tolerances, refactor interval and fixed-column rule are those of
     ``_simplex_loop``; a basis that ends feasible after pivots is factored
     afresh.  basis and status are updated in place.  Raises LpFailure if
@@ -412,15 +415,8 @@ def _dual_loop(A, b, c, lb, ub, basis, status, x, Binv, max_iter):
         j = int(cand[k])
         w = Binv @ A[:, j]
         out = basis[r]
-        target = lb[out] if rise else ub[out]
-        t = (x[out] - target) / w[r]
-        x[basis] -= t * w
-        x[j] += t
-        x[out] = target
-        status[out] = AT_LOWER if rise else AT_UPPER
-        basis[r] = j
-        status[j] = BASIC
-        _eta_update(Binv, w, r)
+        t = (x[out] - (lb[out] if rise else ub[out])) / w[r]
+        _pivot(basis, status, x, Binv, lb, ub, j, w, r, t, not rise)
         d -= (d[j] / alpha[j]) * alpha
         d[j] = 0.0
         bland = bland or _cycled(seen, status, ratios[k])
@@ -434,15 +430,15 @@ def _dual_loop(A, b, c, lb, ub, basis, status, x, Binv, max_iter):
             d = None
 
 
-def _restart(start, A, b, c, lb, ub, max_iter):
-    """(code, basis, status, x, Binv, pivots): ``_dual_loop`` from ``start``.
+def _run(start, A, b, c, lb, ub, max_iter):
+    """(code, basis, status, x, Binv, pivots): the one path from a start to
+    an answer, ``_dual_loop`` from ``start`` and, if it ends feasible, one
+    ``_simplex_loop`` run on the true costs; pivots counts both.
 
-    The one path from a starting basis to the primal loop, for a warm
-    start and a cold solve's crash or logical basis alike; code and
-    pivots are the dual loop's.  The basic values come from the kept
-    inverse; nothing is factored unless the dual loop pivots.  Raises
-    ``np.linalg.LinAlgError`` when a factorization finds the basis
-    singular.
+    A status the bounds no longer allow is repaired first, and the basic
+    values come from the kept inverse; nothing is factored unless a loop
+    pivots.  Raises ``np.linalg.LinAlgError`` when a factorization finds
+    the basis singular.
     """
     basis = start.basis.copy()
     status = start.status.copy()
@@ -455,6 +451,10 @@ def _restart(start, A, b, c, lb, ub, max_iter):
     x[basis] = start.Binv @ (b - A @ x)
     code, x, Binv, it = _dual_loop(A, b, c, lb, ub, basis, status, x, start.Binv.copy(),
                                    max_iter)
+    if code == OPTIMAL:
+        code, x, Binv, primal = _simplex_loop(A, b, c, lb, ub, basis, status, x, Binv,
+                                              max_iter)
+        it += primal
     return code, basis, status, x, Binv, it
 
 
@@ -492,40 +492,33 @@ def _cold_start(A, b, c, lb, ub):
 def solve_lp(problem, warm=None):
     """Solve an LpProblem, optionally warm-started from ``LpSolution.warm_start()``.
 
-    Warm, crash and logical starts take one path, as the module docstring
-    describes: ``_restart``, whose dual loop ends feasible or proves the
-    problem infeasible, then one ``_simplex_loop`` run on the true costs.
-    A warm start on another matrix, or whose dual loop finds its basis
-    singular or reaches the pivot cap, is dropped, and the solve runs
-    exactly as with ``warm=None``.  Only an optimal solution carries a
-    point, duals and a warm start.
+    Each start, a warm start on the same matrix and then the cold start,
+    takes one path, ``_run``.  A warm solve in which either loop finds its
+    basis singular or reaches the pivot cap is redone cold, exactly as with
+    ``warm=None``; a warm start on another matrix is not tried.  A cold
+    solve that finds its basis singular raises LpFailure.  Only an optimal
+    solution carries a point, duals and a warm start.
     """
     std, b, *form = _standard_form(problem)  # form: c, lb, ub
     width = std.shape[1]
     max_iter = MAX_ITER_FACTOR * (problem.n_rows + problem.n_cols)
 
-    run = None
-    if warm is not None and (
+    same = warm is not None and (
         warm.A is std or (warm.A.shape == std.shape and np.array_equal(warm.A, std))
-    ):
-        start = warm
+    )
+    for start in ([warm] if same else []) + [None]:
+        cold = start is None
+        if cold:
+            start = _cold_start(std, b, *form)
         A, c, lb, ub = _widen(std, *form, start.logicals)
         try:
-            run = _restart(start, A, b, c, lb, ub, max_iter)
+            code, basis, status, x, Binv, it = _run(start, A, b, c, lb, ub, max_iter)
         except np.linalg.LinAlgError:
-            pass  # solved cold below
-    if run is None or run[0] == ITERATION_LIMIT:
-        start = _cold_start(std, b, *form)
-        A, c, lb, ub = _widen(std, *form, start.logicals)
-        try:
-            run = _restart(start, A, b, c, lb, ub, max_iter)
-        except np.linalg.LinAlgError:
-            raise LpFailure("singular basis matrix")
-    code, basis, status, x, Binv, it = run
-    if code == OPTIMAL:
-        code, it2, x, y, Binv = _simplex_loop(A, b, c, lb, ub, basis, status, x, Binv,
-                                              max_iter)
-        it += it2
+            if cold:
+                raise LpFailure("singular basis matrix")
+            continue
+        if cold or code != ITERATION_LIMIT:
+            break
     if code != OPTIMAL:
         return LpSolution(status=code, iterations=it)
     tol = FEAS_TOL * _feas_scale(b) * 10
@@ -538,7 +531,7 @@ def solve_lp(problem, warm=None):
     return LpSolution(
         status=OPTIMAL,
         x=xs,
-        duals=y,
+        duals=c[basis] @ Binv,  # the product _price forms
         objective=float(problem.obj @ xs),
         col_status=col_status,
         iterations=it,

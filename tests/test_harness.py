@@ -2,6 +2,9 @@ import collections
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -76,6 +79,22 @@ def test_run_config_rejects_out_of_range_fields(field, value):
     # would start from no row; a negative maxaggr would run as 0
     with pytest.raises(ContractViolation, match=field):
         RunConfig(algorithm="mw", start_policy=POLICY_TOP, **{field: value})
+
+
+@pytest.mark.parametrize("field, fields", [
+    ("algorithm", dict(algorithm="greedy")),
+    ("start_policy", dict(start_policy="bogus")),
+    ("start_names", dict(start_policy=POLICY_NAMED)),
+    ("start_names", dict(start_names=("nosuchrow",))),
+    ("start_names", dict(start_policy=POLICY_ALL, start_names=("c1",))),
+], ids=["unknown-algorithm", "unknown-policy", "named-without-names", "names-under-top",
+        "names-under-all"])
+def test_run_config_rejects_unknown_or_inconsistent_fields(field, fields):
+    # each used to run with no diagnostic: an unknown policy until a starting
+    # row was asked for (never, on an instance with no bad variables), named
+    # with no names from no row, and names under another policy were ignored
+    with pytest.raises(ContractViolation, match=field):
+        RunConfig(**fields)
 
 
 def test_run_separation_example1(example1, example1_point):
@@ -363,3 +382,28 @@ def test_corpus_distinct_cuts_pinned():
         text += "".join(r + "\n" for r in distinct) + "\n"
         n_cuts += len(distinct)
     assert (hashlib.sha256(text.encode()).hexdigest()[:16], n_cuts) == CORPUS_DISTINCT_DIGEST
+
+
+# The lines of tools/output_digest.py (name, sha256[:16], count) that hold at
+# 1 and 2 BLAS threads: planted-point's and wide-sparse's output bytes and
+# distinct cuts, and relax-point's relaxation objectives and final bases.
+# relax-point's cut lines follow the relaxation point, whose last bits can
+# move with the thread count, and are not pinned.
+WORKLOAD_DIGESTS = {
+    "planted-point": ("fb9623d6efd4c73d", 9),
+    "planted-point-distinct": ("16dda067eafd91fd", 9),
+    "relax-point-objective": ("8b3e330e91e42212", 12),
+    "relax-point-basis": ("97272874d629bf7b", 12),
+    "wide-sparse": ("9cd1acee8ace91f0", 9),
+    "wide-sparse-distinct": ("a98904b6d3847f32", 9),
+}
+
+
+def test_workload_output_bytes_pinned():
+    # in a subprocess: the tool holds BLAS at one thread, which only acts
+    # before numpy is first imported
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+    out = subprocess.run([sys.executable, os.path.join(root, "tools", "output_digest.py")],
+                         cwd=root, capture_output=True, text=True, check=True).stdout
+    lines = {name: (digest, int(n)) for name, digest, n in map(str.split, out.splitlines())}
+    assert {name: lines.get(name) for name in WORKLOAD_DIGESTS} == WORKLOAD_DIGESTS

@@ -488,7 +488,7 @@ def test_classic_cycling_lps_solve(name, warm, monkeypatch):
     prob, sib = _cycling_case(name)
     start = solve_lp(sib).warm_start() if warm else None
     checks = _cycle_checks(monkeypatch)
-    runs = _recording_dual_loop(monkeypatch)
+    runs = _recording_runs(monkeypatch)
     sol = solve_lp(prob, warm=start)
     objective, x = CYCLING_OPTIMA[name]
     assert sol.status == OPTIMAL
@@ -764,25 +764,27 @@ def _hand_offs(seed, sequences=30):
             warm = solve_lp(prob, warm=warm).warm_start()
 
 
-def _recording_dual_loop(monkeypatch, cap=None):
-    """The pivots of each ``_dual_loop`` run that ends feasible (None for one
-    that ends otherwise or raises), appended as they end; ``cap[0]``, when
-    set, replaces its pivot cap."""
+def _recording_runs(monkeypatch, cap=None, loop="_dual_loop"):
+    """The pivots of each run of ``loop``, ``_dual_loop`` or ``_simplex_loop``,
+    that ends optimal (None for one that ends otherwise or raises), appended
+    as they end; ``cap[0]``, when set, replaces the pivot cap of the next
+    run only."""
     runs = []
-    real_dual_loop = lp._dual_loop
+    real_loop = getattr(lp, loop)
 
     def recording(*args):
         if cap is not None and cap[0] is not None:
             args = args[:-1] + (cap[0],)
+            cap[0] = None
         try:
-            out = real_dual_loop(*args)
+            out = real_loop(*args)
         except np.linalg.LinAlgError:
             runs.append(None)
             raise
         runs.append(out[3] if out[0] == OPTIMAL else None)
         return out
 
-    monkeypatch.setattr(lp, "_dual_loop", recording)
+    monkeypatch.setattr(lp, loop, recording)
     return runs
 
 
@@ -791,7 +793,7 @@ def test_hand_off_across_start_rows_matches_cold_and_highs(monkeypatch):
     # starts primal infeasible is restored by the dual loop and never falls
     # back to a cold solve; a step whose basis does not change factors nothing
     pytest.importorskip("scipy")
-    runs = _recording_dual_loop(monkeypatch)
+    runs = _recording_runs(monkeypatch)
     calls = _counting_linalg(monkeypatch)
     points = []
     real_factor = lp._factor
@@ -837,7 +839,7 @@ def test_dual_loop_past_its_cap_solves_cold(monkeypatch):
     # gives up and is solved exactly as without a warm start, whose dual
     # loop makes no pivot from the crash basis
     cap = [None]
-    runs = _recording_dual_loop(monkeypatch, cap)
+    runs = _recording_runs(monkeypatch, cap)
     forced = 0
     for i, (prob, warm) in enumerate(_hand_offs(29)):
         if warm is None:
@@ -848,7 +850,6 @@ def test_dual_loop_past_its_cap_solves_cold(monkeypatch):
             continue  # feasible at once: the cap is never reached
         cap[0] = 1
         capped = solve_lp(prob, warm=warm)
-        cap[0] = None
         assert runs[1:] == [None, 0], i
         assert _same_answer(capped, solve_lp(prob)), i
         forced += 1
@@ -861,7 +862,7 @@ def test_start_neither_primal_nor_dual_feasible_is_restored(monkeypatch):
     # that price wrong and restores feasibility, and the primal loop ends
     # at HiGHS's optimum, with no cold solve
     pytest.importorskip("scipy")
-    runs = _recording_dual_loop(monkeypatch)
+    runs = _recording_runs(monkeypatch)
     rng = np.random.default_rng(37)
     restored = 0
     for i, (prob, warm) in enumerate(_hand_offs(29)):
@@ -893,7 +894,7 @@ def test_singular_warm_basis_falls_back_to_cold(monkeypatch):
     # start, and the solve is exactly the cold one, whose dual loop makes no
     # pivot from the crash basis
     monkeypatch.setattr(lp, "REFACTOR_EVERY", 1)
-    runs = _recording_dual_loop(monkeypatch)
+    runs = _recording_runs(monkeypatch)
     real_factor = lp._factor
     checked = 0
     for i, (prob, warm) in enumerate(_hand_offs(31)):
@@ -921,21 +922,104 @@ def test_singular_warm_basis_falls_back_to_cold(monkeypatch):
     assert checked > 0
 
 
-@pytest.mark.parametrize("refactor", [1, 10 ** 9], ids=["interval", "before-optimal"])
-def test_singular_refactor_raises_lp_failure(refactor, monkeypatch):
-    # columns 0 and 1 are both e_0 and both basic, and the loop is handed
-    # the identity as their inverse: column 3 enters and column 2 leaves,
-    # and the next factorization, at the refactor interval or before
-    # OPTIMAL is returned, finds the basis singular
+def _warm_primal_cases():
+    """(name, problem, warm start) of the cross-check cases whose warm solve
+    ends optimal after a primal run that pivots."""
+    for name, prob, sib in _cross_check_cases():
+        warm = solve_lp(sib).warm_start()
+        sol = solve_lp(prob, warm=warm)
+        if sol.status == OPTIMAL and sol.iterations > 0:
+            yield name, prob, warm
+
+
+def test_singular_warm_primal_run_falls_back_to_cold(monkeypatch):
+    # a factorization in a warm solve's primal run that finds the basis
+    # singular (forced by REFACTOR_EVERY = 1 and a _factor that, once armed,
+    # raises at its next call inside that run) drops the warm start as one
+    # in its dual run does, and the solve is exactly the cold one
+    monkeypatch.setattr(lp, "REFACTOR_EVERY", 1)
+    real_factor = lp._factor
+    real_loop = lp._simplex_loop
+    primal, armed = [], []
+
+    def singular_once(*args):
+        if primal and armed:
+            armed.clear()
+            raise np.linalg.LinAlgError("singular matrix")
+        return real_factor(*args)
+
+    def marking_loop(*args):
+        primal.append(1)
+        try:
+            return real_loop(*args)
+        finally:
+            primal.pop()
+
+    monkeypatch.setattr(lp, "_factor", singular_once)
+    monkeypatch.setattr(lp, "_simplex_loop", marking_loop)
+    runs = _recording_runs(monkeypatch, loop="_simplex_loop")
+    checked = 0
+    for name, prob, warm in _warm_primal_cases():
+        cold = solve_lp(prob)
+        runs.clear()
+        armed.append(1)
+        sol = solve_lp(prob, warm=warm)
+        assert not armed and runs[0] is None and len(runs) == 2, name
+        assert _same_answer(sol, cold), name
+        checked += 1
+    assert checked > 0
+
+
+def test_warm_primal_run_past_its_cap_solves_cold(monkeypatch):
+    # with a warm solve's primal run capped at 1 pivot, every one that
+    # pivots gives up as a dual run past its cap does, and the solve is
+    # exactly the cold one, whose primal run is not capped
+    cap = [None]
+    runs = _recording_runs(monkeypatch, cap, loop="_simplex_loop")
+    checked = 0
+    for name, prob, warm in _warm_primal_cases():
+        runs.clear()
+        solve_lp(prob, warm=warm)
+        if not runs[0]:
+            continue  # the warm dual run made every pivot
+        cold = solve_lp(prob)
+        runs.clear()
+        cap[0] = 1
+        capped = solve_lp(prob, warm=warm)
+        assert runs[0] is None and len(runs) == 2, name
+        assert _same_answer(capped, cold), name
+        checked += 1
+    assert checked > 0
+
+
+@pytest.mark.parametrize("refactor, pivots", [(1, 1), (10 ** 9, 2)],
+                         ids=["interval", "before-optimal"])
+def test_singular_refactor_raises_lp_failure(refactor, pivots, monkeypatch):
+    # max x + y  s.t.  x + 2y <= 4, 3x + y <= 6 starts cold from its slack
+    # basis, which is primal feasible: the dual loop makes no pivot, and the
+    # primal run's first factorization, at the refactor interval (after
+    # 1 pivot) or before OPTIMAL is returned (after 2), finds the basis
+    # singular (forced by a _factor that raises); a cold solve has no start
+    # to fall back to, so the solve fails
     monkeypatch.setattr(lp, "REFACTOR_EVERY", refactor)
-    A = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
-    basis = np.array([0, 1, 2])
-    status = np.array([lp.BASIC, lp.BASIC, lp.BASIC, lp.AT_LOWER])
+    runs = _recording_runs(monkeypatch)
+    made = []
+    real_pivot = lp._pivot
+
+    def counting_pivot(*args):
+        made.append(1)
+        return real_pivot(*args)
+
+    def singular(*args):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(lp, "_pivot", counting_pivot)
+    monkeypatch.setattr(lp, "_factor", singular)
+    prob = _lp([-1.0, -1.0], [[1.0, 2.0], [3.0, 1.0]], ["L", "L"], [4.0, 6.0],
+               [0.0, 0.0], [np.inf, np.inf])
     with pytest.raises(LpFailure, match="singular basis matrix"):
-        lp._simplex_loop(A, np.array([1.0, 0.0, 1.0]), np.array([0.0, 0.0, 0.0, -1.0]),
-                         np.zeros(4), np.full(4, np.inf), basis, status,
-                         np.array([1.0, 0.0, 1.0, 0.0]), np.eye(3), 100)
-    assert basis.tolist() == [0, 1, 3]
+        solve_lp(prob)
+    assert runs == [0] and len(made) == pivots
 
 
 def test_singular_refactor_in_a_cold_dual_loop_raises_lp_failure(monkeypatch):
@@ -1198,7 +1282,7 @@ def test_dual_infeasible_start_takes_a_cost_shift(monkeypatch):
     # then the primal loop reaches the optimum on the true costs: one run
     # of each, on 2 structurals and 2 slacks with no appended column
     widths = _loop_widths(monkeypatch)
-    runs = _recording_dual_loop(monkeypatch)
+    runs = _recording_runs(monkeypatch)
     prob = _lp([-1.0, 3.0], [[-1.0, -1.0], [1.0, -1.0]], ["L", "L"], [-1.0, 0.0],
                [0.0, 0.0], [np.inf, np.inf])
     sol = solve_lp(prob)
@@ -1265,7 +1349,7 @@ def test_boxed_all_l_lps_solve_cold_by_the_dual_loop(shape, monkeypatch):
     # leaves unpinned, by their dual bound)
     pytest.importorskip("scipy")
     widths = _loop_widths(monkeypatch)
-    runs = _recording_dual_loop(monkeypatch)
+    runs = _recording_runs(monkeypatch)
     for seed in range(2):
         prob = planted_lp(np.random.default_rng(seed), **RELAX_SHAPES[shape])
         widths.clear()
@@ -1300,7 +1384,7 @@ def test_degenerate_boxed_family_matches_highs(monkeypatch):
     # x = 0 is a degenerate vertex of every row with right-hand side 0; each
     # cold solve is restored by the dual loop alone and ends at HiGHS's optimum
     pytest.importorskip("scipy")
-    runs = _recording_dual_loop(monkeypatch)
+    runs = _recording_runs(monkeypatch)
     for seed in range(40):
         prob = _degenerate_lp(seed)
         runs.clear()
