@@ -267,10 +267,10 @@ def select_partition_and_delta(k):
     return cmir_inequality(k, T, U, deltas[best])
 
 
-def _cannot_cut(aggregation, ctx):
-    """True when no (T, U, delta) can give a cut of ``aggregation`` above
-    ``VIOLATION_THRESHOLD``; decided from alpha and the point, before bound
-    substitution.
+def cannot_cut(aggregations, ctx):
+    """A bool per aggregation: True when no (T, U, delta) can give a cut
+    above ``VIOLATION_THRESHOLD``; decided from alpha and the point, before
+    bound substitution.
 
     With rho = beta - alpha.xbar, y_j the bound slack of a continuous x_j
     at the point and d_j an implied bound's integer coefficient, the
@@ -286,51 +286,74 @@ def _cannot_cut(aggregation, ctx):
     here and in the knapsack row: |beta|, |alpha_i xbar_i|, |alpha_j y_j|,
     and D |xbar_k| and D |l_k| for each integer the row touches.  That is
     far above the rounding of a sum of n terms (n 2^-53 of their
-    magnitudes) for any n up to millions.  The integer terms count twice:
-    a position bound substitution drops (|a_k| <= ZERO_TOL) moves sigma by
-    up to ZERO_TOL |xbar_k| more.  sbar must reach 1e-9 sum |alpha_j y_j|,
-    so that the knapsack row's sum of it, in its own order, is >= 0 too.
+    magnitudes) in any order, for any n up to millions.  The integer terms
+    count twice: a position bound substitution drops (|a_k| <= ZERO_TOL)
+    moves sigma by up to ZERO_TOL |xbar_k| more.  sbar must reach
+    1e-9 sum |alpha_j y_j|, so that the knapsack row's sum of it, in its
+    own order, is >= 0 too.
+
+    All aggregations are decided at once, on one flat list of their
+    (aggregation, column) nonzeros; ``np.bincount`` sums each one's terms.
     """
     inst = ctx.instance
     sub = ctx.substitution
-    alpha = aggregation.alpha
-    nz = np.flatnonzero(np.abs(alpha) > ZERO_TOL)
-    is_int = inst.integer_mask[nz]
-    cont = nz[~is_int]
-    if not sub.usable[cont].all():
-        return False
-    implied = sub.int_var[cont]
-    ints = np.concatenate((nz[is_int], implied[implied >= 0]))
-    lo = inst.lower[ints]
-    x_int = ctx.xbar[ints]
-    z = x_int - lo
-    u = np.round(inst.upper[ints] - lo)
-    if not (np.isfinite(u) & (z >= 0) & (z <= u)).all():
-        return False
-    a = alpha[nz]
-    ax = a * ctx.xbar[nz]
-    a_cont = a[~is_int]
-    mult = np.abs(a_cont)
-    y = sub.slack_at_point[cont]
-    sbar = mult @ y
-    y_abs = mult @ np.abs(y)
-    if not sbar >= 1e-9 * y_abs:
-        return False
-    beta = aggregation.beta
-    sigma = beta - ax.sum() + sbar + (sub.slack_sign[cont] * a_cont) @ y
-    D = max(1.0, np.abs(a[is_int]).max(initial=0.0) + np.abs(a_cont * sub.int_coef[cont]).sum())
-    margin = 1e-9 * (1.0 + abs(beta) + np.abs(ax).sum() + y_abs
-                     + 2.0 * D * (np.abs(x_int).sum() + np.abs(lo).sum()))
-    return sigma >= margin and sigma + sbar >= D + margin
+    xbar = ctx.xbar
+    m = len(aggregations)
+    beta = np.array([agg.beta for agg in aggregations], dtype=float)
+    # On wide instances what the rule holds at once adds to the process's
+    # peak memory, so each large array goes as soon as it is used: first
+    # the dense (aggregations x variables) stack and its mask, then the
+    # per-nonzero arrays.
+    alpha = np.array([agg.alpha for agg in aggregations], dtype=float).reshape(m, inst.n_vars)
+    keep = alpha > ZERO_TOL
+    keep |= alpha < -ZERO_TOL
+    g = np.flatnonzero(keep)
+    del keep
+    a = np.take(alpha, g)
+    del alpha
+    col = g % inst.n_vars
+    g //= inst.n_vars  # the aggregation of each nonzero
+
+    def total(of, weights=None):
+        return np.bincount(of, weights, minlength=m)
+
+    ax = xbar[col]
+    ax *= a
+    ax_sum = total(g, ax)
+    magnitude = 1.0 + np.abs(beta) + total(g, np.abs(ax, out=ax))
+    del ax
+    is_int = inst.integer_mask[col]
+    d_max = np.zeros(m)
+    np.maximum.at(d_max, g[is_int], np.abs(a[is_int]))
+
+    # continuous entries: a variable without a bound fails its aggregation,
+    # and its slack counts as 0 there so that the sums stay finite
+    gc, cc, a = g[~is_int], col[~is_int], a[~is_int]
+    usable = sub.usable[cc]
+    failed = total(gc[~usable])
+    y = np.where(usable, sub.slack_at_point[cc], 0.0)
+    mult = np.abs(a)
+    sbar = total(gc, mult * y)
+    y_abs = total(gc, mult * np.abs(y))
+    sigma = beta - ax_sum + sbar + total(gc, sub.slack_sign[cc] * a * y)
+    D = np.maximum(1.0, d_max + total(gc, np.abs(a * sub.int_coef[cc])))
+
+    # every integer the row touches, its own and the implied bounds': the
+    # point must lie in its box
+    k = np.where(is_int, col, sub.int_var[col])
+    del col, is_int
+    g, k = g[k >= 0], k[k >= 0]
+    lo = inst.lower[k]
+    x = xbar[k]
+    u = np.round(inst.upper[k] - lo)
+    failed += total(g[~(np.isfinite(u) & (x - lo >= 0) & (x - lo <= u))])
+    margin = 1e-9 * (magnitude + y_abs + 2.0 * D * total(g, np.abs(x) + np.abs(lo)))
+    return ((failed == 0) & (sbar >= 1e-9 * y_abs)
+            & (sigma >= margin) & (sigma + sbar >= D + margin))
 
 
 def separate_on_aggregation(aggregation, ctx, cut_name):
-    """bound substitution -> (T, U, delta) search -> CutRecord, or None.
-
-    An aggregation ``_cannot_cut`` rules out skips both steps.
-    """
-    if _cannot_cut(aggregation, ctx):
-        return None
+    """bound substitution -> (T, U, delta) search -> CutRecord, or None."""
     k = bound_substitute(aggregation, ctx)
     if k is None or not k.fractional.any():
         return None

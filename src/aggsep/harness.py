@@ -4,7 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cmir import separate_on_aggregation
+from .cmir import cannot_cut, separate_on_aggregation
 from .errors import ContractViolation, LpFailure
 from .lasso import lasso_aggregate
 from .lp import INFEASIBLE, LpProblem, OPTIMAL, UNBOUNDED, solve_lp
@@ -152,7 +152,11 @@ def run_separation(instance, point, config=None, duals=None):
             for agg in emitted:
                 aggs.append(agg)
                 used_rows.update(agg.used_rows)
-                cut = separate_on_aggregation(agg, ctx, "%s_%d" % (algo, len(aggs)))
+        # one pass of the no-cut rule over the algorithm's aggregations;
+        # only those it cannot rule out are separated
+        for n, (agg, ruled_out) in enumerate(zip(aggs, cannot_cut(aggs, ctx).tolist()), start=1):
+            if not ruled_out:
+                cut = separate_on_aggregation(agg, ctx, "%s_%d" % (algo, n))
                 if cut is not None:
                     result.cuts.append(cut)
         result.aggregations[algo] = aggs

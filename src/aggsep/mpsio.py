@@ -289,19 +289,29 @@ def _read_records(stream, name):
     return name, variables, rows
 
 
+def _parse_file(path, parse, error):
+    """``parse`` of the UTF-8 text file at ``path``; a byte that is not
+    UTF-8 raises ``error``."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return parse(fh)
+        except UnicodeDecodeError as exc:
+            raise error("not UTF-8 text: %s" % exc.reason) from None
+
+
 def parse_mps_file(path):
-    with open(path, "r") as fh:
-        return parse_mps(fh, name_hint=str(path))
+    return _parse_file(path, lambda fh: parse_mps(fh, name_hint=str(path)), MpsParseError)
 
 
 def parse_solution(stream, instance):
     """Read ``<variable> <value>`` lines into a dense point.
 
     ``#`` starts a comment; variables absent from the file default to 0.
-    Values must be finite.
+    Values must be finite, and a variable may be named once.
     """
     values = np.zeros(instance.n_vars)
     idx = instance.var_index
+    seen = set()
     for lineno, rawline in enumerate(stream, start=1):
         line = rawline.split("#", 1)[0].strip()
         if not line:
@@ -311,6 +321,9 @@ def parse_solution(stream, instance):
             raise SolutionParseError("expected '<name> <value>'", line=lineno)
         if tok[0] not in idx:
             raise SolutionParseError("unknown variable %s" % tok[0], line=lineno)
+        if tok[0] in seen:
+            raise SolutionParseError("duplicate variable %s" % tok[0], line=lineno)
+        seen.add(tok[0])
         try:
             value = float(tok[1])
         except ValueError:
@@ -322,8 +335,7 @@ def parse_solution(stream, instance):
 
 
 def parse_solution_file(path, instance):
-    with open(path, "r") as fh:
-        return parse_solution(fh, instance)
+    return _parse_file(path, lambda fh: parse_solution(fh, instance), SolutionParseError)
 
 
 def write_solution(point, instance, stream):

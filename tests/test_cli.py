@@ -158,13 +158,14 @@ _BOUNDED_MPS = "ROWS\n N obj\n L c1\nCOLUMNS\n x c1 1.0\nRHS\n rhs c1 1.0\n"
 
 
 @pytest.mark.parametrize("case", ["lower-above-upper", "nan-point", "inf-point",
-                                  "unknown-start-row", "missing-file"])
+                                  "duplicate-variable", "unknown-start-row", "missing-file"])
 def test_bad_input_exit_code(tmp_path, capsys, case):
     mps = tmp_path / "m.mps"
     sol = tmp_path / "m.sol"
     _write(str(mps), _BOUNDED_MPS + ("BOUNDS\n UP bnd x -1\n" if case == "lower-above-upper"
                                      else ""))
-    _write(str(sol), {"nan-point": "x nan\n", "inf-point": "x inf\n"}.get(case, "x 0.5\n"))
+    _write(str(sol), {"nan-point": "x nan\n", "inf-point": "x inf\n",
+                      "duplicate-variable": "x 1.0\nx 0.5\n"}.get(case, "x 0.5\n"))
     argv = ["separate", "--instance", str(mps), "--solution", str(sol),
             "--out", str(tmp_path / "cuts.jsonl")]
     if case == "unknown-start-row":
@@ -173,6 +174,26 @@ def test_bad_input_exit_code(tmp_path, capsys, case):
         argv[2] = str(tmp_path / "absent.mps")
     assert main(argv) == EXIT_PARSE
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("case", ["separate-instance", "relax-instance", "solution"])
+def test_input_that_is_not_utf8_exits_2(tmp_path, capsys, case):
+    """A \\xff byte in the instance or the solution file is a parse error,
+    reported on one stderr line, not a traceback."""
+    mps = tmp_path / "m.mps"
+    sol = tmp_path / "m.sol"
+    with open(mps, "wb") as fh:
+        fh.write(_BOUNDED_MPS.encode() + (b"* \xff\n" if case != "solution" else b""))
+    with open(sol, "wb") as fh:
+        fh.write(b"x 0.5\n" + (b"\xff\n" if case == "solution" else b""))
+    if case == "relax-instance":
+        argv = ["relax", "--instance", str(mps), "--out", str(tmp_path / "p.sol")]
+    else:
+        argv = ["separate", "--instance", str(mps), "--solution", str(sol),
+                "--out", str(tmp_path / "cuts.jsonl")]
+    assert main(argv) == EXIT_PARSE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "not UTF-8" in err[0]
 
 
 def test_relax_rejects_nonfinite_objective(tmp_path, capsys):

@@ -643,50 +643,73 @@ def test_random_cuts_all_valid():
     assert checked > 50
 
 
-CORPUS_RULED_OUT = 68  # corpus aggregations _cannot_cut rules out
+CORPUS_RULED_OUT = 68  # corpus aggregations cannot_cut rules out
 CORPUS_AGGREGATIONS = 112
 
 
-def _rule_is_sound(agg, ctx):
-    """Whether ``_cannot_cut`` rules the aggregation out; where it does, no
-    live delta candidate of the proximity partition, of U empty or of U
-    every position scores above the threshold."""
-    if not cmir._cannot_cut(agg, ctx):
-        return False
-    k = bound_substitute(agg, ctx)
-    if k is not None and k.q:
-        deltas = delta_candidates(k)
-        for U in (proximity_partition(k)[1], (), tuple(range(k.q))):
-            _, _, live, _, _, _, violation = cmir._score(k, U, deltas)
-            over = live & (violation > cmir.VIOLATION_THRESHOLD)
-            assert not over.any(), (U, deltas[over], violation[over])
-    return True
+def _rule_is_sound(aggs, ctx):
+    """``cannot_cut`` over all of ``aggs`` in one call; for each aggregation
+    it rules out, no live delta candidate of the proximity partition, of U
+    empty or of U every position scores above the threshold.  Returns the
+    verdicts."""
+    ruled_out = cmir.cannot_cut(aggs, ctx)
+    assert ruled_out.shape == (len(aggs),) and ruled_out.dtype == bool
+    for agg in (agg for agg, out in zip(aggs, ruled_out) if out):
+        k = bound_substitute(agg, ctx)
+        if k is not None and k.q:
+            deltas = delta_candidates(k)
+            for U in (proximity_partition(k)[1], (), tuple(range(k.q))):
+                _, _, live, _, _, _, violation = cmir._score(k, U, deltas)
+                over = live & (violation > cmir.VIOLATION_THRESHOLD)
+                assert not over.any(), (U, deltas[over], violation[over])
+    return ruled_out
 
 
-def test_cannot_cut_is_sound_on_corpus_aggregations():
-    """Every corpus aggregation, both algorithms, every useful start row at
-    the bundled point: the rule never rules out a cut, and it rules out a
-    pinned number of aggregations (a rule that never fires fails here)."""
+def _corpus_aggregations():
+    """(context, every aggregation of both algorithms from every useful
+    start row) per corpus instance, at its bundled point."""
     from aggsep.harness import POLICY_ALL, RunConfig, run_separation
 
-    fired = total = 0
+    cases = []
     for mps, sol in corpus_paths():
         inst = parse_mps_file(mps)
         with open(sol) as fh:
             point = parse_solution(fh, inst)
-        ctx = preprocess(inst, point)
         result = run_separation(inst, point, RunConfig(algorithm="both", start_policy=POLICY_ALL))
-        for aggs in result.aggregations.values():
-            for agg in aggs:
-                fired += _rule_is_sound(agg, ctx)
-                total += 1
+        aggs = [agg for algo_aggs in result.aggregations.values() for agg in algo_aggs]
+        cases.append((preprocess(inst, point), aggs))
+    return cases
+
+
+def test_cannot_cut_is_sound_on_corpus_aggregations():
+    """Every corpus aggregation, decided in one call per instance: the rule
+    never rules out a cut, and it rules out a pinned number of aggregations
+    (a rule that never fires fails here)."""
+    fired = total = 0
+    for ctx, aggs in _corpus_aggregations():
+        fired += int(_rule_is_sound(aggs, ctx).sum())
+        total += len(aggs)
     assert (fired, total) == (CORPUS_RULED_OUT, CORPUS_AGGREGATIONS)
+
+
+def test_cannot_cut_decides_each_aggregation_alone():
+    """One call over all of an instance's corpus aggregations, whose
+    supports differ, gives each the verdict of a one-element call: no
+    aggregation's sums leak into another's."""
+    fired = 0
+    for ctx, aggs in _corpus_aggregations():
+        together = cmir.cannot_cut(aggs, ctx)
+        alone = [bool(cmir.cannot_cut([agg], ctx)[0]) for agg in aggs]
+        assert together.tolist() == alone
+        fired += sum(alone)
+    assert fired == CORPUS_RULED_OUT
 
 
 def test_cannot_cut_is_sound_on_random_combinations():
     """Seeded lambda >= 0 over one to three corpus rows, at the bundled point,
     at points inside the box and at points up to 2 outside it, so that both
-    bounds and rows are violated at some of them."""
+    bounds and rows are violated at some of them; each point's 40
+    combinations are decided in one call."""
     rng = np.random.default_rng(41)
     fired = outside = violated = 0
     for mps, sol in corpus_paths():
@@ -699,18 +722,20 @@ def test_cannot_cut_is_sound_on_random_combinations():
         points += [rng.uniform(lo - 2.0, hi + 2.0) for _ in range(2)]
         for point in points:
             ctx = preprocess(inst, point)
+            aggs = []
             for _ in range(40):
                 rows = rng.choice(inst.n_rows, size=int(rng.integers(1, 4)), replace=False)
                 lam = rng.uniform(0.1, 3.0, size=len(rows))
-                agg = AggregationResult(
+                aggs.append(AggregationResult(
                     factors=dict(zip(rows.tolist(), lam.tolist())), alpha=lam @ inst.matrix[rows],
                     beta=float(lam @ inst.rhs[rows]), used_rows=tuple(rows.tolist()),
                     eliminated=(), residual_bad=(), algorithm="mw", starting_row=int(rows[0]),
-                )
-                hit = _rule_is_sound(agg, ctx)
-                fired += hit
-                outside += hit and bool(np.any((point < inst.lower) | (point > inst.upper)))
-                violated += hit and agg.beta < agg.alpha @ point
+                ))
+            hits = _rule_is_sound(aggs, ctx)
+            fired += int(hits.sum())
+            if np.any((point < inst.lower) | (point > inst.upper)):
+                outside += int(hits.sum())
+            violated += sum(agg.beta < agg.alpha @ point for agg, hit in zip(aggs, hits) if hit)
     assert fired > 0 and outside > 0 and violated > 0, (fired, outside, violated)
 
 
@@ -748,10 +773,10 @@ def test_cannot_cut_is_sound_on_drawn_rows_with_implied_bounds(case):
         factors={}, alpha=alpha, beta=beta, used_rows=(), eliminated=(),
         residual_bad=(), algorithm="mw", starting_row=0,
     )
-    _rule_is_sound(agg, preprocess(inst, point))
+    _rule_is_sound([agg], preprocess(inst, point))
 
 
-# Each guard of ``_cannot_cut``, failing alone: the others hold and
+# Each guard of ``cannot_cut``, failing alone: the others hold and
 # sigma + sbar >= D, yet the search emits a cut, so a rule without that
 # guard would skip it.  (variables, row, point, sigma, sbar, D)
 GUARD_CASES = {
@@ -785,6 +810,6 @@ def test_each_cannot_cut_guard_is_needed(case):
     assert max(1.0, np.abs(k.a).max()) == D and sigma + sbar >= D
     inside = bool(np.all((k.zbar >= 0) & (k.zbar <= k.u)))
     assert (inside, sigma >= 0, sbar >= 0).count(False) == 1
-    assert not cmir._cannot_cut(agg, ctx)
+    assert cmir.cannot_cut([agg], ctx).tolist() == [False]
     cut = separate_on_aggregation(agg, ctx, "c")
     assert cut is not None and cut.violation > cmir.VIOLATION_THRESHOLD

@@ -256,10 +256,52 @@ def test_corpus_loads_and_produces_aggregations():
         assert res.aggregations["mw"] or res.aggregations["lasso"]
 
 
+def _recording_screen_and_separate(monkeypatch):
+    """Record each ``cannot_cut`` call of ``run_separation`` as (its
+    aggregations, its verdicts) and each ``separate_on_aggregation`` call
+    as (its aggregation, its cut)."""
+    screen = aggsep.harness.cannot_cut
+    separate = aggsep.harness.separate_on_aggregation
+    screened, separated = [], []
+
+    def screening(aggs, ctx):
+        ruled_out = screen(aggs, ctx)
+        screened.append((list(aggs), ruled_out.tolist()))
+        return ruled_out
+
+    def separating(agg, *args, **kwargs):
+        cut = separate(agg, *args, **kwargs)
+        separated.append((agg, cut))
+        return cut
+
+    monkeypatch.setattr(aggsep.harness, "cannot_cut", screening)
+    monkeypatch.setattr(aggsep.harness, "separate_on_aggregation", separating)
+    return screened, separated
+
+
+def _assert_screened_then_separated(res, screened, separated):
+    """Every recorded aggregation is screened exactly once, in order, in one
+    call per algorithm; each survivor is separated once, in order; and the
+    cuts are those separations' cuts, in order."""
+    emitted = list(res.aggregations.values())
+    assert len(screened) == len(emitted)
+    for (aggs, verdicts), want in zip(screened, emitted):
+        assert len(aggs) == len(verdicts) == len(want)
+        assert all(got is agg for got, agg in zip(aggs, want))
+    survivors = [agg for aggs, verdicts in screened
+                 for agg, ruled_out in zip(aggs, verdicts) if not ruled_out]
+    assert len(separated) == len(survivors)
+    assert all(got is want for (got, _), want in zip(separated, survivors))
+    cuts = [cut for _, cut in separated if cut is not None]
+    assert len(res.cuts) == len(cuts)
+    assert all(got is want for got, want in zip(res.cuts, cuts))
+
+
 def test_separates_exactly_the_recorded_aggregations(monkeypatch):
     # one row, one bad column: mw emits the bare row; lasso's first solve
     # leaves the column and its reweighted re-solve hits the iteration
-    # limit, so that starting row fails and nothing of it may be separated
+    # limit, so that starting row fails and nothing of it may be screened
+    # or separated
     inst = MilpInstance(
         "t",
         [Variable("x", CONTINUOUS, 0.0, 10.0), Variable("z", INTEGER, 0.0, 5.0),
@@ -267,25 +309,22 @@ def test_separates_exactly_the_recorded_aggregations(monkeypatch):
         [Row("r1", {"x": 1.0, "z": 1.0, "w": 1.0}, 6.0)],
     )
     solve_lp = aggsep.lasso.solve_lp
-    separate = aggsep.harness.separate_on_aggregation
-    separated = []
 
     def cold_only(prob, warm=None):
         return solve_lp(prob) if warm is None else LpSolution(status=ITERATION_LIMIT)
 
-    def counting(agg, *args, **kwargs):
-        separated.append(agg)
-        return separate(agg, *args, **kwargs)
-
     monkeypatch.setattr(aggsep.lasso, "solve_lp", cold_only)
-    monkeypatch.setattr(aggsep.harness, "separate_on_aggregation", counting)
+    screened, separated = _recording_screen_and_separate(monkeypatch)
     res = run_separation(inst, np.array([2.0, 1.5, 0.5]),
                          RunConfig(start_policy=POLICY_ALL))
     assert res.aggregations["lasso"] == []
     assert any("lasso: starting row r1 skipped" in d for d in res.diagnostics)
     recorded = res.aggregations["mw"] + res.aggregations["lasso"]
-    assert len(separated) == len(recorded) == 1
-    assert separated[0] is recorded[0]
+    assert len(recorded) == 1
+    assert [len(aggs) for aggs, _ in screened] == [1, 0]  # mw, then lasso
+    assert screened[0][0][0] is recorded[0]
+    _assert_screened_then_separated(res, screened, separated)
+    assert screened[0][1] == [True] and separated == []  # the rule rules the bare row out
 
 
 def _repeating_instance():
@@ -310,25 +349,13 @@ def _corpus_cases():
 
 
 def test_no_repeated_lasso_aggregation_and_each_is_separated_once(monkeypatch):
-    separate = aggsep.harness.separate_on_aggregation
-    separated = []
-
-    def counting(agg, *args, **kwargs):
-        cut = separate(agg, *args, **kwargs)
-        separated.append((agg, cut))
-        return cut
-
-    monkeypatch.setattr(aggsep.harness, "separate_on_aggregation", counting)
+    screened, separated = _recording_screen_and_separate(monkeypatch)
 
     def lasso_aggregations(inst, point):
+        screened.clear()
         separated.clear()
         res = run_separation(inst, point, RunConfig(start_policy=POLICY_ALL))
-        emitted = res.aggregations["mw"] + res.aggregations["lasso"]
-        assert len(separated) == len(emitted)
-        assert all(got is want for (got, _), want in zip(separated, emitted))
-        cuts = [cut for _, cut in separated if cut is not None]
-        assert len(res.cuts) == len(cuts)
-        assert all(got is want for got, want in zip(res.cuts, cuts))
+        _assert_screened_then_separated(res, screened, separated)
         lasso = res.aggregations["lasso"]
         for prev, agg in zip(lasso, lasso[1:]):
             assert (agg.starting_row, agg.factors) != (prev.starting_row, prev.factors)

@@ -315,6 +315,9 @@ def test_parse_solution_errors(example1):
         with pytest.raises(SolutionParseError) as exc:
             parse_solution(io.StringIO("x1 0.5\nx2 %s\n" % value), example1)
         assert exc.value.line == 2
+    with pytest.raises(SolutionParseError, match="duplicate variable x1") as exc:
+        parse_solution(io.StringIO("x1 1.0\nx2 0.0\nx1 0.5\n"), example1)
+    assert exc.value.line == 3
 
 
 def test_solution_roundtrip(example1):
